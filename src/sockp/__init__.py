@@ -15,13 +15,14 @@ from .guarantees import (guarantee_gap_dro, guarantee_gap_normal,
                          min_segments_dro, min_segments_normal_order,
                          monte_carlo_feasibility)
 from .instances import FAMILIES, GeneratorSpec, generate
-from .knapsack import (KnapsackSolution, KnapsackSubproblem, dantzig_bound,
-                       scale_to_integers, solve_knapsack)
+from .knapsack import (KnapsackSolution, KnapsackSubproblem,
+                       SolverInvariantError, dantzig_bound, scale_to_integers,
+                       solve_knapsack)
 from .model import (OmegaSpec, SockpInstance, instance_from_json,
                     instance_to_json, inverse_normal_cdf, is_soc_feasible,
                     resolve_omega, soc_lhs)
-from .rkpm import (BoundResult, EXACT, LOWER, SolverInvariantError, UPPER,
-                   lower_bound, solve_rkpm, upper_bound)
+from .rkpm import (BoundResult, EXACT, LOWER, UPPER, lower_bound, solve_rkpm,
+                   upper_bound)
 
 __all__ = [
     "BoundResult", "EXACT", "FAMILIES", "GeneratorSpec", "HORIZONTAL",

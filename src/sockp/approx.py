@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EXACT_PREC, SockpInstance, as_omega
+from .model import EXACT_PREC, SockpInstance, _frac_digits, as_omega
 
 __all__ = [
     "HORIZONTAL",
@@ -38,11 +38,6 @@ VERTICAL = "vertical"
 
 # Fractional digits kept for the irrational vertical-partition coefficients.
 _VERTICAL_QUANT = 18
-
-
-def _frac_digits(d: Decimal) -> int:
-    exp = d.as_tuple().exponent
-    return max(0, -exp) if isinstance(exp, int) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,12 @@ import time
 from decimal import localcontext
 from fractions import Fraction
 
-from .model import EXACT_PREC, SockpInstance, as_omega, is_soc_feasible
+from .model import (EXACT_PREC, SockpInstance, _frac_digits, as_omega,
+                    is_soc_feasible)
 from .rkpm import (BoundResult, DEFAULT_SCALE_FACTOR, EXACT,
                    SolverInvariantError, upper_bound)
 
 __all__ = ["m_star", "solve_exact"]
-
-
-def _frac_digits(dec) -> int:
-    exp = dec.as_tuple().exponent
-    return max(0, -exp) if isinstance(exp, int) else 0
 
 
 def _ceil_half_isqrt(x: int) -> int:

@@ -7,6 +7,24 @@ branch and bound when the profit range exceeds the state ceiling.  Among
 equal-value optima it returns the lexicographically smallest selection vector,
 so results are reproducible across runs and platforms.
 
+Before the DP runs, variables are fixed by reduced cost against a floor
+(Martello, Pisinger & Toth, "Dynamic programming and strong bounds for the 0-1
+knapsack problem", Management Science 45(3), 1999).  With lam = p_b / w_b the
+ratio of the break item of the greedy fill, every selection x satisfies
+
+    value(x) <= U - sum over items j off their LP side of |p_j - lam w_j|,
+    U = lam * cap + sum_j max(0, p_j - lam w_j),
+
+so an item whose reduced cost exceeds U - floor takes its LP side (in if its
+ratio beats lam, out if it falls short) in every selection worth at least the
+floor.  The floor is the caller's ``floor`` or the greedy value, whichever is
+larger; the DP then sees only the free items and the capacity left by the
+items fixed in.  All of it is exact integer arithmetic scaled by w_b; the
+float ratio order only picks the break item, so it affects how many items are
+fixed, never whether the fixing is valid.  Every optimum obeys the fixings,
+so the fixed coordinates agree across optima and the lexicographically
+smallest optimum is unchanged.
+
 All operations are pure functions of their inputs; problems may be solved
 concurrently from multiple threads.
 """
@@ -16,13 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "KnapsackSolution",
     "KnapsackSubproblem",
+    "SolverInvariantError",
     "dantzig_bound",
     "scale_to_integers",
     "solve_knapsack",
@@ -36,6 +55,10 @@ DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_LEX_CELLS = 60_000_000
 
 _INF = 1 << 62
+
+
+class SolverInvariantError(RuntimeError):
+    """An internal solver invariant failed; results cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -127,31 +150,6 @@ def dantzig_bound(profits: Sequence[int], weights: Sequence[int],
     return total
 
 
-def _fast_profit_ceiling(kept, capacity) -> int:
-    """Cheap integer bound >= the optimum, for sizing the DP profit axis.
-
-    Float greedy fill in float-sorted ratio order, padded by one unit; the
-    padding dwarfs every rounding effect (items fit in float64 exactly and
-    mis-sorting near-equal ratios perturbs the LP value by ~1e-12 relative).
-    Data outside the float64-exact integer range fall back to the exact bound.
-    """
-    if max(max(p, w) for _, p, w in kept) >= 2 ** 53 or capacity >= 2 ** 53:
-        return dantzig_bound([p for _, p, _ in kept],
-                             [w for _, _, w in kept], capacity)
-    profits = np.array([p for _, p, _ in kept], dtype=float)
-    weights = np.array([w for _, _, w in kept], dtype=float)
-    order = np.argsort(-profits / weights, kind="stable")
-    cum_w = np.cumsum(weights[order])
-    cum_p = np.cumsum(profits[order])
-    k = int(np.searchsorted(cum_w, float(capacity), side="right"))
-    if k >= len(kept):
-        return int(cum_p[-1]) + 1
-    full = float(cum_p[k - 1]) if k else 0.0
-    room = float(capacity) - (float(cum_w[k - 1]) if k else 0.0)
-    frac = profits[order[k]] * max(room, 0.0) / weights[order[k]]
-    return int(math.floor(full + frac)) + 1
-
-
 def _split_items(problem: KnapsackSubproblem):
     """Forced bits and the residual item list.
 
@@ -172,47 +170,135 @@ def _split_items(problem: KnapsackSubproblem):
     return bits, base_value, kept
 
 
+class _Reduction(NamedTuple):
+    """Outcome of reduced-cost fixing; ``free`` is None if no selection
+    reaches the floor."""
+
+    greedy: int  # value of the greedy prefix, a feasible selection
+    fixed: list  # original indices of the items fixed in
+    fixed_value: int
+    free: list | None  # (original index, profit, weight), ascending index
+    room: int  # capacity left by the items fixed in
+    upper: int  # exact bound on the optimum over the free items
+
+
+def _reduce(kept, capacity, floor) -> _Reduction:
+    """Fix items by reduced cost against ``floor`` (see the module docstring).
+
+    ``floor`` counts the kept items only; None means the greedy value.  The
+    free items keep their ascending index order, and every selection worth
+    at least the floor obeys the fixings.
+    """
+    profits = [p for _, p, _ in kept]
+    weights = [w for _, _, w in kept]
+    total_w = sum(weights)
+    if total_w <= capacity:
+        # Everything fits: taking all items is the only optimum.
+        total_p = sum(profits)
+        return _Reduction(total_p, [j for j, _, _ in kept], total_p, [],
+                          capacity - total_w, 0)
+    max_p, max_w = max(profits), max(weights)
+    exact = (np.int64 if max_p * (len(kept) * max_w + capacity) < 2 ** 62
+             and total_w < 2 ** 62 else object)
+    p_arr = np.array(profits, dtype=exact)
+    w_arr = np.array(weights, dtype=exact)
+    order = np.argsort(-(p_arr / w_arr).astype(float), kind="stable")
+    # The break item: first in ratio order that overflows the greedy fill.
+    pos = int(np.searchsorted(np.cumsum(w_arr[order]), capacity, side="right"))
+    greedy = int(p_arr[order[:pos]].sum())
+    b = order[pos]
+    p_b, w_b = profits[b], weights[b]
+    reduced = w_b * p_arr - p_b * w_arr  # w_b * (p_j - lam * w_j)
+    gains = np.maximum(reduced, 0)
+    target = greedy if floor is None else max(floor, greedy)
+    slack = p_b * capacity + int(gains.sum()) - w_b * target
+    if slack < 0:
+        return _Reduction(greedy, [], 0, None, capacity, 0)
+    fix_in = reduced > slack
+    free = ~fix_in & (-reduced <= slack)
+    room = capacity - int(w_arr[fix_in].sum())
+    if room < 0:
+        return _Reduction(greedy, [], 0, None, room, 0)
+    free &= w_arr <= room
+    idx = np.flatnonzero(free)
+    upper = (p_b * room + int(gains[idx].sum())) // w_b
+    return _Reduction(greedy,
+                      [kept[i][0] for i in np.flatnonzero(fix_in)],
+                      int(p_arr[fix_in].sum()),
+                      [kept[i] for i in idx],
+                      room,
+                      min(upper, int(p_arr[idx].sum())))
+
+
 def solve_knapsack_value(problem: KnapsackSubproblem,
                          *,
-                         state_cap: int = DEFAULT_STATE_CAP) -> int:
-    """Optimal objective only (no selection vector); same exactness contract."""
+                         state_cap: int = DEFAULT_STATE_CAP,
+                         floor: int | None = None) -> int:
+    """Optimal objective only (no selection vector); same exactness contract.
+
+    With ``floor`` the result is the exact optimum whenever that optimum is
+    at least ``floor``; otherwise it is the value of some feasible selection
+    and lies below ``floor``.  Higher floors fix more items, so the DP gets
+    narrower.
+    """
     if problem.capacity < 0:
         return 0
     _, base_value, kept = _split_items(problem)
     if not kept:
         return base_value
-    upper = _fast_profit_ceiling(kept, problem.capacity)
-    if upper + 1 > state_cap:
-        value, _ = _branch_and_bound(kept, problem.capacity)
-        return base_value + value
-    return base_value + _dp_value_only(kept, problem.capacity, upper)
+    red = _reduce(kept, problem.capacity,
+                  None if floor is None else floor - base_value)
+    if red.free is None:
+        return base_value + red.greedy
+    if not red.free:
+        return base_value + red.fixed_value
+    if red.upper + 1 > state_cap:
+        value, _ = _branch_and_bound(red.free, red.room)
+    else:
+        value = _dp_value_only(red.free, red.room, red.upper)
+    return base_value + red.fixed_value + value
 
 
 def solve_knapsack(problem: KnapsackSubproblem,
                    *,
                    state_cap: int = DEFAULT_STATE_CAP,
-                   lex_cells: int = DEFAULT_LEX_CELLS) -> KnapsackSolution:
+                   lex_cells: int = DEFAULT_LEX_CELLS,
+                   floor: int | None = None) -> KnapsackSolution:
     """Solve a 0/1 knapsack exactly.
 
     Returns the optimal value together with the lexicographically smallest
     optimal selection vector.  A negative capacity yields the empty selection
-    flagged infeasible rather than an exception.
+    flagged infeasible rather than an exception.  ``floor``, if given, must be
+    the optimal value (as returned by :func:`solve_knapsack_value`); it only
+    narrows the DP, and a floor that is not the optimum raises
+    :class:`SolverInvariantError`.
     """
     if problem.capacity < 0:
         return KnapsackSolution(selected=(0,) * problem.n, value=0, feasible=False)
 
     bits, base_value, kept = _split_items(problem)
     if not kept:
-        return KnapsackSolution(selected=tuple(bits), value=base_value)
-
-    upper = _fast_profit_ceiling(kept, problem.capacity)
-    if upper + 1 > state_cap:
-        value, chosen = _branch_and_bound(kept, problem.capacity)
+        value = base_value
     else:
-        value, chosen = _dp_by_profit(kept, problem.capacity, upper, lex_cells)
-    for j in chosen:
-        bits[j] = 1
-    return KnapsackSolution(selected=tuple(bits), value=base_value + value)
+        red = _reduce(kept, problem.capacity,
+                      None if floor is None else floor - base_value)
+        if red.free is None:
+            raise SolverInvariantError(
+                "reduced-cost slack or room went negative below the optimum")
+        value, chosen = 0, []
+        if red.free:
+            if red.upper + 1 > state_cap:
+                value, chosen = _branch_and_bound(red.free, red.room)
+            else:
+                value, chosen = _dp_by_profit(red.free, red.room, red.upper,
+                                              lex_cells)
+        for j in red.fixed + chosen:
+            bits[j] = 1
+        value += base_value + red.fixed_value
+    if floor is not None and value != floor:
+        raise SolverInvariantError(
+            f"reconstructed value {value} differs from the floor {floor}")
+    return KnapsackSolution(selected=tuple(bits), value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +396,8 @@ def _dp_by_profit(kept, capacity, upper, lex_cells):
         chosen.append(j)
         target -= p
         budget -= w
-    assert target == 0
+    if target != 0:
+        raise SolverInvariantError("reconstruction missed the optimal value")
     return value, chosen
 
 
@@ -344,7 +431,8 @@ def _dp_by_profit_python(kept, capacity, upper):
         chosen.append(j)
         target -= p
         budget -= w
-    assert target == 0
+    if target != 0:
+        raise SolverInvariantError("reconstruction missed the optimal value")
     return value, chosen
 
 
@@ -423,5 +511,6 @@ def _branch_and_bound(kept, capacity):
         chosen.append(j)
         target -= p
         budget -= w
-    assert target == 0
+    if target != 0:
+        raise SolverInvariantError("reconstruction missed the optimal value")
     return best, chosen

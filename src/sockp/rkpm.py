@@ -16,7 +16,17 @@ Subproblem weights are built in exact integer arithmetic and conservatively
 scaled (ceil weights, floor capacity), so returned lower bounds are always
 genuinely SOC-feasible.  A float Dantzig screen with generous safety margins
 picks the few pivots whose knapsack must actually be solved; margins only
-ever cause extra exact solves, never wrong answers.
+ever cause extra exact solves, never wrong answers.  The screen works on
+matrices: the prefix gain/budget sums of a chunk of pivots come from one
+cumsum over the chunk's table entries, and the LP bounds of all its weight
+rows from a row-wise argsort, cumsum and break count, with every temporary
+array kept near ``SCREEN_CHUNK`` elements.
+
+Each exact value solve passes the incumbent as its floor, so the knapsack
+fixes items by reduced cost against it (Martello, Pisinger & Toth,
+Management Science 45(3), 1999; see :mod:`sockp.knapsack`) and its DP sees
+only the few items that could still change a winning selection; pivots whose
+LP bound falls short of the incumbent need no DP at all.
 """
 
 from __future__ import annotations
@@ -32,9 +42,10 @@ from typing import Sequence
 import numpy as np
 
 from .approx import HORIZONTAL, SegmentTable, beta_exact, build_segments
-from .knapsack import (KnapsackSubproblem, solve_knapsack,
-                       solve_knapsack_value)
-from .model import EXACT_PREC, SockpInstance, as_omega, is_soc_feasible
+from .knapsack import (KnapsackSubproblem, SolverInvariantError,
+                       solve_knapsack, solve_knapsack_value)
+from .model import (EXACT_PREC, SockpInstance, _frac_digits, as_omega,
+                    is_soc_feasible)
 
 __all__ = [
     "BoundResult",
@@ -53,9 +64,8 @@ EXACT = "exact"
 
 DEFAULT_SCALE_FACTOR = 10 ** 6
 
-
-class SolverInvariantError(RuntimeError):
-    """An internal solver invariant failed; results cannot be trusted."""
+# Elements per temporary array of the matrix screen.
+SCREEN_CHUNK = 25_000
 
 
 @dataclass(frozen=True)
@@ -72,11 +82,6 @@ class BoundResult:
     wall_time: float
     iterations: int | None = None
     objective_history: tuple[int, ...] = ()
-
-
-def _frac_digits(dec) -> int:
-    exp = dec.as_tuple().exponent
-    return max(0, -exp) if isinstance(exp, int) else 0
 
 
 class _Family:
@@ -121,18 +126,18 @@ class _Family:
         capacity).  Weights are ceil'd and the capacity floor'd at ``factor``.
         """
         t = self.table
-        n = self.inst.n
         gs, rnum, f_i = self._pivot_parts(i)
         sd, sf = t.prefix_state(gs)
+        extra = [d * f_i - rnum * s for d, s in zip(sd, sf)]
+        if extra and min(extra) < 0:
+            raise SolverInvariantError(
+                "negative modified weight; ratio ordering violated")
         den = self.pow_da * t.q * f_i
-        weights = []
-        for j in range(n):
-            extra = sd[j] * f_i - rnum * sf[j]
-            if extra < 0:
-                raise SolverInvariantError(
-                    "negative modified weight; ratio ordering violated")
-            num = factor * (self.a_int[j] * t.q * f_i + self.pow_da * extra)
-            weights.append(-((-num) // den))
+        # weight_j = ceil(factor * (a_j * q * f_i + pow_da * extra_j) / den)
+        lin = factor * t.q * f_i
+        gain = factor * self.pow_da
+        weights = [-((-lin * a - gain * e) // den)
+                   for a, e in zip(self.a_int, extra)]
         cap_num = factor * (self.b_int * t.q * f_i * self.dd
                             - rnum * self.dn * self.pow_da)
         capacity = cap_num // (den * self.dd)
@@ -147,78 +152,116 @@ class _Family:
         Returns ([(rank, sorted index or None, bound)], skipped).  The bound
         is the LP relaxation of the pivot's own (unscaled, true-weight)
         subproblem in float arithmetic; it dominates the scaled integer
-        optimum up to ~1e-8, absorbed by the callers' 0.5 margins.  Weight
-        vectors are accumulated incrementally across ratio groups, so the
-        whole family costs O(size * n) float work.  Negative-capacity pivots
-        are dropped and counted (exact sign tests, float-banded).
+        optimum up to ~1e-8, absorbed by the callers' 0.5 margins.
+        Negative-capacity pivots are dropped and counted (exact sign tests,
+        float-banded).  The real pivots are bounded as matrices, a chunk of
+        rows at a time (see :meth:`_pivot_weights` and :func:`_dantzig_rows`),
+        so the whole family costs O(size * n) float work in numpy.
         """
         t = self.table
-        n = self.inst.n
-        family_set = set(t.family(self.delta))
-        delta_f = self.dn / self.dd
-        sd_f = np.zeros(n)
-        sf_f = np.zeros(n)
+        lh = t.lhat(self.delta)
+        first = t.size if lh is None else lh - 1  # first real pivot index
+        r = t.d_float[first:] / t.f_int[first:]  # pivot gain/budget ratios
+        caps = self.cap_f - r * (self.dn / self.dd)
+        tol = 1e-6 * (1.0 + abs(self.cap_f) + np.abs(caps))
+        negative = caps < -tol
+        for k in np.flatnonzero(np.abs(caps) <= tol):
+            negative[k] = self.capacity_is_negative(first + int(k))
+        live = np.flatnonzero(~negative)
+        skipped = len(r) - len(live)
+
         candidates = []
-        skipped = 0
-        group_accum: list[int] = []
+        n = self.inst.n
+        js = np.asarray(t.js, dtype=np.intp)
+        group_start = np.asarray(t.group_start, dtype=np.intp)[first:][live]
+        rows = max(1, SCREEN_CHUNK // n)
+        # Float per-item (d, f) sums over the first `upto` table entries.
+        sd, sf, upto = np.zeros(n), np.zeros(n), 0
+        c0 = 0
+        while c0 < len(live):
+            # The chunk spans at most `rows` pivots and `rows` table entries.
+            g0 = int(group_start[c0])
+            c1 = min(c0 + rows, int(np.searchsorted(
+                group_start, g0 + rows, side="right")))
+            sd += np.bincount(js[upto:g0], weights=t.d_float[upto:g0],
+                              minlength=n)
+            sf += np.bincount(js[upto:g0], weights=t.f_int[upto:g0],
+                              minlength=n)
+            upto = g0
+            sel = live[c0:c1]
+            weights = self._pivot_weights(js, sd, sf, group_start[c0:c1],
+                                          r[sel])
+            bounds = _dantzig_rows(self.profits_f, weights,
+                                   np.maximum(caps[sel], 0.0))
+            index = (sel + first).tolist()
+            candidates.extend(zip([i + 1 for i in index], index,
+                                  bounds.tolist()))
+            c0 = c1
 
-        def flush() -> None:
-            for idx in group_accum:
-                j = t.js[idx]
-                sd_f[j] += t.d_float[idx]
-                sf_f[j] += t.f[idx]
-            group_accum.clear()
-
-        def cap_negative(i, cap_float) -> bool:
-            tol = 1e-6 * (1.0 + abs(self.cap_f) + abs(cap_float))
-            if cap_float < -tol:
-                return True
-            if cap_float > tol:
-                return False
-            return self.capacity_is_negative(i)
-
-        for i in range(t.size):
-            if t.group_start[i] == i and group_accum:
-                flush()
-            rank = i + 1
-            if rank in family_set:
-                r_f = t.d_float[i] / t.f[i]
-                cap = self.cap_f - r_f * delta_f
-                if cap_negative(i, cap):
-                    skipped += 1
-                else:
-                    w = self.means_f + sd_f - r_f * sf_f
-                    candidates.append(
-                        (rank, i, _dantzig_float(self.profits_f, w, max(cap, 0.0))))
-            group_accum.append(i)
-        flush()
-        if cap_negative(None, self.cap_f):
+        tol = 1e-6 * (1.0 + 2 * abs(self.cap_f))
+        if self.cap_f < -tol or (self.cap_f <= tol
+                                 and self.capacity_is_negative(None)):
             skipped += 1
         else:
-            w = self.means_f + sd_f
-            candidates.append((t.size + 1, None,
-                               _dantzig_float(self.profits_f, w, self.cap_f)))
+            sd += np.bincount(js[upto:], weights=t.d_float[upto:], minlength=n)
+            bound = _dantzig_rows(self.profits_f, (self.means_f + sd)[None, :],
+                                  np.array([max(self.cap_f, 0.0)]))
+            candidates.append((t.size + 1, None, float(bound[0])))
         return candidates, skipped
 
+    def _pivot_weights(self, js, sd0, sf0, group_start, r):
+        """Float weight rows means + sd - r * sf of a chunk of pivots.
 
-def _dantzig_float(profits: np.ndarray, weights: np.ndarray, cap: float) -> float:
-    if cap < 0:
-        return 0.0
+        ``group_start`` is nondecreasing; row k holds the pivot whose
+        strict-ratio prefix ends at group_start[k].  ``sd0``/``sf0`` are the
+        sums up to group_start[0]; one cumsum over the chunk's entries
+        from there gives every other prefix.
+        """
+        t = self.table
+        g0 = int(group_start[0])
+        span = int(group_start[-1]) - g0
+        inc_d = np.zeros((span + 1, self.inst.n))
+        inc_f = np.zeros((span + 1, self.inst.n))
+        steps = np.arange(1, span + 1)
+        inc_d[steps, js[g0:g0 + span]] = t.d_float[g0:g0 + span]
+        inc_f[steps, js[g0:g0 + span]] = t.f_int[g0:g0 + span]
+        np.cumsum(inc_d, axis=0, out=inc_d)
+        np.cumsum(inc_f, axis=0, out=inc_f)
+        at = group_start - g0
+        weights = self.means_f + sd0 + inc_d[at]
+        weights -= r[:, None] * (sf0 + inc_f[at])
+        return weights
+
+
+def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
+                  caps: np.ndarray) -> np.ndarray:
+    """Float Dantzig (LP relaxation) bound of each weight row.
+
+    Row k is a knapsack with the shared ``profits``, weights ``weights[k]``
+    and the nonnegative capacity ``caps[k]``.
+    """
+    rows, n = weights.shape
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300), np.inf)
-        ratios = np.where(profits > 0, ratios, 0.0)
-    order = np.argsort(-ratios, kind="stable")
-    w_sorted = weights[order]
+        ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300),
+                          np.inf)
+    ratios = np.where(profits > 0, ratios, 0.0)
+    # Ties may fall in any order: the LP value does not depend on it.
+    order = np.argsort(-ratios, axis=1)
+    w_sorted = weights.ravel()[order + (np.arange(rows) * n)[:, None]]
     p_sorted = profits[order]
-    cum_w = np.cumsum(w_sorted)
-    k = int(np.searchsorted(cum_w, cap, side="right"))
-    if k >= len(order):
-        return float(p_sorted.sum())
-    full = float(p_sorted[:k].sum())
-    room = cap - (float(cum_w[k - 1]) if k else 0.0)
-    if w_sorted[k] > 0 and room > 0:
-        full += float(p_sorted[k]) * room / float(w_sorted[k])
-    return full
+    cum_w = np.cumsum(w_sorted, axis=1)
+    cum_p = np.cumsum(p_sorted, axis=1)
+    k = np.count_nonzero(cum_w <= caps[:, None], axis=1)
+    r = np.arange(rows)
+    prev = np.maximum(k - 1, 0)
+    full = np.where(k > 0, cum_p[r, prev], 0.0)
+    room = caps - np.where(k > 0, cum_w[r, prev], 0.0)
+    nxt = np.minimum(k, n - 1)
+    w_next = w_sorted[r, nxt]
+    frac = np.where((k < n) & (w_next > 0) & (room > 0),
+                    p_sorted[r, nxt] * room / np.where(w_next > 0, w_next, 1.0),
+                    0.0)
+    return full + frac
 
 
 def _solve_family(fam: _Family, factor: int, threads: int):
@@ -226,7 +269,11 @@ def _solve_family(fam: _Family, factor: int, threads: int):
 
     Deterministic: candidates are walked in (bound desc, rank asc) order, the
     incumbent only improves strictly, and an ascending-rank tie sweep restores
-    the smallest-rank winner among equal objectives.
+    the smallest-rank winner among equal objectives.  Every value solve gets
+    the incumbent as its floor (the first one the greedy value, the knapsack
+    default), so it is exact whenever it ties or beats the incumbent and the
+    comparisons below stay exact; a reconstruction gets the value it must
+    reach.
     """
     candidates, skipped = fam.screen()
     examined = len(candidates)
@@ -235,11 +282,13 @@ def _solve_family(fam: _Family, factor: int, threads: int):
     best_value = -1
     best_rank = None
     best_bits = None
-    values = {}  # rank -> exact subproblem optimum, for the tie sweep
+    values = {}  # rank -> subproblem value at its floor, for the tie sweep
 
     def evaluate(cand):
         rank, i, _ = cand
-        return rank, i, solve_knapsack_value(fam.scaled_subproblem(i, factor))
+        problem = fam.scaled_subproblem(i, factor)
+        floor = None if best_rank is None else best_value
+        return rank, problem, solve_knapsack_value(problem, floor=floor)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -257,28 +306,30 @@ def _solve_family(fam: _Family, factor: int, threads: int):
                 results = list(pool.map(evaluate, batch))
             else:
                 results = [evaluate(cand) for cand in batch]
-            for rank, i, value in results:
+            for rank, problem, value in results:
                 values[rank] = value
                 if best_rank is None or value > best_value:
-                    sol = solve_knapsack(fam.scaled_subproblem(i, factor))
+                    sol = solve_knapsack(problem, floor=value)
                     best_value, best_rank, best_bits = sol.value, rank, sol.selected
 
         # Equal-objective pivots with smaller rank may have been gated out:
         # sweep ranks upward and stop at the first tie.
-        for rank, i, bound in sorted(candidates, key=lambda c: c[0]):
+        for cand in sorted(candidates, key=lambda c: c[0]):
+            rank, i, bound = cand
             if best_rank is None or rank >= best_rank:
                 break
             if bound < best_value - 0.5:
                 continue
             value = values.get(rank)
             if value is None:
-                value = solve_knapsack_value(fam.scaled_subproblem(i, factor))
+                value = evaluate(cand)[2]
                 values[rank] = value
             if value > best_value:
                 raise SolverInvariantError(
                     "screen admitted an improving pivot after the main pass")
             if value == best_value:
-                sol = solve_knapsack(fam.scaled_subproblem(i, factor))
+                sol = solve_knapsack(fam.scaled_subproblem(i, factor),
+                                     floor=value)
                 best_value, best_rank, best_bits = sol.value, rank, sol.selected
                 break
     finally:

@@ -211,3 +211,18 @@ def test_cli_seed_range_parsing(capsys):
                  "--m-grid", "2", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert [line.split(",")[4] for line in lines[1:]] == ["3", "5", "6"]
+
+
+def test_cli_knapsack_reconstruction_failure_exits_3(monkeypatch, capsys):
+    import sockp.knapsack as knapsack
+
+    real = knapsack._dp_by_profit
+
+    def off_by_one(*args):
+        value, chosen = real(*args)
+        return value + 1, chosen
+
+    monkeypatch.setattr(knapsack, "_dp_by_profit", off_by_one)
+    assert main(["bounds", "--family", "SC", "--n", "30", "--seed", "0",
+                 "--rho", "0.95", "--m", "4"]) == 3
+    assert "internal error: reconstructed value" in capsys.readouterr().err

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sockp import (KnapsackSubproblem, dantzig_bound, scale_to_integers,
-                   solve_knapsack)
-from sockp.knapsack import solve_knapsack_value
+from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
+                   scale_to_integers, solve_knapsack)
+from sockp.knapsack import DEFAULT_STATE_CAP, solve_knapsack_value
 
 from conftest import enumerate_knapsack
 
@@ -161,3 +161,58 @@ def test_big_integer_weights_fall_back_exactly():
     sol = solve_knapsack(prob)
     assert sol.value == 22
     assert sol.selected == (0, 1, 1)
+
+
+def _floor_cases(rng):
+    """Problems covering each branch of the reduced-cost fixing.
+
+    Zero-weight and oversized items, equal ratios, negative capacities and
+    weights above 2**62 (the big-integer path), cycled over the trials.
+    """
+    for trial in range(150):
+        kind = trial % 5
+        n = rng.randint(0, 10)
+        weights = [rng.randint(0, 30) for _ in range(n)]
+        if kind == 1:  # equal ratios: profit is 2 or 3 times the weight
+            profits = [w * rng.choice((2, 3)) for w in weights]
+        elif kind == 2:  # strongly correlated, plus zero-profit items
+            profits = [w + 10 if rng.random() < 0.8 else 0 for w in weights]
+        else:
+            profits = [rng.randint(0, 40) for _ in range(n)]
+        capacity = rng.randint(0, max(1, sum(weights)))
+        if kind == 3:
+            capacity = -rng.randint(1, 5)
+        if kind == 4:
+            shift = (1 << 63) + rng.randint(0, 99)
+            weights = [w * shift for w in weights]
+            capacity *= shift
+        yield KnapsackSubproblem(profits=tuple(profits), weights=tuple(weights),
+                                 capacity=capacity)
+
+
+def test_floor_contract_matches_enumeration():
+    for prob in _floor_cases(random.Random(23)):
+        opt, bits = enumerate_knapsack(prob.profits, prob.weights, prob.capacity)
+        for floor in range(opt + 3):
+            # state_cap=1 sends the reduced problem to branch and bound.
+            for cap in (DEFAULT_STATE_CAP, 1):
+                value = solve_knapsack_value(prob, floor=floor, state_cap=cap)
+                if opt >= floor:
+                    assert value == opt, (prob, floor, cap)
+                else:
+                    assert value < floor, (prob, floor, cap)
+        if prob.capacity < 0:
+            continue
+        for cap in (DEFAULT_STATE_CAP, 1):
+            sol = solve_knapsack(prob, floor=opt, state_cap=cap)
+            assert sol.value == opt
+            assert sol.selected == bits, (prob, cap)
+        assert solve_knapsack(prob).selected == bits
+
+
+def test_floor_above_optimum_fails_reconstruction():
+    prob = KnapsackSubproblem(profits=(60, 100, 120), weights=(10, 20, 30),
+                              capacity=50)
+    for floor in (219, 221):
+        with pytest.raises(SolverInvariantError):
+            solve_knapsack(prob, floor=floor)

@@ -1,11 +1,13 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sockp import (SockpInstance, VERTICAL, beta_exact, build_segments,
-                   is_soc_feasible, lower_bound, solve_rkpm, upper_bound)
-from sockp.rkpm import subproblem_exact
+from sockp import (HORIZONTAL, GeneratorSpec, SockpInstance, VERTICAL,
+                   beta_exact, build_segments, generate, is_soc_feasible,
+                   knapsack, lower_bound, rkpm, solve_rkpm, upper_bound)
+from sockp.rkpm import _Family, subproblem_exact
 
 from conftest import random_instance, soc_brute_force
 
@@ -231,3 +233,135 @@ def test_lower_bound_solution_satisfies_robust_constraint(rng):
                   Fraction(0))
         assert lhs + beta_exact(res.solution, table, table.outer_budget) \
             <= Fraction(inst.capacity)
+
+
+def _dantzig_float(profits, weights, cap):
+    """Scalar LP bound of one knapsack with a nonnegative capacity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300), np.inf)
+        ratios = np.where(profits > 0, ratios, 0.0)
+    order = np.argsort(-ratios, kind="stable")
+    w_sorted = weights[order]
+    p_sorted = profits[order]
+    cum_w = np.cumsum(w_sorted)
+    k = int(np.searchsorted(cum_w, cap, side="right"))
+    if k >= len(order):
+        return float(p_sorted.sum())
+    full = float(p_sorted[:k].sum())
+    room = cap - (float(cum_w[k - 1]) if k else 0.0)
+    if w_sorted[k] > 0 and room > 0:
+        full += float(p_sorted[k]) * room / float(w_sorted[k])
+    return full
+
+
+def _scalar_screen(fam):
+    """Pivot-by-pivot reference for ``_Family.screen`` on ``_dantzig_float``."""
+    t = fam.table
+    family = set(t.family(fam.delta))
+    candidates = []
+    skipped = 0
+    for i in range(t.size + 1):
+        dummy = i == t.size
+        if i + 1 not in family:
+            continue
+        r = 0.0 if dummy else t.d_float[i] / t.f[i]
+        cap = fam.cap_f - r * fam.dn / fam.dd
+        tol = 1e-6 * (1.0 + abs(fam.cap_f) + abs(cap))
+        if cap < -tol or (cap <= tol and fam.capacity_is_negative(
+                None if dummy else i)):
+            skipped += 1
+            continue
+        sd, sf = t.prefix_state(t.size if dummy else t.group_start[i])
+        weights = (fam.means_f + np.array([d / t.q for d in sd])
+                   - r * np.array(sf, dtype=float))
+        candidates.append((i + 1, None if dummy else i, _dantzig_float(
+            fam.profits_f, weights, max(cap, 0.0))))
+    return candidates, skipped
+
+
+def _screen_cases(rng):
+    # Ties (items 0 and 2) and two pivots with capacity exactly zero, which
+    # only the exact sign test can place.
+    tied = SockpInstance(profits=(5, 2, 4), means=(Decimal(1),) * 3,
+                         sigmas=(Decimal("1.5"), Decimal("0.5"), Decimal("1.5")),
+                         capacity=Decimal(3))
+    yield tied, Decimal(2), build_segments(tied, Decimal(2), 1)
+    for trial in range(12):
+        # A small sigma alphabet makes ratio groups spanning several items.
+        inst = random_instance(rng, rng.randint(3, 9), sigma_hi=4, sigma_digits=0,
+                               capacity_ratio=rng.choice((0.1, 0.3, 0.6)))
+        omega = Decimal("4.358898")
+        scheme = VERTICAL if trial % 2 else HORIZONTAL
+        yield inst, omega, build_segments(inst, omega, rng.randint(1, 5), scheme)
+
+
+def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
+    straddled = skipped_total = 0
+    for inst, omega, table in _screen_cases(rng):
+        deltas = [table.inner_budget]
+        if table.scheme == HORIZONTAL:
+            deltas.append(table.outer_budget)
+        for delta in deltas:
+            fam = _Family(inst, table, Fraction(delta))
+            expected, skipped = _scalar_screen(fam)
+            skipped_total += skipped
+            ranks = set(table.family(delta))
+            # Entries i-1 and i share a ratio and both are pivots (ranks i
+            # and i+1; the real ranks of a family are contiguous).
+            straddled += any(table.group_start[i] < i and i in ranks
+                             for i in range(1, table.size))
+            for rows in (1, 2, 3, 1000):
+                monkeypatch.setattr(rkpm, "SCREEN_CHUNK", rows * inst.n)
+                got, got_skipped = fam.screen()
+                assert got_skipped == skipped
+                assert [c[:2] for c in got] == [c[:2] for c in expected]
+                for (_, _, b), (_, _, ref) in zip(got, expected):
+                    assert abs(b - ref) <= 1e-9 * (1 + abs(ref))
+    # Some ratio group crossed a one-row chunk boundary, and some pivots
+    # were dropped for a negative capacity.
+    assert straddled and skipped_total
+
+
+@pytest.mark.parametrize("family", ["SC", "IC"])
+def test_bound_pair_dp_cells_stay_small(family, monkeypatch):
+    """Deterministic work guard: DP cells per n=100, m=40 bound pair."""
+    cells = []
+
+    def counted(fn):
+        def wrapper(kept, capacity, upper, *args):
+            cells[-1] += len(kept) * (upper + 1)
+            return fn(kept, capacity, upper, *args)
+        return wrapper
+
+    for name in ("_dp_value_only", "_dp_by_profit"):
+        monkeypatch.setattr(knapsack, name, counted(getattr(knapsack, name)))
+    omega = Decimal("4.358898")
+    for seed in (0, 1):
+        inst = generate(GeneratorSpec(family=family, n=100, seed=seed))
+        table = build_segments(inst, omega, 40)
+        cells.append(0)
+        upper_bound(inst, omega, 40, table=table)
+        lower_bound(inst, omega, 40, table=table)
+    assert max(cells) <= 25_000_000, cells
+
+
+def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
+    """Floors narrow the knapsacks but never change the winning pivot.
+
+    A small profit alphabet makes equal objectives across pivots common, so
+    the smallest-rank tie-break is exercised.
+    """
+    omega = Decimal("4.358898")
+    cases = []
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(4, 12), profit_hi=3)
+        m = rng.randint(1, 4)
+        cases.append((inst, m, upper_bound(inst, omega, m),
+                      lower_bound(inst, omega, m)))
+    for name in ("solve_knapsack_value", "solve_knapsack"):
+        solve = getattr(rkpm, name)
+        monkeypatch.setattr(rkpm, name, lambda problem, floor=None, solve=solve:
+                            solve(problem))
+    for inst, m, ub, lb in cases:
+        assert upper_bound(inst, omega, m).solution == ub.solution
+        assert lower_bound(inst, omega, m).solution == lb.solution
