@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from typing import Iterable, Sequence
 
@@ -21,7 +20,7 @@ from .approx import HORIZONTAL, VERTICAL, build_segments
 from .exact import solve_exact
 from .instances import GeneratorSpec, generate
 from .model import OmegaSpec, resolve_omega
-from .rkpm import DEFAULT_SCALE_FACTOR, lower_bound, upper_bound
+from .rkpm import lower_bound, upper_bound
 
 __all__ = [
     "BOUNDS_FIELDS",
@@ -59,25 +58,14 @@ def _instance(family: str, n: int, seed: int):
     return generate(GeneratorSpec(family=family, n=n, seed=seed))
 
 
-def _run_jobs(jobs: Sequence, work, threads: int) -> list:
-    """Evaluate jobs, possibly concurrently; output order follows job order."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, jobs))
-    return [work(job) for job in jobs]
-
-
 def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
                      rhos: Sequence, m_grid: Sequence[int],
                      seeds: Sequence[int], *,
-                     ambiguity: str = "chebyshev",
-                     scale_factor: int = DEFAULT_SCALE_FACTOR,
-                     threads: int = 1) -> list[dict]:
+                     ambiguity: str = "chebyshev") -> list[dict]:
     """Upper and lower bounds per (family, n, rho, m, seed).
 
-    One row per combination, in deterministic key order regardless of how the
-    jobs are scheduled; the per-m ub/lb columns double as the series for
-    convergence plots.
+    One row per combination, in deterministic key order; the per-m ub/lb
+    columns double as the series for convergence plots.
     """
     jobs = [(family, n, rho, seed, m)
             for family in families for n in sizes for rho in rhos
@@ -88,8 +76,8 @@ def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
         omega = resolve_rho_omega(rho, ambiguity)
         inst = _instance(family, n, seed)
         table = build_segments(inst, omega, m)
-        ub = upper_bound(inst, omega, m, table=table, scale_factor=scale_factor)
-        lb = lower_bound(inst, omega, m, table=table, scale_factor=scale_factor)
+        ub = upper_bound(inst, omega, m, table=table)
+        lb = lower_bound(inst, omega, m, table=table)
         return {
             "family": family, "n": n, "rho": str(rho), "m": m, "seed": seed,
             "ub": ub.objective, "lb": lb.objective,
@@ -97,7 +85,7 @@ def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
             "time_ms": round((ub.wall_time + lb.wall_time) * 1000, 3),
         }
 
-    return _run_jobs(jobs, work, threads)
+    return [work(job) for job in jobs]
 
 
 def summarize_bounds(rows: Iterable[dict]) -> list[dict]:
@@ -120,9 +108,7 @@ def summarize_bounds(rows: Iterable[dict]) -> list[dict]:
 
 def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
                     rhos: Sequence, seeds: Sequence[int], *,
-                    ambiguity: str = "chebyshev",
-                    scale_factor: int = DEFAULT_SCALE_FACTOR,
-                    threads: int = 1) -> list[dict]:
+                    ambiguity: str = "chebyshev") -> list[dict]:
     """Exact-solver protocol: iterations, final m, knapsack count, objective."""
     jobs = [(family, n, rho, seed)
             for family in families for n in sizes for rho in rhos
@@ -131,8 +117,7 @@ def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
     def work(job):
         family, n, rho, seed = job
         inst = _instance(family, n, seed)
-        res = solve_exact(inst, resolve_rho_omega(rho, ambiguity),
-                          scale_factor=scale_factor)
+        res = solve_exact(inst, resolve_rho_omega(rho, ambiguity))
         return {
             "family": family, "n": n, "rho": str(rho), "seed": seed,
             "iters": res.iterations, "m_final": res.m,
@@ -141,7 +126,7 @@ def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
             "objective": res.objective,
         }
 
-    return _run_jobs(jobs, work, threads)
+    return [work(job) for job in jobs]
 
 
 def summarize_exact(rows: Iterable[dict]) -> list[dict]:
@@ -167,9 +152,7 @@ def run_scheme_comparison(families: Sequence[str], sizes: Sequence[int],
                           rhos: Sequence, seeds: Sequence[int], *,
                           m_horizontal: Sequence[int],
                           m_vertical: Sequence[int],
-                          ambiguity: str = "chebyshev",
-                          scale_factor: int = DEFAULT_SCALE_FACTOR,
-                          threads: int = 1) -> list[dict]:
+                          ambiguity: str = "chebyshev") -> list[dict]:
     """Upper-bound series for both partition schemes on the same instances."""
     plan = ([(HORIZONTAL, m) for m in m_horizontal]
             + [(VERTICAL, m) for m in m_vertical])
@@ -181,14 +164,14 @@ def run_scheme_comparison(families: Sequence[str], sizes: Sequence[int],
         family, n, rho, seed, scheme, m = job
         inst = _instance(family, n, seed)
         ub = upper_bound(inst, resolve_rho_omega(rho, ambiguity), m,
-                         scheme=scheme, scale_factor=scale_factor)
+                         scheme=scheme)
         return {
             "family": family, "n": n, "rho": str(rho), "seed": seed,
             "scheme": scheme, "m": m, "ub": ub.objective,
             "time_ms": round(ub.wall_time * 1000, 3),
         }
 
-    return _run_jobs(jobs, work, threads)
+    return [work(job) for job in jobs]
 
 
 def rows_to_csv(rows: Iterable[dict], fields: Sequence[str]) -> str:

@@ -21,8 +21,7 @@ from .guarantees import (guarantee_gap_dro, guarantee_gap_normal,
 from .instances import FAMILIES, GeneratorSpec, generate
 from .model import (OmegaSpec, apply_omega_spec, instance_from_json,
                     instance_to_json)
-from .rkpm import (DEFAULT_SCALE_FACTOR, SolverInvariantError, lower_bound,
-                   upper_bound)
+from .rkpm import SolverInvariantError, lower_bound, upper_bound
 
 AMBIGUITIES = ("normal", "chebyshev", "delage-ye", "support")
 
@@ -61,8 +60,6 @@ def _add_solver_args(parser):
     parser.add_argument("--support-form", choices=("squares", "hoeffding"),
                         default="squares")
     parser.add_argument("--omega", type=Decimal, help="explicit safety factor")
-    parser.add_argument("--scale-factor", type=int, default=DEFAULT_SCALE_FACTOR)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def _add_output_args(parser):
@@ -124,13 +121,11 @@ def _cmd_bounds(args):
     table = build_segments(inst, omega, args.m)
     row = {"n": inst.n, "m": args.m, "omega": str(omega)}
     if args.delta in ("upper", "both"):
-        ub = upper_bound(inst, omega, args.m, table=table,
-                         scale_factor=args.scale_factor, threads=args.threads)
+        ub = upper_bound(inst, omega, args.m, table=table)
         row.update(ub=ub.objective, ub_time_ms=round(ub.wall_time * 1000, 3),
                    ub_solution="".join(map(str, ub.solution)))
     if args.delta in ("lower", "both"):
-        lb = lower_bound(inst, omega, args.m, table=table,
-                         scale_factor=args.scale_factor, threads=args.threads)
+        lb = lower_bound(inst, omega, args.m, table=table)
         row.update(lb=lb.objective, lb_time_ms=round(lb.wall_time * 1000, 3),
                    lb_solution="".join(map(str, lb.solution)))
     if "ub" in row and "lb" in row and row["lb"] > 0:
@@ -146,8 +141,7 @@ def _cmd_bounds(args):
 def _cmd_exact(args):
     inst = _load_instance(args)
     inst, omega = _resolve_instance_omega(args, inst)
-    res = solve_exact(inst, omega, scale_factor=args.scale_factor,
-                      threads=args.threads)
+    res = solve_exact(inst, omega)
     row = {
         "n": inst.n, "omega": str(omega), "objective": res.objective,
         "iterations": res.iterations, "m_final": res.m,
@@ -184,8 +178,7 @@ def _cmd_guarantee(args):
 def _cmd_validate(args):
     inst = _load_instance(args)
     inst, omega = _resolve_instance_omega(args, inst)
-    lb = lower_bound(inst, omega, args.m, scale_factor=args.scale_factor,
-                     threads=args.threads)
+    lb = lower_bound(inst, omega, args.m)
     rate = monte_carlo_feasibility(lb.solution, inst, samples=args.samples,
                                    seed=args.mc_seed)
     row = {
@@ -209,16 +202,12 @@ def _cmd_bench(args):
     if args.mode == "bounds":
         m_grid = _parse_int_list(args.m_grid) if args.m_grid else []
         rows = bench.run_bounds_bench(families, sizes, rhos, m_grid, seeds,
-                                      ambiguity=args.ambiguity,
-                                      scale_factor=args.scale_factor,
-                                      threads=args.threads)
+                                      ambiguity=args.ambiguity)
         text = bench.write_report(rows, bench.BOUNDS_FIELDS, args.format,
                                   summary=bench.summarize_bounds(rows))
     else:
         rows = bench.run_exact_bench(families, sizes, rhos, seeds,
-                                     ambiguity=args.ambiguity,
-                                     scale_factor=args.scale_factor,
-                                     threads=args.threads)
+                                     ambiguity=args.ambiguity)
         text = bench.write_report(rows, bench.EXACT_FIELDS, args.format,
                                   summary=bench.summarize_exact(rows))
     _emit(text, args.out)
@@ -232,8 +221,7 @@ def _cmd_compare_schemes(args):
         _parse_int_list(args.seeds),
         m_horizontal=_parse_int_list(args.m_horizontal),
         m_vertical=_parse_int_list(args.m_vertical),
-        ambiguity=args.ambiguity, scale_factor=args.scale_factor,
-        threads=args.threads)
+        ambiguity=args.ambiguity)
     _emit(bench.write_report(rows, bench.SCHEME_FIELDS, args.format), args.out)
     return 0
 
@@ -285,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0:10")
     p.add_argument("--m-grid", help="segment grid for bounds mode, e.g. 5,10,20")
     p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
-    p.add_argument("--scale-factor", type=int, default=DEFAULT_SCALE_FACTOR)
-    p.add_argument("--threads", type=int, default=1)
     _add_output_args(p)
 
     p = sub.add_parser("compare-schemes",
@@ -298,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-horizontal", default="10")
     p.add_argument("--m-vertical", default="100")
     p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
-    p.add_argument("--scale-factor", type=int, default=DEFAULT_SCALE_FACTOR)
-    p.add_argument("--threads", type=int, default=1)
     _add_output_args(p)
 
     return parser

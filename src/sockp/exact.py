@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from .model import (EXACT_PREC, SockpInstance, _frac_digits, as_omega,
                     is_soc_feasible)
-from .rkpm import (BoundResult, DEFAULT_SCALE_FACTOR, EXACT,
-                   SolverInvariantError, upper_bound)
+from .rkpm import BoundResult, EXACT, SolverInvariantError, upper_bound
 
 __all__ = ["m_star", "solve_exact"]
 
@@ -59,10 +58,7 @@ def initial_segments(n: int) -> int:
     return max(1, _ceil_half_isqrt(n))
 
 
-def solve_exact(inst: SockpInstance, omega,
-                *,
-                scale_factor: int = DEFAULT_SCALE_FACTOR,
-                threads: int = 1) -> BoundResult:
+def solve_exact(inst: SockpInstance, omega) -> BoundResult:
     """Optimal solution of the SOC-constrained knapsack.
 
     The all-ones vector is the initial candidate; if it already satisfies the
@@ -90,8 +86,7 @@ def solve_exact(inst: SockpInstance, omega,
         at_cap = 2 * m_hat >= cap_m
         m_hat = min(2 * m_hat, cap_m)
         iterations += 1
-        res = upper_bound(inst, omega_d, m_hat, scale_factor=scale_factor,
-                          threads=threads)
+        res = upper_bound(inst, omega_d, m_hat)
         bits, value = res.solution, res.objective
         solved += res.subproblems_solved
         skipped += res.subproblems_skipped

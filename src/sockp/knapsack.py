@@ -1,11 +1,12 @@
 """Exact solver for the ordinary 0/1 knapsack with integer profits.
 
-Weights and capacity are integers (callers integer-scale fractional data with
-:func:`scale_to_integers`).  The solver runs a dynamic program over achievable
-profit values, bounded by the Dantzig relaxation, and falls back to depth-first
-branch and bound when the profit range exceeds the state ceiling.  Among
-equal-value optima it returns the lexicographically smallest selection vector,
-so results are reproducible across runs and platforms.
+Weights and capacity are integers: :func:`scale_to_integers` rounds fractional
+data conservatively, and :mod:`sockp.rkpm` builds its pivot knapsacks already
+scaled, in exact integer arithmetic.  The solver runs a dynamic program over
+achievable profit values, bounded by the Dantzig relaxation, and falls back to
+depth-first branch and bound when the profit range exceeds the state ceiling.
+Among equal-value optima it returns the lexicographically smallest selection
+vector, so results are reproducible across runs and platforms.
 
 Before the DP runs, variables are fixed by reduced cost against a floor
 (Martello, Pisinger & Toth, "Dynamic programming and strong bounds for the 0-1
@@ -25,8 +26,7 @@ fixed, never whether the fixing is valid.  Every optimum obeys the fixings,
 so the fixed coordinates agree across optima and the lexicographically
 smallest optimum is unchanged.
 
-All operations are pure functions of their inputs; problems may be solved
-concurrently from multiple threads.
+All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations

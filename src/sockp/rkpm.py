@@ -13,27 +13,28 @@ budget delta = m^2 yields an upper bound on the SOC optimum and
 delta = m^2 + n/4 a feasible lower bound.
 
 Subproblem weights are built in exact integer arithmetic and conservatively
-scaled (ceil weights, floor capacity), so returned lower bounds are always
-genuinely SOC-feasible.  A float Dantzig screen with generous safety margins
-picks the few pivots whose knapsack must actually be solved; margins only
-ever cause extra exact solves, never wrong answers.  The screen works on
+scaled by the fixed factor ``SCALE`` = 10^6 (ceil weights, floor capacity),
+so returned lower bounds are always genuinely SOC-feasible.  A float Dantzig
+screen with generous safety margins picks the few pivots whose knapsack must
+actually be solved; margins only ever cause extra exact solves, never wrong
+answers.  The screen works on
 matrices: the prefix gain/budget sums of a chunk of pivots come from one
 cumsum over the chunk's table entries, and the LP bounds of all its weight
 rows from a row-wise argsort, cumsum and break count, with every temporary
 array kept near ``SCREEN_CHUNK`` elements.
 
-Each exact value solve passes the incumbent as its floor, so the knapsack
-fixes items by reduced cost against it (Martello, Pisinger & Toth,
-Management Science 45(3), 1999; see :mod:`sockp.knapsack`) and its DP sees
-only the few items that could still change a winning selection; pivots whose
-LP bound falls short of the incumbent need no DP at all.
+The family is solved in one sequential pass over the screened pivots in
+(bound desc, rank asc) order.  Each exact value solve passes the incumbent as
+its floor, so the knapsack fixes items by reduced cost against it (Martello,
+Pisinger & Toth, Management Science 45(3), 1999; see :mod:`sockp.knapsack`)
+and its DP sees only the few items that could still change a winning
+selection; pivots whose LP bound falls short of the incumbent need no DP at
+all.  Only the winning pivot's selection is reconstructed, once, at the end.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
@@ -62,7 +63,8 @@ UPPER = "upper"
 LOWER = "lower"
 EXACT = "exact"
 
-DEFAULT_SCALE_FACTOR = 10 ** 6
+# Integer scale of every pivot knapsack's weights and capacity.
+SCALE = 10 ** 6
 
 # Elements per temporary array of the matrix screen.
 SCREEN_CHUNK = 25_000
@@ -114,32 +116,42 @@ class _Family:
         return lhs < rhs
 
     def _pivot_parts(self, i: int | None):
-        t = self.table
-        if i is None:
-            return t.size, 0, 1  # dummy: full prefix, ratio zero
-        return t.group_start[i], t.dnum[i], t.f[i]
+        """(rnum, f_i, extra) of the pivot at sorted index i.
 
-    def scaled_subproblem(self, i: int | None, factor: int) -> KnapsackSubproblem:
-        """Exact conservatively-scaled knapsack for the pivot at index i.
-
-        ``None`` denotes the dummy pivot (ratio zero, full gain sums, plain
-        capacity).  Weights are ceil'd and the capacity floor'd at ``factor``.
+        The pivot's ratio is rnum / (q * f_i), and its exact subproblem has
+        weight_j = a_j / pow_da + extra_j / (q * f_i) and capacity
+        b / pow_da - ratio * delta, where extra_j = f_i * sd_j - rnum * sf_j
+        over the entries with a strictly larger ratio.  ``None`` denotes the
+        dummy pivot (ratio zero, full gain sums).
         """
         t = self.table
-        gs, rnum, f_i = self._pivot_parts(i)
+        if i is None:
+            gs, rnum, f_i = t.size, 0, 1
+        else:
+            gs, rnum, f_i = t.group_start[i], t.dnum[i], t.f[i]
         sd, sf = t.prefix_state(gs)
         extra = [d * f_i - rnum * s for d, s in zip(sd, sf)]
         if extra and min(extra) < 0:
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
+        return rnum, f_i, extra
+
+    def scaled_subproblem(self, i: int | None) -> KnapsackSubproblem:
+        """Exact conservatively-scaled knapsack for the pivot at index i.
+
+        ``None`` denotes the dummy pivot (ratio zero, full gain sums, plain
+        capacity).  Weights are ceil'd and the capacity floor'd at ``SCALE``.
+        """
+        t = self.table
+        rnum, f_i, extra = self._pivot_parts(i)
         den = self.pow_da * t.q * f_i
-        # weight_j = ceil(factor * (a_j * q * f_i + pow_da * extra_j) / den)
-        lin = factor * t.q * f_i
-        gain = factor * self.pow_da
+        # weight_j = ceil(SCALE * (a_j * q * f_i + pow_da * extra_j) / den)
+        lin = SCALE * t.q * f_i
+        gain = SCALE * self.pow_da
         weights = [-((-lin * a - gain * e) // den)
                    for a, e in zip(self.a_int, extra)]
-        cap_num = factor * (self.b_int * t.q * f_i * self.dd
-                            - rnum * self.dn * self.pow_da)
+        cap_num = SCALE * (self.b_int * t.q * f_i * self.dd
+                           - rnum * self.dn * self.pow_da)
         capacity = cap_num // (den * self.dd)
         label = t.size + 1 if i is None else i + 1
         return KnapsackSubproblem(profits=self.inst.profits,
@@ -264,89 +276,49 @@ def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
     return full + frac
 
 
-def _solve_family(fam: _Family, factor: int, threads: int):
-    """Best (value, rank, bits) over the pivot family, with solve/skip counts.
+def _solve_family(fam: _Family):
+    """Best (value, bits) over the pivot family, with screen/skip counts.
 
-    Deterministic: candidates are walked in (bound desc, rank asc) order, the
-    incumbent only improves strictly, and an ascending-rank tie sweep restores
-    the smallest-rank winner among equal objectives.  Every value solve gets
-    the incumbent as its floor (the first one the greedy value, the knapsack
-    default), so it is exact whenever it ties or beats the incumbent and the
-    comparisons below stay exact; a reconstruction gets the value it must
-    reach.
+    One pass over the candidates in (bound desc, rank asc) order keeps the
+    largest value and, among equal values, the smallest rank.  Values are
+    integers and every screen bound dominates its pivot's value, so the pass
+    stops at the first bound below the incumbent by more than 0.5 and skips a
+    bound that can at most tie it when its rank is larger.  Every value solve
+    but the first gets the incumbent as its floor, so it is exact whenever it
+    ties or beats the incumbent; only the winner is reconstructed.
     """
     candidates, skipped = fam.screen()
-    examined = len(candidates)
     candidates.sort(key=lambda c: (-c[2], c[0]))
 
-    best_value = -1
+    best_value = 0
     best_rank = None
-    best_bits = None
-    values = {}  # rank -> subproblem value at its floor, for the tie sweep
-
-    def evaluate(cand):
-        rank, i, _ = cand
-        problem = fam.scaled_subproblem(i, factor)
-        floor = None if best_rank is None else best_value
-        return rank, problem, solve_knapsack_value(problem, floor=floor)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        pos = 0
-        while pos < len(candidates):
-            gate = -math.inf if best_rank is None else best_value + 0.5
-            batch = []
-            while (pos < len(candidates) and len(batch) < max(1, threads)
-                   and candidates[pos][2] >= gate):
-                batch.append(candidates[pos])
-                pos += 1
-            if not batch:
-                break
-            if pool is not None and len(batch) > 1:
-                results = list(pool.map(evaluate, batch))
-            else:
-                results = [evaluate(cand) for cand in batch]
-            for rank, problem, value in results:
-                values[rank] = value
-                if best_rank is None or value > best_value:
-                    sol = solve_knapsack(problem, floor=value)
-                    best_value, best_rank, best_bits = sol.value, rank, sol.selected
-
-        # Equal-objective pivots with smaller rank may have been gated out:
-        # sweep ranks upward and stop at the first tie.
-        for cand in sorted(candidates, key=lambda c: c[0]):
-            rank, i, bound = cand
-            if best_rank is None or rank >= best_rank:
-                break
+    best_problem = None
+    for rank, i, bound in candidates:
+        if best_rank is not None:
             if bound < best_value - 0.5:
-                continue
-            value = values.get(rank)
-            if value is None:
-                value = evaluate(cand)[2]
-                values[rank] = value
-            if value > best_value:
-                raise SolverInvariantError(
-                    "screen admitted an improving pivot after the main pass")
-            if value == best_value:
-                sol = solve_knapsack(fam.scaled_subproblem(i, factor),
-                                     floor=value)
-                best_value, best_rank, best_bits = sol.value, rank, sol.selected
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            if bound < best_value + 0.5 and rank > best_rank:
+                continue
+        problem = fam.scaled_subproblem(i)
+        value = solve_knapsack_value(
+            problem, floor=None if best_rank is None else best_value)
+        if value > bound + 0.5:
+            raise SolverInvariantError(f"pivot {rank} has value {value} "
+                                       f"above its screen bound {bound:.3f}")
+        if best_rank is None or value > best_value or (
+                value == best_value and rank < best_rank):
+            best_value, best_rank, best_problem = value, rank, problem
 
-    if best_bits is None:
+    if best_problem is None:
         # Entire family empty; only possible with a negative capacity.
-        best_value, best_bits = 0, (0,) * fam.inst.n
-    return best_value, best_bits, examined, skipped
+        return 0, (0,) * fam.inst.n, len(candidates), skipped
+    sol = solve_knapsack(best_problem, floor=best_value)
+    return sol.value, sol.selected, len(candidates), skipped
 
 
 def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
                *,
                scheme: str = HORIZONTAL,
-               scale_factor: int = DEFAULT_SCALE_FACTOR,
-               threads: int = 1,
                table: SegmentTable | None = None,
                kind: str | None = None) -> BoundResult:
     """Solve the robust knapsack over the m-segment approximation exactly.
@@ -368,7 +340,7 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
             f"budget {delta} is below the inner budget {table.inner_budget}")
 
     fam = _Family(inst, table, delta)
-    value, bits, examined, skipped = _solve_family(fam, scale_factor, threads)
+    value, bits, examined, skipped = _solve_family(fam)
 
     if kind is None:
         if delta == table.inner_budget:
@@ -407,20 +379,15 @@ def _means_fraction(inst: SockpInstance, bits: Sequence[int]) -> Fraction:
 
 def upper_bound(inst: SockpInstance, omega, m: int, *,
                 scheme: str = HORIZONTAL,
-                scale_factor: int = DEFAULT_SCALE_FACTOR,
-                threads: int = 1,
                 table: SegmentTable | None = None) -> BoundResult:
     """Upper bound on the SOC optimum (inner approximation budget)."""
     if table is None:
         table = build_segments(inst, as_omega(omega), m, scheme)
     return solve_rkpm(inst, omega, m, table.inner_budget, scheme=scheme,
-                      scale_factor=scale_factor, threads=threads, table=table,
-                      kind=UPPER)
+                      table=table, kind=UPPER)
 
 
 def lower_bound(inst: SockpInstance, omega, m: int, *,
-                scale_factor: int = DEFAULT_SCALE_FACTOR,
-                threads: int = 1,
                 table: SegmentTable | None = None) -> BoundResult:
     """Feasible lower bound on the SOC optimum (outer approximation budget).
 
@@ -430,15 +397,15 @@ def lower_bound(inst: SockpInstance, omega, m: int, *,
     if table is None:
         table = build_segments(inst, as_omega(omega), m, HORIZONTAL)
     return solve_rkpm(inst, omega, m, table.outer_budget, scheme=HORIZONTAL,
-                      scale_factor=scale_factor, threads=threads, table=table,
-                      kind=LOWER)
+                      table=table, kind=LOWER)
 
 
 def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
                      delta) -> tuple[list[Fraction], Fraction]:
     """Exact (weights, capacity) of the pivot-``rank`` subproblem.
 
-    Reference form used by enumeration tests; rank ``size + 1`` denotes the
+    Reference form used by enumeration tests, built from the same prefix
+    sums as :meth:`_Family.scaled_subproblem`; rank ``size + 1`` denotes the
     dummy pivot.
     """
     delta = Fraction(delta)
@@ -446,20 +413,10 @@ def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
     i = None if rank == table.size + 1 else rank - 1
     if i is not None and not 0 <= i < table.size:
         raise ValueError(f"pivot rank {rank} out of range")
-    t = table
-    n = inst.n
-    if i is None:
-        gs, rnum, f_i = t.size, 0, 1
-    else:
-        gs, rnum, f_i = t.group_start[i], t.dnum[i], t.f[i]
-    ratio = Fraction(rnum, t.q * f_i)
-    sd = [Fraction(0)] * n
-    sf = [0] * n
-    for idx in range(gs):
-        j = t.js[idx]
-        sd[j] += Fraction(t.dnum[idx], t.q)
-        sf[j] += t.f[idx]
-    weights = [Fraction(fam.a_int[j], fam.pow_da) + sd[j] - ratio * sf[j]
-               for j in range(n)]
+    rnum, f_i, extra = fam._pivot_parts(i)
+    den = table.q * f_i
+    weights = [Fraction(a, fam.pow_da) + Fraction(e, den)
+               for a, e in zip(fam.a_int, extra)]
+    ratio = Fraction(rnum, den)
     capacity = Fraction(fam.b_int, fam.pow_da) - ratio * delta
     return weights, capacity

@@ -183,16 +183,6 @@ def test_cli_invalid_inputs_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_bench_threaded_fanout_matches_sequential():
-    args = (["SC", "SS"], [12], [Decimal("0.95")], [2, 3], [0, 1])
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "time_ms"}
-                          for r in rows]
-    assert strip(run_bounds_bench(*args)) == strip(run_bounds_bench(*args, threads=4))
-    exact_args = (["SC"], [12], [Decimal("0.95")], [0, 1, 2])
-    assert strip(run_exact_bench(*exact_args)) \
-        == strip(run_exact_bench(*exact_args, threads=3))
-
-
 def test_cli_internal_invariant_failure_exits_3(monkeypatch, tmp_path):
     import sockp.cli as cli
     from sockp import SolverInvariantError
@@ -226,3 +216,26 @@ def test_cli_knapsack_reconstruction_failure_exits_3(monkeypatch, capsys):
     assert main(["bounds", "--family", "SC", "--n", "30", "--seed", "0",
                  "--rho", "0.95", "--m", "4"]) == 3
     assert "internal error: reconstructed value" in capsys.readouterr().err
+
+
+def test_cli_unsound_screen_exits_3(monkeypatch, capsys):
+    import sockp.rkpm as rkpm
+
+    real = rkpm._dantzig_rows
+    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 10)
+    assert main(["bounds", "--family", "SC", "--n", "30", "--m", "5",
+                 "--rho", "0.95"]) == 3
+    assert "above its screen bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--scale-factor", "0"], ["--threads", "2"]])
+@pytest.mark.parametrize("command", [
+    ["bounds", "--family", "SC", "--n", "5", "--rho", "0.95", "--m", "2"],
+    ["exact", "--family", "SC", "--n", "5", "--rho", "0.95"],
+    ["bench", "--sizes", "5", "--seeds", "0:1", "--m-grid", "2"],
+])
+def test_cli_removed_flags_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

