@@ -16,8 +16,7 @@ from .guarantees import (guarantee_gap_dro, guarantee_gap_normal,
                          monte_carlo_feasibility)
 from .instances import FAMILIES, GeneratorSpec, generate
 from .knapsack import (KnapsackSolution, KnapsackSubproblem,
-                       SolverInvariantError, dantzig_bound, scale_to_integers,
-                       solve_knapsack)
+                       SolverInvariantError, dantzig_bound, solve_knapsack)
 from .model import (OmegaSpec, SockpInstance, instance_from_json,
                     instance_to_json, inverse_normal_cdf, is_soc_feasible,
                     resolve_omega, soc_lhs)
@@ -33,8 +32,8 @@ __all__ = [
     "guarantee_gap_dro", "guarantee_gap_normal", "instance_from_json",
     "instance_to_json", "inverse_normal_cdf", "is_soc_feasible", "lower_bound",
     "m_star", "min_segments_dro", "min_segments_normal_order",
-    "monte_carlo_feasibility", "resolve_omega", "scale_to_integers",
-    "soc_lhs", "solve_exact", "solve_knapsack", "solve_rkpm", "upper_bound",
+    "monte_carlo_feasibility", "resolve_omega", "soc_lhs", "solve_exact",
+    "solve_knapsack", "solve_rkpm", "upper_bound",
 ]
 
 __version__ = "0.1.0"

@@ -67,25 +67,26 @@ def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
     One row per combination, in deterministic key order; the per-m ub/lb
     columns double as the series for convergence plots.
     """
-    jobs = [(family, n, rho, seed, m)
-            for family in families for n in sizes for rho in rhos
-            for seed in seeds for m in m_grid]
-
-    def work(job):
-        family, n, rho, seed, m = job
-        omega = resolve_rho_omega(rho, ambiguity)
-        inst = _instance(family, n, seed)
-        table = build_segments(inst, omega, m)
-        ub = upper_bound(inst, omega, m, table=table)
-        lb = lower_bound(inst, omega, m, table=table)
-        return {
-            "family": family, "n": n, "rho": str(rho), "m": m, "seed": seed,
-            "ub": ub.objective, "lb": lb.objective,
-            "gap_pct": _gap_pct(ub.objective, lb.objective),
-            "time_ms": round((ub.wall_time + lb.wall_time) * 1000, 3),
-        }
-
-    return [work(job) for job in jobs]
+    rows = []
+    for family in families:
+        for n in sizes:
+            for rho in rhos:
+                for seed in seeds:
+                    for m in m_grid:
+                        omega = resolve_rho_omega(rho, ambiguity)
+                        inst = _instance(family, n, seed)
+                        table = build_segments(inst, omega, m)
+                        ub = upper_bound(inst, omega, m, table=table)
+                        lb = lower_bound(inst, omega, m, table=table)
+                        rows.append({
+                            "family": family, "n": n, "rho": str(rho),
+                            "m": m, "seed": seed,
+                            "ub": ub.objective, "lb": lb.objective,
+                            "gap_pct": _gap_pct(ub.objective, lb.objective),
+                            "time_ms": round(
+                                (ub.wall_time + lb.wall_time) * 1000, 3),
+                        })
+    return rows
 
 
 def summarize_bounds(rows: Iterable[dict]) -> list[dict]:
@@ -110,23 +111,22 @@ def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
                     rhos: Sequence, seeds: Sequence[int], *,
                     ambiguity: str = "chebyshev") -> list[dict]:
     """Exact-solver protocol: iterations, final m, knapsack count, objective."""
-    jobs = [(family, n, rho, seed)
-            for family in families for n in sizes for rho in rhos
-            for seed in seeds]
-
-    def work(job):
-        family, n, rho, seed = job
-        inst = _instance(family, n, seed)
-        res = solve_exact(inst, resolve_rho_omega(rho, ambiguity))
-        return {
-            "family": family, "n": n, "rho": str(rho), "seed": seed,
-            "iters": res.iterations, "m_final": res.m,
-            "knap_solves": res.subproblems_solved,
-            "time_ms": round(res.wall_time * 1000, 3),
-            "objective": res.objective,
-        }
-
-    return [work(job) for job in jobs]
+    rows = []
+    for family in families:
+        for n in sizes:
+            for rho in rhos:
+                for seed in seeds:
+                    inst = _instance(family, n, seed)
+                    res = solve_exact(inst, resolve_rho_omega(rho, ambiguity))
+                    rows.append({
+                        "family": family, "n": n, "rho": str(rho),
+                        "seed": seed, "iters": res.iterations,
+                        "m_final": res.m,
+                        "knap_solves": res.subproblems_solved,
+                        "time_ms": round(res.wall_time * 1000, 3),
+                        "objective": res.objective,
+                    })
+    return rows
 
 
 def summarize_exact(rows: Iterable[dict]) -> list[dict]:
@@ -156,22 +156,22 @@ def run_scheme_comparison(families: Sequence[str], sizes: Sequence[int],
     """Upper-bound series for both partition schemes on the same instances."""
     plan = ([(HORIZONTAL, m) for m in m_horizontal]
             + [(VERTICAL, m) for m in m_vertical])
-    jobs = [(family, n, rho, seed, scheme, m)
-            for family in families for n in sizes for rho in rhos
-            for seed in seeds for scheme, m in plan]
-
-    def work(job):
-        family, n, rho, seed, scheme, m = job
-        inst = _instance(family, n, seed)
-        ub = upper_bound(inst, resolve_rho_omega(rho, ambiguity), m,
-                         scheme=scheme)
-        return {
-            "family": family, "n": n, "rho": str(rho), "seed": seed,
-            "scheme": scheme, "m": m, "ub": ub.objective,
-            "time_ms": round(ub.wall_time * 1000, 3),
-        }
-
-    return [work(job) for job in jobs]
+    rows = []
+    for family in families:
+        for n in sizes:
+            for rho in rhos:
+                for seed in seeds:
+                    for scheme, m in plan:
+                        inst = _instance(family, n, seed)
+                        ub = upper_bound(inst, resolve_rho_omega(rho, ambiguity),
+                                         m, scheme=scheme)
+                        rows.append({
+                            "family": family, "n": n, "rho": str(rho),
+                            "seed": seed, "scheme": scheme, "m": m,
+                            "ub": ub.objective,
+                            "time_ms": round(ub.wall_time * 1000, 3),
+                        })
+    return rows
 
 
 def rows_to_csv(rows: Iterable[dict], fields: Sequence[str]) -> str:

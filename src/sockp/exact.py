@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from decimal import localcontext
 from fractions import Fraction
 
-from .model import (EXACT_PREC, SockpInstance, _frac_digits, as_omega,
-                    is_soc_feasible)
+from .model import SockpInstance, as_omega, is_soc_feasible
 from .rkpm import BoundResult, EXACT, SolverInvariantError, upper_bound
 
 __all__ = ["m_star", "solve_exact"]
@@ -37,19 +35,12 @@ def m_star(inst: SockpInstance, omega) -> int:
     of every mean, the capacity, and every product omega * sigma_j; on the
     scaled coefficients the certificate is ceil(sqrt(n * sum sigma'^2)/2) + 1.
     Solving the robust problem with the inner budget at any m >= m* yields an
-    SOC-optimal solution.
+    SOC-optimal solution.  The squared products come from
+    :meth:`SockpInstance.exact_view`, scaled by 10^(2 dt); the ratio of its
+    two shifts, 10^(2 da) / 10^(2 dt), lifts them to 10^(2 s) when da > dt.
     """
-    omega_d = as_omega(omega)
-    with localcontext() as ctx:
-        ctx.prec = EXACT_PREC
-        terms = [omega_d * s for s in inst.sigmas]
-        scale = max([_frac_digits(inst.capacity)]
-                    + [_frac_digits(v) for v in inst.means]
-                    + [_frac_digits(t) for t in terms])
-        total = 0
-        for t in terms:
-            ti = int(t.scaleb(scale))
-            total += ti * ti
+    _, _, v_ints, lhs_shift, rhs_shift = inst.exact_view(as_omega(omega))
+    total = sum(v_ints) * max(1, rhs_shift // lhs_shift)
     return _ceil_half_isqrt(inst.n * total) + 1
 
 

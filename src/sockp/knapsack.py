@@ -1,12 +1,19 @@
 """Exact solver for the ordinary 0/1 knapsack with integer profits.
 
-Weights and capacity are integers: :func:`scale_to_integers` rounds fractional
-data conservatively, and :mod:`sockp.rkpm` builds its pivot knapsacks already
-scaled, in exact integer arithmetic.  The solver runs a dynamic program over
-achievable profit values, bounded by the Dantzig relaxation, and falls back to
-depth-first branch and bound when the profit range exceeds the state ceiling.
-Among equal-value optima it returns the lexicographically smallest selection
-vector, so results are reproducible across runs and platforms.
+Profits, weights and the capacity are integers (:mod:`sockp.rkpm` builds its
+pivot knapsacks already scaled, in exact integer arithmetic).  The solver runs
+one dynamic program over achievable profit values, bounded by the Dantzig
+relaxation: a row holds the least weight reaching each profit, and each item
+updates it with a single numpy ``minimum`` over the row shifted by its
+profit.  The row is int64 while every sum fits and holds Python integers
+(``object`` dtype) otherwise, so huge weights run the same kernel exactly.
+When the profit range exceeds ``STATE_CAP`` states the solver falls back to
+depth-first branch and bound.  Among equal-value optima it returns the
+lexicographically smallest selection vector, so results are reproducible
+across runs and platforms.  That selection is read off suffix rows (the row
+over items i, i+1, ...); beyond ``LEX_CELLS`` cells only every stride-th
+suffix row is kept and the others are rebuilt a block at a time, so
+reconstruction memory stays bounded whatever the dtype.
 
 Before the DP runs, variables are fixed by reduced cost against a floor
 (Martello, Pisinger & Toth, "Dynamic programming and strong bounds for the 0-1
@@ -43,18 +50,15 @@ __all__ = [
     "KnapsackSubproblem",
     "SolverInvariantError",
     "dantzig_bound",
-    "scale_to_integers",
     "solve_knapsack",
     "solve_knapsack_value",
 ]
 
 # DP is used while the Dantzig profit bound stays below this many states.
-DEFAULT_STATE_CAP = 10_000_000
-# Cell budget for the suffix tables used by solution reconstruction; beyond
-# it the tables are checkpointed and rebuilt block by block.
-DEFAULT_LEX_CELLS = 60_000_000
-
-_INF = 1 << 62
+STATE_CAP = 10_000_000
+# Cell budget for the suffix rows used by solution reconstruction; beyond it
+# the rows are checkpointed and rebuilt block by block.
+LEX_CELLS = 60_000_000
 
 
 class SolverInvariantError(RuntimeError):
@@ -92,31 +96,6 @@ class KnapsackSolution:
     selected: tuple[int, ...]
     value: int
     feasible: bool = True
-
-
-def scale_to_integers(weights: Sequence, capacity, factor: int,
-                      *, max_magnitude: int = 2 ** 63 - 1):
-    """Conservatively integer-scale real weights and capacity.
-
-    Each weight becomes ceil(weight * factor) and the capacity becomes
-    floor(capacity * factor), so any selection feasible for the scaled
-    problem is feasible for the original one.  Raises OverflowError instead
-    of letting a scaled value leave ``[-max_magnitude, max_magnitude]``.
-    """
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {factor}")
-    scaled_w = []
-    for w in weights:
-        fw = Fraction(w)
-        if fw < 0:
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        scaled_w.append(math.ceil(fw * factor))
-    scaled_c = math.floor(Fraction(capacity) * factor)
-    if any(abs(w) > max_magnitude for w in scaled_w) or abs(scaled_c) > max_magnitude:
-        raise OverflowError(
-            f"scaled values exceed the integer range +-{max_magnitude}")
-    return scaled_w, scaled_c
 
 
 def dantzig_bound(profits: Sequence[int], weights: Sequence[int],
@@ -232,7 +211,6 @@ def _reduce(kept, capacity, floor) -> _Reduction:
 
 def solve_knapsack_value(problem: KnapsackSubproblem,
                          *,
-                         state_cap: int = DEFAULT_STATE_CAP,
                          floor: int | None = None) -> int:
     """Optimal objective only (no selection vector); same exactness contract.
 
@@ -252,8 +230,8 @@ def solve_knapsack_value(problem: KnapsackSubproblem,
         return base_value + red.greedy
     if not red.free:
         return base_value + red.fixed_value
-    if red.upper + 1 > state_cap:
-        value, _ = _branch_and_bound(red.free, red.room)
+    if red.upper + 1 > STATE_CAP:
+        value = _bb_value(red.free, red.room)
     else:
         value = _dp_value_only(red.free, red.room, red.upper)
     return base_value + red.fixed_value + value
@@ -261,8 +239,6 @@ def solve_knapsack_value(problem: KnapsackSubproblem,
 
 def solve_knapsack(problem: KnapsackSubproblem,
                    *,
-                   state_cap: int = DEFAULT_STATE_CAP,
-                   lex_cells: int = DEFAULT_LEX_CELLS,
                    floor: int | None = None) -> KnapsackSolution:
     """Solve a 0/1 knapsack exactly.
 
@@ -287,11 +263,10 @@ def solve_knapsack(problem: KnapsackSubproblem,
                 "reduced-cost slack or room went negative below the optimum")
         value, chosen = 0, []
         if red.free:
-            if red.upper + 1 > state_cap:
+            if red.upper + 1 > STATE_CAP:
                 value, chosen = _branch_and_bound(red.free, red.room)
             else:
-                value, chosen = _dp_by_profit(red.free, red.room, red.upper,
-                                              lex_cells)
+                value, chosen = _dp_by_profit(red.free, red.room, red.upper)
         for j in red.fixed + chosen:
             bits[j] = 1
         value += base_value + red.fixed_value
@@ -302,135 +277,82 @@ def solve_knapsack(problem: KnapsackSubproblem,
 
 
 # ---------------------------------------------------------------------------
-# DP over profit values: minw[t] = least weight achieving profit exactly t.
+# DP over profit values: row[t] = least weight achieving profit exactly t.
 # ---------------------------------------------------------------------------
 
-def _dp_value_only(kept, capacity, upper):
-    max_w = max(w for _, _, w in kept)
-    width = upper + 1
-    if (_INF + max_w) < 2 ** 63 and capacity < 2 ** 62:
-        row = np.full(width, _INF, dtype=np.int64)
-        row[0] = 0
-        for _, p, w in kept:
-            np.minimum(row[p:], row[:width - p] + w, out=row[p:])
-        return int(np.nonzero(row <= capacity)[0][-1])
-    inf = sum(w for _, _, w in kept) + capacity + 1
-    row = [inf] * width
+def _empty_row(width, capacity):
+    """Row of the empty item set: weight 0 at profit 0, unreachable elsewhere.
+
+    Any weight above the capacity marks an unreachable profit, so the row is
+    filled with capacity + 1.  Every item weight is at most the capacity, so
+    no sum the kernel forms exceeds 2 * capacity + 1: int64 holds it below
+    2**62, Python integers beyond.
+    """
+    row = np.full(width, capacity + 1,
+                  dtype=np.int64 if capacity < 2 ** 62 else object)
     row[0] = 0
-    for _, p, w in kept:
-        for t in range(width - 1, p - 1, -1):
-            cand = row[t - p] + w
-            if cand < row[t]:
-                row[t] = cand
-    return max(t for t in range(width) if row[t] <= capacity)
+    return row
 
 
-def _dp_by_profit(kept, capacity, upper, lex_cells):
+def _sweep(row, kept, start, stop, rows=None, stride=1):
+    """Add kept[start - 1], ..., kept[stop] to the min-weight ``row`` in place.
+
+    Once row covers kept[i:], a copy is stored as ``rows[i]`` if ``rows`` is
+    given and i is a multiple of ``stride``.
+    """
+    width = len(row)
+    for i in range(start - 1, stop - 1, -1):
+        _, p, w = kept[i]
+        np.minimum(row[p:], row[:width - p] + w, out=row[p:])
+        if rows is not None and i % stride == 0:
+            rows[i] = row.copy()
+    return row
+
+
+def _best_profit(row, capacity):
+    return int(np.flatnonzero(row <= capacity)[-1])
+
+
+def _dp_value_only(kept, capacity, upper):
+    row = _sweep(_empty_row(upper + 1, capacity), kept, len(kept), 0)
+    return _best_profit(row, capacity)
+
+
+def _dp_by_profit(kept, capacity, upper):
     k = len(kept)
-    max_w = max(w for _, _, w in kept)
-    int64_safe = (_INF + max_w) < 2 ** 63 and capacity < 2 ** 62
-    if not int64_safe:
-        return _dp_by_profit_python(kept, capacity, upper)
-
     width = upper + 1
-    rows_budget = max(4, lex_cells // width)
-
-    def advance(row, p, w):
-        nxt = row.copy()
-        np.minimum(nxt[p:], row[:width - p] + w, out=nxt[p:])
-        return nxt
-
-    base = np.full(width, _INF, dtype=np.int64)
-    base[0] = 0
-
-    if k + 1 <= rows_budget:
-        # Full suffix table: suffix[i][t] = min weight over items kept[i:].
-        suffix = np.empty((k + 1, width), dtype=np.int64)
-        suffix[k] = base
-        for i in range(k - 1, -1, -1):
-            suffix[i] = advance(suffix[i + 1], kept[i][1], kept[i][2])
-        top = suffix[0]
-
-        def row_after(i):
-            return suffix[i + 1]
-    else:
-        # Checkpointed suffix rows, rebuilt block by block during the
-        # reconstruction walk; same results, bounded memory.
-        stride = max(1, math.ceil((k + 1) / max(2, rows_budget // 2)))
-        stored = {k: base}
-        row = base
-        for i in range(k - 1, -1, -1):
-            row = advance(row, kept[i][1], kept[i][2])
-            if i % stride == 0:
-                stored[i] = row
-        top = stored[0]
-        block = {}
-
-        def row_after(i):
-            idx = i + 1
-            if idx not in block:
-                block.clear()
-                anchor = min(k, ((idx // stride) + 1) * stride)
-                cur = stored[anchor] if anchor in stored else stored[k]
-                start = anchor if anchor in stored else k
-                block[start] = cur
-                for i2 in range(start - 1, (idx // stride) * stride - 1, -1):
-                    cur = advance(cur, kept[i2][1], kept[i2][2])
-                    block[i2] = cur
-            return block[idx]
-
-    achievable = np.nonzero(top <= capacity)[0]
-    value = int(achievable[-1])
+    # Suffix rows: rows[i] covers kept[i:].  Every row is kept while the
+    # k + 1 of them fit the cell budget; otherwise only every stride-th one
+    # (and the empty row k), about half the budget, and the walk below
+    # rebuilds the rows between two checkpoints when it reaches them.
+    budget = max(4, LEX_CELLS // width)
+    stride = 1 if k + 1 <= budget else math.ceil((k + 1) / max(2, budget // 2))
+    rows = {k: _empty_row(width, capacity)}
+    _sweep(rows[k].copy(), kept, k, 0, rows, stride)
+    value = _best_profit(rows[0], capacity)
     if value == 0:
         return 0, []
 
     # Lexicographically smallest optimum: prefer leaving each item out when
-    # the remaining suffix can still deliver the missing profit in budget.
+    # the remaining suffix can still deliver the missing profit in the room.
+    block = {}
     chosen = []
     target = value
-    budget = capacity
+    room = capacity
     for i, (j, p, w) in enumerate(kept):
-        after = row_after(i)
-        if int(after[target]) <= budget:
+        after = rows.get(i + 1)
+        if after is None:
+            if i + 1 not in block:
+                below = (i + 1) // stride * stride
+                anchor = min(k, below + stride)
+                block.clear()
+                _sweep(rows[anchor].copy(), kept, anchor, below + 1, block)
+            after = block[i + 1]
+        if after[target] <= room:
             continue
         chosen.append(j)
         target -= p
-        budget -= w
-    if target != 0:
-        raise SolverInvariantError("reconstruction missed the optimal value")
-    return value, chosen
-
-
-def _dp_by_profit_python(kept, capacity, upper):
-    # Big-integer path for weights outside the int64 range.
-    k = len(kept)
-    width = upper + 1
-    inf = sum(w for _, _, w in kept) + capacity + 1
-    suffix = [None] * (k + 1)
-    row = [inf] * width
-    row[0] = 0
-    suffix[k] = row
-    for i in range(k - 1, -1, -1):
-        _, p, w = kept[i]
-        prev = suffix[i + 1]
-        row = prev.copy()
-        for t in range(width - 1, p - 1, -1):
-            cand = prev[t - p] + w
-            if cand < row[t]:
-                row[t] = cand
-        suffix[i] = row
-    value = max(t for t in range(width) if suffix[0][t] <= capacity)
-    if value == 0:
-        return 0, []
-    chosen = []
-    target = value
-    budget = capacity
-    for i, (j, p, w) in enumerate(kept):
-        if suffix[i + 1][target] <= budget:
-            continue
-        chosen.append(j)
-        target -= p
-        budget -= w
+        room -= w
     if target != 0:
         raise SolverInvariantError("reconstruction missed the optimal value")
     return value, chosen
@@ -459,11 +381,10 @@ def _greedy_bound(kept, order, start, capacity):
     return total
 
 
-def _branch_and_bound(kept, capacity):
+def _bb_value(kept, capacity):
+    """Optimal value by include-first DFS with Dantzig pruning."""
     order = _ratio_order(kept)
     best = 0
-
-    # Pass 1: optimal value by include-first DFS with Dantzig pruning.
     stack = [(0, 0, capacity)]
     while stack:
         depth, value, room = stack.pop()
@@ -477,11 +398,16 @@ def _branch_and_bound(kept, capacity):
         stack.append((depth + 1, value, room))
         if w <= room:
             stack.append((depth + 1, value + p, room - w))
+    return best
+
+
+def _branch_and_bound(kept, capacity):
+    best = _bb_value(kept, capacity)
     if best == 0:
         return 0, []
 
-    # Pass 2: fix bits in index order, keeping the lexicographically
-    # smallest vector that still completes to the optimal value.
+    # Fix bits in index order, keeping the lexicographically smallest vector
+    # that still completes to the optimal value.
     def reachable(start, target, budget):
         if target <= 0:
             return True

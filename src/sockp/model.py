@@ -358,11 +358,27 @@ class SockpInstance:
             self._caches["float"] = views
         return views
 
+    def integer_view(self):
+        """Means and capacity scaled to integers by one power of ten.
+
+        Returns (A, B, 10^da) with A_j = mean_j * 10^da and
+        B = capacity * 10^da, where da is the largest number of fractional
+        digits among the means and the capacity.
+        """
+        view = self._caches.get("integer")
+        if view is None:
+            da = max([_frac_digits(self.capacity)]
+                     + [_frac_digits(v) for v in self.means])
+            view = ([_scaled_int(v, da) for v in self.means],
+                    _scaled_int(self.capacity, da), 10 ** da)
+            self._caches["integer"] = view
+        return view
+
     def exact_view(self, omega: Decimal):
         """Integer-scaled view used by the exact feasibility check.
 
-        Returns (A, B, V, lhs_shift, rhs_shift) with A_j = mean_j * 10^da,
-        B = capacity * 10^da, V_j = (omega * sigma_j * 10^dt)^2, so that
+        Returns (A, B, V, lhs_shift, rhs_shift) with A, B and 10^da from
+        :meth:`integer_view` and V_j = (omega * sigma_j * 10^dt)^2, so that
         x is feasible iff  B - A.x >= 0  and
         (B - A.x)^2 * 10^(2dt) >= (sum_j V_j x_j) * 10^(2da).
         """
@@ -372,13 +388,10 @@ class SockpInstance:
             with localcontext() as ctx:
                 ctx.prec = EXACT_PREC
                 terms = [omega * s for s in self.sigmas]
-            da = max([_frac_digits(self.capacity)]
-                     + [_frac_digits(v) for v in self.means])
             dt = max([0] + [_frac_digits(t) for t in terms])
-            a_ints = [_scaled_int(v, da) for v in self.means]
-            b_int = _scaled_int(self.capacity, da)
+            a_ints, b_int, pow_da = self.integer_view()
             v_ints = [_scaled_int(t, dt) ** 2 for t in terms]
-            view = (a_ints, b_int, v_ints, 10 ** (2 * dt), 10 ** (2 * da))
+            view = (a_ints, b_int, v_ints, 10 ** (2 * dt), pow_da * pow_da)
             self._caches[key] = view
         return view
 

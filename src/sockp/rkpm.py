@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from decimal import localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,8 +44,7 @@ import numpy as np
 from .approx import HORIZONTAL, SegmentTable, beta_exact, build_segments
 from .knapsack import (KnapsackSubproblem, SolverInvariantError,
                        solve_knapsack, solve_knapsack_value)
-from .model import (EXACT_PREC, SockpInstance, _frac_digits, as_omega,
-                    is_soc_feasible)
+from .model import SockpInstance, as_omega, is_soc_feasible
 
 __all__ = [
     "BoundResult",
@@ -93,13 +91,7 @@ class _Family:
         self.inst = inst
         self.table = table
         self.delta = delta
-        self.da = max([_frac_digits(inst.capacity)]
-                      + [_frac_digits(v) for v in inst.means])
-        self.pow_da = 10 ** self.da
-        with localcontext() as ctx:
-            ctx.prec = EXACT_PREC
-            self.a_int = [int(v.scaleb(self.da)) for v in inst.means]
-            self.b_int = int(inst.capacity.scaleb(self.da))
+        self.a_int, self.b_int, self.pow_da = inst.integer_view()
         self.profits_f = np.array(inst.profits, dtype=float)
         self.means_f = np.array([float(v) for v in inst.means])
         self.cap_f = float(inst.capacity)

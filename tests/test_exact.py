@@ -1,8 +1,9 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from sockp import SockpInstance, is_soc_feasible, m_star, solve_exact
-from sockp.exact import initial_segments
+from sockp.exact import _ceil_half_isqrt, initial_segments
+from sockp.model import EXACT_PREC, _frac_digits, as_omega
 
 from conftest import random_instance, soc_brute_force
 
@@ -36,6 +37,37 @@ def test_m_star_grows_when_data_scales_up():
                             sigmas=(Decimal(10), Decimal(20)),
                             capacity=Decimal(50))
     assert m_star(tenfold, Decimal(2)) > m_star(base, Decimal(2))
+
+
+def _m_star_reference(inst, omega):
+    """m* computed directly: scale every coefficient by one power of ten."""
+    omega_d = as_omega(omega)
+    with localcontext() as ctx:
+        ctx.prec = EXACT_PREC
+        terms = [omega_d * s for s in inst.sigmas]
+        scale = max([_frac_digits(inst.capacity)]
+                    + [_frac_digits(v) for v in inst.means]
+                    + [_frac_digits(t) for t in terms])
+        total = 0
+        for t in terms:
+            ti = int(t.scaleb(scale))
+            total += ti * ti
+    return _ceil_half_isqrt(inst.n * total) + 1
+
+
+def test_m_star_matches_direct_scaling(rng):
+    def decimal(hi, digits):
+        return Decimal(rng.randint(0, hi * 10 ** digits)).scaleb(-digits)
+
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        means = tuple(decimal(100, rng.randint(0, 6)) for _ in range(n))
+        sigmas = tuple(decimal(20, rng.randint(0, 6)) for _ in range(n))
+        inst = SockpInstance(profits=(1,) * n, means=means, sigmas=sigmas,
+                             capacity=decimal(300, rng.randint(0, 6)))
+        omega = decimal(10, rng.randint(0, 6)) + Decimal("0.5")
+        assert m_star(inst, omega) == _m_star_reference(inst, omega), (
+            inst, omega)
 
 
 def test_initial_segments():

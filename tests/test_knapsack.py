@@ -1,52 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
-                   scale_to_integers, solve_knapsack)
-from sockp.knapsack import DEFAULT_STATE_CAP, solve_knapsack_value
+                   solve_knapsack)
+from sockp import knapsack
+from sockp.knapsack import solve_knapsack_value
 
 from conftest import enumerate_knapsack
-
-
-def test_scale_rounds_weights_up_capacity_down():
-    weights, cap = scale_to_integers([3.1415926535], 10.9999999, 10 ** 6)
-    assert weights == [3141593]
-    assert cap == 10999999
-
-
-def test_scale_identity_on_integers():
-    weights, cap = scale_to_integers([3, 7, 11], 21, 1)
-    assert weights == [3, 7, 11]
-    assert cap == 21
-
-
-def test_scale_tiny_positive_weight_becomes_one():
-    weights, cap = scale_to_integers([0.0000001], 0, 10 ** 6)
-    assert weights == [1]
-    assert cap == 0
-
-
-def test_scale_accepts_fractions_exactly():
-    weights, cap = scale_to_integers([Fraction(1, 3)], Fraction(2, 3), 3)
-    assert weights == [1]
-    assert cap == 2
-
-
-def test_scale_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        scale_to_integers([-1.0], 5, 10)
-
-
-def test_scale_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        scale_to_integers([1.0], 5, 0)
-
-
-def test_scale_overflow_raises():
-    with pytest.raises(OverflowError):
-        scale_to_integers([10.0], 5, 10 ** 6, max_magnitude=10 ** 6)
 
 
 def test_textbook_instance():
@@ -132,25 +93,43 @@ def test_dantzig_bound_dominates_optimum():
             >= solve_knapsack(prob).value
 
 
-def test_branch_and_bound_path_agrees_with_dp():
+def test_branch_and_bound_path_agrees_with_dp(monkeypatch):
     rng = random.Random(17)
     for trial in range(60):
         prob = _random_problem(rng, rng.randint(1, 11),
                                profit_hi=6 if trial % 2 else 80)
         dp = solve_knapsack(prob)
-        bb = solve_knapsack(prob, state_cap=1)  # force the fallback
+        with monkeypatch.context() as patch:
+            patch.setattr(knapsack, "STATE_CAP", 1)  # force the fallback
+            bb = solve_knapsack(prob)
         assert bb.value == dp.value
         assert bb.selected == dp.selected
 
 
-def test_checkpointed_reconstruction_agrees_with_full_table():
+def test_checkpointed_reconstruction_agrees_with_full_table(monkeypatch):
     rng = random.Random(19)
     for _ in range(40):
         prob = _random_problem(rng, rng.randint(2, 12))
         full = solve_knapsack(prob)
-        chunked = solve_knapsack(prob, lex_cells=8)  # force checkpointing
+        with monkeypatch.context() as patch:
+            patch.setattr(knapsack, "LEX_CELLS", 8)  # force checkpointing
+            chunked = solve_knapsack(prob)
         assert chunked.value == full.value
         assert chunked.selected == full.selected
+    # Weights past 2**63 run the same kernel on Python integers, and their
+    # reconstruction obeys the same cell budget.
+    monkeypatch.setattr(knapsack, "LEX_CELLS", 8)
+    for _ in range(40):
+        prob = _random_problem(rng, rng.randint(2, 12))
+        shift = (1 << 63) + rng.randint(0, 99)
+        big = KnapsackSubproblem(profits=prob.profits,
+                                 weights=tuple(w * shift for w in prob.weights),
+                                 capacity=prob.capacity * shift)
+        value, bits = enumerate_knapsack(big.profits, big.weights, big.capacity)
+        chunked = solve_knapsack(big)
+        assert chunked.value == value
+        assert chunked.selected == bits
+        assert solve_knapsack_value(big) == value
 
 
 def test_big_integer_weights_fall_back_exactly():
@@ -190,24 +169,25 @@ def _floor_cases(rng):
                                  capacity=capacity)
 
 
-def test_floor_contract_matches_enumeration():
+def test_floor_contract_matches_enumeration(monkeypatch):
     for prob in _floor_cases(random.Random(23)):
         opt, bits = enumerate_knapsack(prob.profits, prob.weights, prob.capacity)
-        for floor in range(opt + 3):
-            # state_cap=1 sends the reduced problem to branch and bound.
-            for cap in (DEFAULT_STATE_CAP, 1):
-                value = solve_knapsack_value(prob, floor=floor, state_cap=cap)
-                if opt >= floor:
-                    assert value == opt, (prob, floor, cap)
-                else:
-                    assert value < floor, (prob, floor, cap)
-        if prob.capacity < 0:
-            continue
-        for cap in (DEFAULT_STATE_CAP, 1):
-            sol = solve_knapsack(prob, floor=opt, state_cap=cap)
-            assert sol.value == opt
-            assert sol.selected == bits, (prob, cap)
-        assert solve_knapsack(prob).selected == bits
+        # STATE_CAP = 1 sends the reduced problem to branch and bound.
+        for cap in (knapsack.STATE_CAP, 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(knapsack, "STATE_CAP", cap)
+                for floor in range(opt + 3):
+                    value = solve_knapsack_value(prob, floor=floor)
+                    if opt >= floor:
+                        assert value == opt, (prob, floor, cap)
+                    else:
+                        assert value < floor, (prob, floor, cap)
+                if prob.capacity >= 0:
+                    sol = solve_knapsack(prob, floor=opt)
+                    assert sol.value == opt
+                    assert sol.selected == bits, (prob, cap)
+        if prob.capacity >= 0:
+            assert solve_knapsack(prob).selected == bits
 
 
 def test_floor_above_optimum_fails_reconstruction():
