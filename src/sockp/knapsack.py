@@ -8,14 +8,18 @@ updates it with a single numpy ``minimum`` over the row shifted by its
 profit.  The row is int64 while every sum fits and holds Python integers
 (``object`` dtype) otherwise, so huge weights run the same kernel exactly.
 When the profit range exceeds ``STATE_CAP`` states the solver falls back to
-depth-first branch and bound.  Among equal-value optima it returns the
+depth-first branch and bound: one include-first search with Dantzig pruning
+gives the optimum, and the same search, started at a target, tells whether a
+suffix of the items still reaches it.  Among equal-value optima it returns the
 lexicographically smallest selection vector, so results are reproducible
 across runs and platforms.  That selection is read off suffix rows (the row
 over items i, i+1, ...); beyond ``LEX_CELLS`` cells only every stride-th
 suffix row is kept and the others are rebuilt a block at a time, so
 reconstruction memory stays bounded whatever the dtype.
 
-Before the DP runs, variables are fixed by reduced cost against a floor
+Before the DP runs, one pass over the profit and weight arrays settles every
+item.  Masks drop the zero-profit and oversized items and take the
+zero-weight ones; the rest are fixed by reduced cost against a floor
 (Martello, Pisinger & Toth, "Dynamic programming and strong bounds for the 0-1
 knapsack problem", Management Science 45(3), 1999).  With lam = p_b / w_b the
 ratio of the break item of the greedy fill, every selection x satisfies
@@ -67,23 +71,18 @@ class SolverInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class KnapsackSubproblem:
-    """One ordinary 0/1 knapsack: integer profits/weights and capacity.
-
-    ``origin_label`` optionally records which pivot of the decomposition
-    produced the subproblem; it does not affect solving.
-    """
+    """One ordinary 0/1 knapsack: integer profits/weights and capacity."""
 
     profits: tuple[int, ...]
     weights: tuple[int, ...]
     capacity: int
-    origin_label: int | None = None
 
     def __post_init__(self):
         if len(self.profits) != len(self.weights):
             raise ValueError("profits and weights must have equal length")
-        if any(p < 0 for p in self.profits):
+        if min(self.profits, default=0) < 0:
             raise ValueError("profits must be nonnegative")
-        if any(w < 0 for w in self.weights):
+        if min(self.weights, default=0) < 0:
             raise ValueError("weights must be nonnegative")
 
     @property
@@ -107,46 +106,10 @@ def dantzig_bound(profits: Sequence[int], weights: Sequence[int],
     """
     if capacity < 0:
         return 0
-    free = 0
-    items = []
-    for p, w in zip(profits, weights):
-        if p <= 0 or w > capacity:
-            continue
-        if w == 0:
-            free += p
-        else:
-            items.append((Fraction(p, w), p, w))
-    items.sort(key=lambda t: (-t[0], t[1]))
-    total = free
-    room = capacity
-    for _, p, w in items:
-        if w <= room:
-            total += p
-            room -= w
-        else:
-            total += (p * room) // w
-            break
-    return total
-
-
-def _split_items(problem: KnapsackSubproblem):
-    """Forced bits and the residual item list.
-
-    Zero-profit and oversized items are never selected; a zero-weight item
-    with positive profit belongs to every optimal solution.
-    """
-    bits = [0] * problem.n
-    base_value = 0
-    kept = []  # (original index, profit, weight), ascending index
-    for j, (p, w) in enumerate(zip(problem.profits, problem.weights)):
-        if p <= 0 or w > problem.capacity:
-            continue
-        if w == 0:
-            bits[j] = 1
-            base_value += p
-        else:
-            kept.append((j, p, w))
-    return bits, base_value, kept
+    free = sum(p for p, w in zip(profits, weights) if p > 0 and w == 0)
+    kept = [(j, p, w) for j, (p, w) in enumerate(zip(profits, weights))
+            if p > 0 and 0 < w <= capacity]
+    return free + _greedy_bound(kept, _ratio_order(kept), 0, capacity)
 
 
 class _Reduction(NamedTuple):
@@ -161,50 +124,58 @@ class _Reduction(NamedTuple):
     upper: int  # exact bound on the optimum over the free items
 
 
-def _reduce(kept, capacity, floor) -> _Reduction:
-    """Fix items by reduced cost against ``floor`` (see the module docstring).
+def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
+    """Settle and fix items against ``floor`` (see the module docstring).
 
-    ``floor`` counts the kept items only; None means the greedy value.  The
-    free items keep their ascending index order, and every selection worth
-    at least the floor obeys the fixings.
+    Zero-profit and oversized items are never selected, and a zero-weight
+    item with positive profit belongs to every optimum; the other items are
+    fixed by reduced cost.  ``floor`` counts the whole problem; None means
+    the greedy value.  The free items keep their ascending index order, and
+    every selection worth at least the floor obeys the fixings.  The
+    capacity must be nonnegative.
     """
-    profits = [p for _, p, _ in kept]
-    weights = [w for _, _, w in kept]
-    total_w = sum(weights)
+    capacity = problem.capacity
+    # One product bounds every entry, sum and cross product formed below.
+    bound = (max(problem.profits, default=0) + 1) * (
+        problem.n * max(problem.weights, default=0) + capacity + 1)
+    exact = np.int64 if bound < 2 ** 62 else object
+    p_all = np.array(problem.profits, dtype=exact)
+    w_all = np.array(problem.weights, dtype=exact)
+    live = p_all > 0
+    base = np.flatnonzero(live & (w_all == 0)).tolist()
+    base_value = int(p_all[base].sum())
+    kept = np.flatnonzero(live & (w_all > 0) & (w_all <= capacity))
+    p_arr, w_arr = p_all[kept], w_all[kept]
+    total_w = int(w_arr.sum())
     if total_w <= capacity:
         # Everything fits: taking all items is the only optimum.
-        total_p = sum(profits)
-        return _Reduction(total_p, [j for j, _, _ in kept], total_p, [],
+        total_p = base_value + int(p_arr.sum())
+        return _Reduction(total_p, base + kept.tolist(), total_p, [],
                           capacity - total_w, 0)
-    max_p, max_w = max(profits), max(weights)
-    exact = (np.int64 if max_p * (len(kept) * max_w + capacity) < 2 ** 62
-             and total_w < 2 ** 62 else object)
-    p_arr = np.array(profits, dtype=exact)
-    w_arr = np.array(weights, dtype=exact)
     order = np.argsort(-(p_arr / w_arr).astype(float), kind="stable")
     # The break item: first in ratio order that overflows the greedy fill.
     pos = int(np.searchsorted(np.cumsum(w_arr[order]), capacity, side="right"))
     greedy = int(p_arr[order[:pos]].sum())
     b = order[pos]
-    p_b, w_b = profits[b], weights[b]
+    p_b, w_b = int(p_arr[b]), int(w_arr[b])
     reduced = w_b * p_arr - p_b * w_arr  # w_b * (p_j - lam * w_j)
     gains = np.maximum(reduced, 0)
-    target = greedy if floor is None else max(floor, greedy)
+    target = greedy if floor is None else max(floor - base_value, greedy)
     slack = p_b * capacity + int(gains.sum()) - w_b * target
     if slack < 0:
-        return _Reduction(greedy, [], 0, None, capacity, 0)
+        return _Reduction(base_value + greedy, [], 0, None, capacity, 0)
     fix_in = reduced > slack
-    free = ~fix_in & (-reduced <= slack)
     room = capacity - int(w_arr[fix_in].sum())
     if room < 0:
-        return _Reduction(greedy, [], 0, None, room, 0)
-    free &= w_arr <= room
+        return _Reduction(base_value + greedy, [], 0, None, room, 0)
+    free = ~fix_in & (-reduced <= slack) & (w_arr <= room)
     idx = np.flatnonzero(free)
     upper = (p_b * room + int(gains[idx].sum())) // w_b
-    return _Reduction(greedy,
-                      [kept[i][0] for i in np.flatnonzero(fix_in)],
-                      int(p_arr[fix_in].sum()),
-                      [kept[i] for i in idx],
+    return _Reduction(base_value + greedy,
+                      base + kept[fix_in].tolist(),
+                      base_value + int(p_arr[fix_in].sum()),
+                      list(zip(kept[idx].tolist(), p_arr[idx].tolist(),
+                               w_arr[idx].tolist())),
                       room,
                       min(upper, int(p_arr[idx].sum())))
 
@@ -221,20 +192,16 @@ def solve_knapsack_value(problem: KnapsackSubproblem,
     """
     if problem.capacity < 0:
         return 0
-    _, base_value, kept = _split_items(problem)
-    if not kept:
-        return base_value
-    red = _reduce(kept, problem.capacity,
-                  None if floor is None else floor - base_value)
+    red = _reduce(problem, floor)
     if red.free is None:
-        return base_value + red.greedy
+        return red.greedy
     if not red.free:
-        return base_value + red.fixed_value
+        return red.fixed_value
     if red.upper + 1 > STATE_CAP:
         value = _bb_value(red.free, red.room)
     else:
         value = _dp_value_only(red.free, red.room, red.upper)
-    return base_value + red.fixed_value + value
+    return red.fixed_value + value
 
 
 def solve_knapsack(problem: KnapsackSubproblem,
@@ -252,27 +219,23 @@ def solve_knapsack(problem: KnapsackSubproblem,
     if problem.capacity < 0:
         return KnapsackSolution(selected=(0,) * problem.n, value=0, feasible=False)
 
-    bits, base_value, kept = _split_items(problem)
-    if not kept:
-        value = base_value
-    else:
-        red = _reduce(kept, problem.capacity,
-                      None if floor is None else floor - base_value)
-        if red.free is None:
-            raise SolverInvariantError(
-                "reduced-cost slack or room went negative below the optimum")
-        value, chosen = 0, []
-        if red.free:
-            if red.upper + 1 > STATE_CAP:
-                value, chosen = _branch_and_bound(red.free, red.room)
-            else:
-                value, chosen = _dp_by_profit(red.free, red.room, red.upper)
-        for j in red.fixed + chosen:
-            bits[j] = 1
-        value += base_value + red.fixed_value
+    red = _reduce(problem, floor)
+    if red.free is None:
+        raise SolverInvariantError(
+            "reduced-cost slack or room went negative below the optimum")
+    value, chosen = 0, []
+    if red.free:
+        if red.upper + 1 > STATE_CAP:
+            value, chosen = _branch_and_bound(red.free, red.room)
+        else:
+            value, chosen = _dp_by_profit(red.free, red.room, red.upper)
+    value += red.fixed_value
     if floor is not None and value != floor:
         raise SolverInvariantError(
             f"reconstructed value {value} differs from the floor {floor}")
+    bits = [0] * problem.n
+    for j in red.fixed + chosen:
+        bits[j] = 1
     return KnapsackSolution(selected=tuple(bits), value=value)
 
 
@@ -381,15 +344,22 @@ def _greedy_bound(kept, order, start, capacity):
     return total
 
 
-def _bb_value(kept, capacity):
-    """Optimal value by include-first DFS with Dantzig pruning."""
+def _bb_value(kept, capacity, target=None):
+    """Best value by include-first DFS with Dantzig pruning.
+
+    With a ``target`` the incumbent starts at target - 1 and the search stops
+    at the first value above it, so the result reaches ``target`` exactly
+    when some selection does.
+    """
     order = _ratio_order(kept)
-    best = 0
+    best = 0 if target is None else target - 1
     stack = [(0, 0, capacity)]
     while stack:
         depth, value, room = stack.pop()
         if value > best:
             best = value
+            if target is not None:
+                break
         if depth == len(order):
             continue
         if value + _greedy_bound(kept, order, depth, room) <= best:
@@ -408,31 +378,11 @@ def _branch_and_bound(kept, capacity):
 
     # Fix bits in index order, keeping the lexicographically smallest vector
     # that still completes to the optimal value.
-    def reachable(start, target, budget):
-        if target <= 0:
-            return True
-        sub = kept[start:]
-        sub_order = _ratio_order(sub)
-        stack = [(0, 0, budget)]
-        while stack:
-            depth, value, room = stack.pop()
-            if value >= target:
-                return True
-            if depth == len(sub_order):
-                continue
-            if value + _greedy_bound(sub, sub_order, depth, room) < target:
-                continue
-            _, p, w = sub[sub_order[depth]]
-            stack.append((depth + 1, value, room))
-            if w <= room:
-                stack.append((depth + 1, value + p, room - w))
-        return False
-
     chosen = []
     target = best
     budget = capacity
     for i, (j, p, w) in enumerate(kept):
-        if reachable(i + 1, target, budget):
+        if _bb_value(kept[i + 1:], budget, target) >= target:
             continue
         chosen.append(j)
         target -= p

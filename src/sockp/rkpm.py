@@ -12,16 +12,22 @@ pivot.  The best solution over the family solves the robust problem exactly;
 budget delta = m^2 yields an upper bound on the SOC optimum and
 delta = m^2 + n/4 a feasible lower bound.
 
+The family is one index range over the table sorted by falling ratio: from
+the first pivot (rank lhat) to index ``size``, the dummy, which is handled as
+one more pivot with ratio zero and the full prefix.  The pivot capacity
+cap - r * delta rises with the index, so the pivots with a negative capacity
+are a prefix of the range; one exact bisection finds where it ends, and those
+pivots are counted as skipped.
+
 Subproblem weights are built in exact integer arithmetic and conservatively
 scaled by the fixed factor ``SCALE`` = 10^6 (ceil weights, floor capacity),
 so returned lower bounds are always genuinely SOC-feasible.  A float Dantzig
 screen with generous safety margins picks the few pivots whose knapsack must
 actually be solved; margins only ever cause extra exact solves, never wrong
-answers.  The screen works on
-matrices: the prefix gain/budget sums of a chunk of pivots come from one
-cumsum over the chunk's table entries, and the LP bounds of all its weight
-rows from a row-wise argsort, cumsum and break count, with every temporary
-array kept near ``SCREEN_CHUNK`` elements.
+answers.  The screen works on matrices: the prefix gain/budget sums of a
+chunk of pivots come from one cumsum over the chunk's table entries, and the
+LP bounds of all its weight rows from a row-wise argsort, cumsum and break
+count, with every temporary array kept near ``SCREEN_CHUNK`` elements.
 
 The family is solved in one sequential pass over the screened pivots in
 (bound desc, rank asc) order.  Each exact value solve passes the incumbent as
@@ -34,10 +40,10 @@ all.  Only the winning pivot's selection is reconstructed, once, at the end.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -93,46 +99,44 @@ class _Family:
         self.delta = delta
         self.a_int, self.b_int, self.pow_da = inst.integer_view()
         self.profits_f = np.array(inst.profits, dtype=float)
-        self.means_f = np.array([float(v) for v in inst.means])
-        self.cap_f = float(inst.capacity)
+        self.means_f, _, self.cap_f = inst.float_views()
         self.dn = delta.numerator
         self.dd = delta.denominator
 
-    def capacity_is_negative(self, i: int | None) -> bool:
-        """Exact sign of cap - r * delta for the pivot at sorted index i."""
-        if i is None:
-            return self.b_int < 0
+    def _pivot(self, i: int):
+        """(prefix end, rnum, f_i) of the pivot at sorted index i: ratio
+        rnum / (q * f_i); index ``size`` is the dummy (ratio 0, full prefix)."""
         t = self.table
-        lhs = self.b_int * t.q * t.f[i] * self.dd
-        rhs = t.dnum[i] * self.dn * self.pow_da
-        return lhs < rhs
+        if i == t.size:
+            return t.size, 0, 1
+        return t.group_start[i], t.dnum[i], t.f[i]
 
-    def _pivot_parts(self, i: int | None):
+    def capacity_is_negative(self, i: int) -> bool:
+        """Exact sign of cap - r * delta for the pivot at sorted index i."""
+        _, rnum, f_i = self._pivot(i)
+        return (self.b_int * self.table.q * f_i * self.dd
+                < rnum * self.dn * self.pow_da)
+
+    def _pivot_parts(self, i: int):
         """(rnum, f_i, extra) of the pivot at sorted index i.
 
-        The pivot's ratio is rnum / (q * f_i), and its exact subproblem has
-        weight_j = a_j / pow_da + extra_j / (q * f_i) and capacity
-        b / pow_da - ratio * delta, where extra_j = f_i * sd_j - rnum * sf_j
-        over the entries with a strictly larger ratio.  ``None`` denotes the
-        dummy pivot (ratio zero, full gain sums).
+        The pivot's exact subproblem has weight_j = a_j / pow_da +
+        extra_j / (q * f_i) and capacity b / pow_da - ratio * delta, where
+        extra_j = f_i * sd_j - rnum * sf_j over the entries with a strictly
+        larger ratio.
         """
-        t = self.table
-        if i is None:
-            gs, rnum, f_i = t.size, 0, 1
-        else:
-            gs, rnum, f_i = t.group_start[i], t.dnum[i], t.f[i]
-        sd, sf = t.prefix_state(gs)
+        gs, rnum, f_i = self._pivot(i)
+        sd, sf = self.table.prefix_state(gs)
         extra = [d * f_i - rnum * s for d, s in zip(sd, sf)]
         if extra and min(extra) < 0:
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
         return rnum, f_i, extra
 
-    def scaled_subproblem(self, i: int | None) -> KnapsackSubproblem:
+    def scaled_subproblem(self, i: int) -> KnapsackSubproblem:
         """Exact conservatively-scaled knapsack for the pivot at index i.
 
-        ``None`` denotes the dummy pivot (ratio zero, full gain sums, plain
-        capacity).  Weights are ceil'd and the capacity floor'd at ``SCALE``.
+        Weights are ceil'd and the capacity floor'd at ``SCALE``.
         """
         t = self.table
         rnum, f_i, extra = self._pivot_parts(i)
@@ -145,44 +149,42 @@ class _Family:
         cap_num = SCALE * (self.b_int * t.q * f_i * self.dd
                            - rnum * self.dn * self.pow_da)
         capacity = cap_num // (den * self.dd)
-        label = t.size + 1 if i is None else i + 1
         return KnapsackSubproblem(profits=self.inst.profits,
-                                  weights=tuple(weights),
-                                  capacity=capacity, origin_label=label)
+                                  weights=tuple(weights), capacity=capacity)
 
     def screen(self):
         """Candidate pivots with a dominating Dantzig bound each.
 
-        Returns ([(rank, sorted index or None, bound)], skipped).  The bound
-        is the LP relaxation of the pivot's own (unscaled, true-weight)
-        subproblem in float arithmetic; it dominates the scaled integer
-        optimum up to ~1e-8, absorbed by the callers' 0.5 margins.
-        Negative-capacity pivots are dropped and counted (exact sign tests,
-        float-banded).  The real pivots are bounded as matrices, a chunk of
-        rows at a time (see :meth:`_pivot_weights` and :func:`_dantzig_rows`),
-        so the whole family costs O(size * n) float work in numpy.
+        Returns ([(rank, sorted index, bound)], skipped).  The bound is the
+        LP relaxation of the pivot's own (unscaled, true-weight) subproblem
+        in float arithmetic; it dominates the scaled integer optimum up to
+        ~1e-8, absorbed by the callers' 0.5 margins.  The pivots with a
+        negative capacity are a prefix of the family, found by an exact
+        bisection and counted as skipped.  The others, the dummy last, are
+        bounded as matrices, a chunk of rows at a time (see
+        :meth:`_pivot_weights` and :func:`_dantzig_rows`), so the whole
+        family costs O(size * n) float work in numpy.
         """
         t = self.table
         lh = t.lhat(self.delta)
         first = t.size if lh is None else lh - 1  # first real pivot index
-        r = t.d_float[first:] / t.f_int[first:]  # pivot gain/budget ratios
-        caps = self.cap_f - r * (self.dn / self.dd)
-        tol = 1e-6 * (1.0 + abs(self.cap_f) + np.abs(caps))
-        negative = caps < -tol
-        for k in np.flatnonzero(np.abs(caps) <= tol):
-            negative[k] = self.capacity_is_negative(first + int(k))
-        live = np.flatnonzero(~negative)
-        skipped = len(r) - len(live)
+        start = bisect.bisect_left(
+            range(t.size + 1), True, lo=first,
+            key=lambda i: not self.capacity_is_negative(i))
+        # Row k is the pivot at index start + k; the last row is the dummy.
+        r = np.append(t.d_float / t.f_int, 0.0)[start:]
+        caps = np.maximum(self.cap_f - r * (self.dn / self.dd), 0.0)
+        group_start = np.append(np.asarray(t.group_start, dtype=np.intp),
+                                t.size)[start:]
 
         candidates = []
         n = self.inst.n
         js = np.asarray(t.js, dtype=np.intp)
-        group_start = np.asarray(t.group_start, dtype=np.intp)[first:][live]
         rows = max(1, SCREEN_CHUNK // n)
         # Float per-item (d, f) sums over the first `upto` table entries.
         sd, sf, upto = np.zeros(n), np.zeros(n), 0
         c0 = 0
-        while c0 < len(live):
+        while c0 < len(r):
             # The chunk spans at most `rows` pivots and `rows` table entries.
             g0 = int(group_start[c0])
             c1 = min(c0 + rows, int(np.searchsorted(
@@ -192,26 +194,14 @@ class _Family:
             sf += np.bincount(js[upto:g0], weights=t.f_int[upto:g0],
                               minlength=n)
             upto = g0
-            sel = live[c0:c1]
             weights = self._pivot_weights(js, sd, sf, group_start[c0:c1],
-                                          r[sel])
-            bounds = _dantzig_rows(self.profits_f, weights,
-                                   np.maximum(caps[sel], 0.0))
-            index = (sel + first).tolist()
-            candidates.extend(zip([i + 1 for i in index], index,
+                                          r[c0:c1])
+            bounds = _dantzig_rows(self.profits_f, weights, caps[c0:c1])
+            candidates.extend(zip(range(start + c0 + 1, start + c1 + 1),
+                                  range(start + c0, start + c1),
                                   bounds.tolist()))
             c0 = c1
-
-        tol = 1e-6 * (1.0 + 2 * abs(self.cap_f))
-        if self.cap_f < -tol or (self.cap_f <= tol
-                                 and self.capacity_is_negative(None)):
-            skipped += 1
-        else:
-            sd += np.bincount(js[upto:], weights=t.d_float[upto:], minlength=n)
-            bound = _dantzig_rows(self.profits_f, (self.means_f + sd)[None, :],
-                                  np.array([max(self.cap_f, 0.0)]))
-            candidates.append((t.size + 1, None, float(bound[0])))
-        return candidates, skipped
+        return candidates, start - first
 
     def _pivot_weights(self, js, sd0, sf0, group_start, r):
         """Float weight rows means + sd - r * sf of a chunk of pivots.
@@ -311,13 +301,13 @@ def _solve_family(fam: _Family):
 def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
                *,
                scheme: str = HORIZONTAL,
-               table: SegmentTable | None = None,
-               kind: str | None = None) -> BoundResult:
+               table: SegmentTable | None = None) -> BoundResult:
     """Solve the robust knapsack over the m-segment approximation exactly.
 
-    ``delta`` is the budget of the support-function knapsack; the inner
-    budget gives an upper bound on the SOC optimum and the outer budget a
-    feasible lower bound.  Returns the best solution across the pivot family
+    ``delta`` is the budget of the support-function knapsack; the outer
+    budget of the horizontal scheme gives a feasible lower bound (kind
+    ``LOWER``) and every other budget, the inner one first, an upper bound
+    on the SOC optimum.  Returns the best solution across the pivot family
     together with bookkeeping counts.
     """
     start = time.perf_counter()
@@ -334,13 +324,8 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
     fam = _Family(inst, table, delta)
     value, bits, examined, skipped = _solve_family(fam)
 
-    if kind is None:
-        if delta == table.inner_budget:
-            kind = UPPER
-        elif table.scheme == HORIZONTAL and delta == table.outer_budget:
-            kind = LOWER
-        else:
-            kind = UPPER
+    kind = (LOWER if table.scheme == HORIZONTAL
+            and delta == table.outer_budget else UPPER)
 
     _validate_result(inst, table, delta, bits, value, kind, omega_d)
     return BoundResult(solution=bits, objective=value, kind=kind, m=table.m,
@@ -352,21 +337,15 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
 def _validate_result(inst, table, delta, bits, value, kind, omega_d):
     if value != sum(p for p, b in zip(inst.profits, bits) if b):
         raise SolverInvariantError("objective does not match the selection")
-    lhs = _means_fraction(inst, bits) + beta_exact(bits, table, delta)
-    if lhs > Fraction(inst.capacity):
+    a_int, b_int, pow_da = inst.integer_view()
+    used = sum(a for a, b in zip(a_int, bits) if b)
+    if (Fraction(used, pow_da) + beta_exact(bits, table, delta)
+            > Fraction(b_int, pow_da)):
         raise SolverInvariantError(
             "returned solution violates the robust constraint")
-    if kind in (LOWER, EXACT) and not is_soc_feasible(bits, inst, omega_d):
+    if kind == LOWER and not is_soc_feasible(bits, inst, omega_d):
         raise SolverInvariantError(
             f"{kind} result is not SOC-feasible")
-
-
-def _means_fraction(inst: SockpInstance, bits: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for v, b in zip(inst.means, bits):
-        if b:
-            total += Fraction(v)
-    return total
 
 
 def upper_bound(inst: SockpInstance, omega, m: int, *,
@@ -376,7 +355,7 @@ def upper_bound(inst: SockpInstance, omega, m: int, *,
     if table is None:
         table = build_segments(inst, as_omega(omega), m, scheme)
     return solve_rkpm(inst, omega, m, table.inner_budget, scheme=scheme,
-                      table=table, kind=UPPER)
+                      table=table)
 
 
 def lower_bound(inst: SockpInstance, omega, m: int, *,
@@ -389,7 +368,7 @@ def lower_bound(inst: SockpInstance, omega, m: int, *,
     if table is None:
         table = build_segments(inst, as_omega(omega), m, HORIZONTAL)
     return solve_rkpm(inst, omega, m, table.outer_budget, scheme=HORIZONTAL,
-                      table=table, kind=LOWER)
+                      table=table)
 
 
 def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
@@ -402,10 +381,9 @@ def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
     """
     delta = Fraction(delta)
     fam = _Family(inst, table, delta)
-    i = None if rank == table.size + 1 else rank - 1
-    if i is not None and not 0 <= i < table.size:
+    if not 1 <= rank <= table.size + 1:
         raise ValueError(f"pivot rank {rank} out of range")
-    rnum, f_i, extra = fam._pivot_parts(i)
+    rnum, f_i, extra = fam._pivot_parts(rank - 1)
     den = table.q * f_i
     weights = [Fraction(a, fam.pow_da) + Fraction(e, den)
                for a, e in zip(fam.a_int, extra)]

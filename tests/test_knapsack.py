@@ -146,7 +146,8 @@ def _floor_cases(rng):
     """Problems covering each branch of the reduced-cost fixing.
 
     Zero-weight and oversized items, equal ratios, negative capacities and
-    weights above 2**62 (the big-integer path), cycled over the trials.
+    weights above 2**62 (the big-integer path), cycled over the trials; then
+    problems whose only weights of 2**63 or more carry profit 0.
     """
     for trial in range(150):
         kind = trial % 5
@@ -165,6 +166,21 @@ def _floor_cases(rng):
             shift = (1 << 63) + rng.randint(0, 99)
             weights = [w * shift for w in weights]
             capacity *= shift
+        yield KnapsackSubproblem(profits=tuple(profits), weights=tuple(weights),
+                                 capacity=capacity)
+    for trial in range(20):
+        n = rng.randint(1, 8)
+        shift = (1 << 63) + rng.randint(0, 99)
+        if trial % 2:  # all profits zero, every weight past 2**63
+            profits = [0] * n
+            weights = [rng.randint(0, 30) * shift for _ in range(n)]
+        else:  # one zero-profit oversized item next to small ones
+            profits = [rng.randint(0, 40) for _ in range(n)]
+            weights = [rng.randint(0, 30) for _ in range(n)]
+            at = rng.randint(0, n)
+            profits.insert(at, 0)
+            weights.insert(at, shift)
+        capacity = rng.randint(0, max(1, sum(weights) - max(weights)))
         yield KnapsackSubproblem(profits=tuple(profits), weights=tuple(weights),
                                  capacity=capacity)
 

@@ -265,14 +265,13 @@ def _scalar_screen(fam):
         r = 0.0 if dummy else t.d_float[i] / t.f[i]
         cap = fam.cap_f - r * fam.dn / fam.dd
         tol = 1e-6 * (1.0 + abs(fam.cap_f) + abs(cap))
-        if cap < -tol or (cap <= tol and fam.capacity_is_negative(
-                None if dummy else i)):
+        if cap < -tol or (cap <= tol and fam.capacity_is_negative(i)):
             skipped += 1
             continue
         sd, sf = t.prefix_state(t.size if dummy else t.group_start[i])
         weights = (fam.means_f + np.array([d / t.q for d in sd])
                    - r * np.array(sf, dtype=float))
-        candidates.append((i + 1, None if dummy else i, _dantzig_float(
+        candidates.append((i + 1, i, _dantzig_float(
             fam.profits_f, weights, max(cap, 0.0))))
     return candidates, skipped
 
@@ -363,8 +362,7 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng):
             fam = _Family(inst, table, delta)
             solved = []
             for rank in table.family(delta):
-                problem = fam.scaled_subproblem(
-                    None if rank == table.size + 1 else rank - 1)
+                problem = fam.scaled_subproblem(rank - 1)
                 if problem.capacity >= 0:
                     solved.append((rank, knapsack.solve_knapsack(problem)))
             res = solve_rkpm(inst, omega, m, delta, scheme=scheme, table=table)
