@@ -24,23 +24,33 @@ scaled by the fixed factor ``SCALE`` = 10^6 (ceil weights, floor capacity),
 so returned lower bounds are always genuinely SOC-feasible.  A float Dantzig
 screen with generous safety margins picks the few pivots whose knapsack must
 actually be solved; margins only ever cause extra exact solves, never wrong
-answers.  The screen works on matrices: the prefix gain/budget sums of a
-chunk of pivots come from one cumsum over the chunk's table entries, and the
-LP bounds of all its weight rows from a row-wise argsort, cumsum and break
+answers.  The screen bounds blocks of ``SCREEN_BLOCK`` consecutive pivots.
+Down the family the ratio r falls and the strict-ratio prefix grows by
+entries of ratio above r, so every item's pivot weight and the pivot
+capacity are nondecreasing in the index: the knapsack with a block's first
+weight row and its last capacity relaxes every pivot in it, and its LP bound
+dominates theirs.  The block rows are bounded as matrices: their prefix
+gain/budget sums come from one bincount and cumsum over a chunk's table
+entries, and their LP bounds from a row-wise argsort, cumsum and break
 count, with every temporary array kept near ``SCREEN_CHUNK`` elements.
 
-The family is solved in one sequential pass over the screened pivots in
-(bound desc, rank asc) order.  Each exact value solve passes the incumbent as
-its floor, so the knapsack fixes items by reduced cost against it (Martello,
-Pisinger & Toth, Management Science 45(3), 1999; see :mod:`sockp.knapsack`)
-and its DP sees only the few items that could still change a winning
-selection; pivots whose LP bound falls short of the incumbent need no DP at
-all.  Only the winning pivot's selection is reconstructed, once, at the end.
+The family is solved in one sequential pass over the pivots in (bound desc,
+rank asc) order.  A heap holds the blocks; a block that reaches its top and
+could still hold the winner is expanded into its pivots' own LP bounds,
+computed the same way, which go back on the heap.  Each exact value solve
+passes the incumbent as its floor, so the knapsack fixes items by reduced
+cost against it (Martello, Pisinger & Toth, Management Science 45(3), 1999;
+see :mod:`sockp.knapsack`) and its DP sees only the few items that could
+still change a winning selection; pivots whose LP bound falls short of the
+incumbent need no DP at all, and neither do blocks, which then are never
+bounded pivot by pivot.  Only the winning pivot's selection is
+reconstructed, once, at the end.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +83,9 @@ SCALE = 10 ** 6
 # Elements per temporary array of the matrix screen.
 SCREEN_CHUNK = 25_000
 
+# Consecutive pivots bounded together by the screen.
+SCREEN_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -102,6 +115,13 @@ class _Family:
         self.means_f, _, self.cap_f = inst.float_views()
         self.dn = delta.numerator
         self.dd = delta.denominator
+        # Per pivot index, the dummy last: ratio, capacity (negative ones
+        # clipped to 0), end of the strict-ratio prefix.
+        self.r = np.append(table.d_float / table.f_int, 0.0)
+        self.caps = np.maximum(self.cap_f - self.r * (self.dn / self.dd), 0.0)
+        self.group_start = np.append(
+            np.asarray(table.group_start, dtype=np.intp), table.size)
+        self.js = np.asarray(table.js, dtype=np.intp)
 
     def _pivot(self, i: int):
         """(prefix end, rnum, f_i) of the pivot at sorted index i: ratio
@@ -153,17 +173,22 @@ class _Family:
                                   weights=tuple(weights), capacity=capacity)
 
     def screen(self):
-        """Candidate pivots with a dominating Dantzig bound each.
+        """Dantzig bounds of blocks of consecutive pivots.
 
-        Returns ([(rank, sorted index, bound)], skipped).  The bound is the
-        LP relaxation of the pivot's own (unscaled, true-weight) subproblem
-        in float arithmetic; it dominates the scaled integer optimum up to
-        ~1e-8, absorbed by the callers' 0.5 margins.  The pivots with a
-        negative capacity are a prefix of the family, found by an exact
-        bisection and counted as skipped.  The others, the dummy last, are
-        bounded as matrices, a chunk of rows at a time (see
-        :meth:`_pivot_weights` and :func:`_dantzig_rows`), so the whole
-        family costs O(size * n) float work in numpy.
+        Returns ([(first, stop, bound)], skipped): block indices first..stop-1
+        in family order, with a float LP bound that dominates the bound of
+        every pivot in the block (see :meth:`expand`).  Blocks hold
+        ``SCREEN_BLOCK`` pivots, the last one possibly fewer.  The pivots
+        with a negative capacity are a prefix of the family, found by an
+        exact bisection and counted as skipped.
+
+        Every pivot weight means + sd - r * sf is nondecreasing in the index:
+        r falls, which raises each prefix term d - r * f, and the entries that
+        join the prefix have a ratio above r, so their terms are positive.
+        The capacity cap - r * delta rises too.  The knapsack with a block's
+        first weight row and its last capacity therefore relaxes every pivot
+        in the block.  Those rows are bounded as matrices, a chunk of blocks
+        at a time, so the screen sorts one weight row per block, not per pivot.
         """
         t = self.table
         lh = t.lhat(self.delta)
@@ -171,60 +196,74 @@ class _Family:
         start = bisect.bisect_left(
             range(t.size + 1), True, lo=first,
             key=lambda i: not self.capacity_is_negative(i))
-        # Row k is the pivot at index start + k; the last row is the dummy.
-        r = np.append(t.d_float / t.f_int, 0.0)[start:]
-        caps = np.maximum(self.cap_f - r * (self.dn / self.dd), 0.0)
-        group_start = np.append(np.asarray(t.group_start, dtype=np.intp),
-                                t.size)[start:]
-
-        candidates = []
-        n = self.inst.n
-        js = np.asarray(t.js, dtype=np.intp)
-        rows = max(1, SCREEN_CHUNK // n)
+        firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
+        stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
+        group_start = self.group_start[firsts]
+        bounds = np.empty(len(firsts))
+        rows = max(1, SCREEN_CHUNK // max(self.inst.n, 1))
         # Float per-item (d, f) sums over the first `upto` table entries.
-        sd, sf, upto = np.zeros(n), np.zeros(n), 0
-        c0 = 0
-        while c0 < len(r):
-            # The chunk spans at most `rows` pivots and `rows` table entries.
+        sd = sf = 0.0
+        upto = c0 = 0
+        while c0 < len(firsts):
+            # The chunk spans at most `rows` blocks and SCREEN_CHUNK entries.
             g0 = int(group_start[c0])
             c1 = min(c0 + rows, int(np.searchsorted(
-                group_start, g0 + rows, side="right")))
-            sd += np.bincount(js[upto:g0], weights=t.d_float[upto:g0],
-                              minlength=n)
-            sf += np.bincount(js[upto:g0], weights=t.f_int[upto:g0],
-                              minlength=n)
-            upto = g0
-            weights = self._pivot_weights(js, sd, sf, group_start[c0:c1],
-                                          r[c0:c1])
-            bounds = _dantzig_rows(self.profits_f, weights, caps[c0:c1])
-            candidates.extend(zip(range(start + c0 + 1, start + c1 + 1),
-                                  range(start + c0, start + c1),
-                                  bounds.tolist()))
+                group_start, g0 + SCREEN_CHUNK, side="right")))
+            d, f = self._prefix_sums(upto, g0)
+            sd, sf, upto = sd + d, sf + f, g0
+            weights = self._pivot_weights(firsts[c0:c1], sd, sf)
+            bounds[c0:c1] = _dantzig_rows(self.profits_f, weights,
+                                          self.caps[stops[c0:c1] - 1])
             c0 = c1
-        return candidates, start - first
+        blocks = list(zip(firsts.tolist(), stops.tolist(), bounds.tolist()))
+        return blocks, start - first
 
-    def _pivot_weights(self, js, sd0, sf0, group_start, r):
-        """Float weight rows means + sd - r * sf of a chunk of pivots.
+    def expand(self, first: int, stop: int) -> np.ndarray:
+        """Dantzig bound of each pivot at indices first..stop-1.
 
-        ``group_start`` is nondecreasing; row k holds the pivot whose
-        strict-ratio prefix ends at group_start[k].  ``sd0``/``sf0`` are the
-        sums up to group_start[0]; one cumsum over the chunk's entries
-        from there gives every other prefix.
+        Each bound is the LP relaxation of the pivot's own (unscaled,
+        true-weight) subproblem in float arithmetic; it dominates the scaled
+        integer optimum up to ~1e-8, absorbed by the callers' 0.5 margins.
+        The prefix sums up to the first pivot are rebuilt by one bincount.
+        """
+        sd, sf = self._prefix_sums(0, int(self.group_start[first]))
+        weights = self._pivot_weights(np.arange(first, stop), sd, sf)
+        return _dantzig_rows(self.profits_f, weights, self.caps[first:stop])
+
+    def _prefix_sums(self, lo: int, hi: int):
+        """Float per-item (d, f) sums over the table entries lo..hi-1."""
+        t = self.table
+        js = self.js[lo:hi]
+        n = self.inst.n
+        return (np.bincount(js, weights=t.d_float[lo:hi], minlength=n),
+                np.bincount(js, weights=t.f_int[lo:hi], minlength=n))
+
+    def _pivot_weights(self, idx, sd0, sf0):
+        """Float weight rows means + sd - r * sf of the pivots at indices idx.
+
+        ``idx`` is increasing, so the prefix ends group_start[idx] are
+        nondecreasing.  ``sd0``/``sf0`` are the sums up to the first prefix
+        end; one bincount of the entries up to the last one, keyed by the
+        first row whose prefix holds them, and a cumsum give every row.
         """
         t = self.table
-        g0 = int(group_start[0])
-        span = int(group_start[-1]) - g0
-        inc_d = np.zeros((span + 1, self.inst.n))
-        inc_f = np.zeros((span + 1, self.inst.n))
-        steps = np.arange(1, span + 1)
-        inc_d[steps, js[g0:g0 + span]] = t.d_float[g0:g0 + span]
-        inc_f[steps, js[g0:g0 + span]] = t.f_int[g0:g0 + span]
-        np.cumsum(inc_d, axis=0, out=inc_d)
-        np.cumsum(inc_f, axis=0, out=inc_f)
-        at = group_start - g0
-        weights = self.means_f + sd0 + inc_d[at]
-        weights -= r[:, None] * (sf0 + inc_f[at])
-        return weights
+        n = self.inst.n
+        ends = self.group_start[idx]
+        g0, g1 = int(ends[0]), int(ends[-1])
+        key = np.searchsorted(ends, np.arange(g0, g1), side="right") * n
+        key += self.js[g0:g1]
+        cells = len(idx) * n
+        shape = (len(idx), n)
+        sd = np.cumsum(np.bincount(key, weights=t.d_float[g0:g1],
+                                   minlength=cells).reshape(shape),
+                       axis=0, dtype=float)
+        sf = np.cumsum(np.bincount(key, weights=t.f_int[g0:g1],
+                                   minlength=cells).reshape(shape),
+                       axis=0, dtype=float)
+        sd += self.means_f + sd0
+        sf += sf0
+        sd -= self.r[idx, None] * sf
+        return sd
 
 
 def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
@@ -235,6 +274,8 @@ def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
     and the nonnegative capacity ``caps[k]``.
     """
     rows, n = weights.shape
+    if not n:
+        return np.zeros(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300),
                           np.inf)
@@ -261,26 +302,41 @@ def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
 def _solve_family(fam: _Family):
     """Best (value, bits) over the pivot family, with screen/skip counts.
 
-    One pass over the candidates in (bound desc, rank asc) order keeps the
+    One pass over the pivots in (bound desc, rank asc) order keeps the
     largest value and, among equal values, the smallest rank.  Values are
     integers and every screen bound dominates its pivot's value, so the pass
     stops at the first bound below the incumbent by more than 0.5 and skips a
-    bound that can at most tie it when its rank is larger.  Every value solve
-    but the first gets the incumbent as its floor, so it is exact whenever it
+    bound that can at most tie it when its rank is larger.  A heap keyed
+    (-bound, first index) holds the screen's blocks; a block that reaches
+    the top and passes both rules is replaced by its pivots' own bounds, so
+    the pivots still leave the heap in that order.  Every value solve but
+    the first gets the incumbent as its floor, so it is exact whenever it
     ties or beats the incumbent; only the winner is reconstructed.
     """
-    candidates, skipped = fam.screen()
-    candidates.sort(key=lambda c: (-c[2], c[0]))
+    blocks, skipped = fam.screen()
+    heap = [(-bound, first, stop) for first, stop, bound in blocks]
+    heapq.heapify(heap)
 
     best_value = 0
     best_rank = None
     best_problem = None
-    for rank, i, bound in candidates:
+    while heap:
+        neg_bound, i, stop = heapq.heappop(heap)
+        bound, rank = -neg_bound, i + 1
         if best_rank is not None:
             if bound < best_value - 0.5:
                 break
             if bound < best_value + 0.5 and rank > best_rank:
                 continue
+        if stop - i > 1:
+            rows = fam.expand(i, stop)
+            if rows.max() > bound + 0.5:
+                raise SolverInvariantError(
+                    f"pivots {rank}..{stop} have a bound {rows.max():.3f} "
+                    f"above their block bound {bound:.3f}")
+            for k, row in enumerate(rows.tolist(), start=i):
+                heapq.heappush(heap, (-row, k, k + 1))
+            continue
         problem = fam.scaled_subproblem(i)
         value = solve_knapsack_value(
             problem, floor=None if best_rank is None else best_value)
@@ -291,11 +347,12 @@ def _solve_family(fam: _Family):
                 value == best_value and rank < best_rank):
             best_value, best_rank, best_problem = value, rank, problem
 
+    examined = sum(stop - first for first, stop, _ in blocks)
     if best_problem is None:
         # Entire family empty; only possible with a negative capacity.
-        return 0, (0,) * fam.inst.n, len(candidates), skipped
+        return 0, (0,) * fam.inst.n, examined, skipped
     sol = solve_knapsack(best_problem, floor=best_value)
-    return sol.value, sol.selected, len(candidates), skipped
+    return sol.value, sol.selected, examined, skipped
 
 
 def solve_rkpm(inst: SockpInstance, omega, m: int, delta,

@@ -228,6 +228,32 @@ def test_cli_unsound_screen_exits_3(monkeypatch, capsys):
     assert "above its screen bound" in capsys.readouterr().err
 
 
+def test_cli_row_bound_above_its_block_bound_exits_3(monkeypatch, capsys):
+    import sockp.rkpm as rkpm
+
+    real = rkpm._Family.screen
+
+    def zero(fam):
+        blocks, skipped = real(fam)
+        return [(first, stop, 0.0) for first, stop, _ in blocks], skipped
+
+    monkeypatch.setattr(rkpm._Family, "screen", zero)
+    assert main(["bounds", "--family", "SC", "--n", "30", "--m", "5",
+                 "--rho", "0.95"]) == 3
+    assert "above their block bound" in capsys.readouterr().err
+
+
+def test_cli_bounds_on_an_empty_instance(tmp_path, capsys):
+    inst_path = tmp_path / "empty.json"
+    inst_path.write_text('{"n": 0, "profits": [], "means": [], "sigmas": [], '
+                         '"capacity": "3"}')
+    assert main(["bounds", "--instance", str(inst_path), "--m", "3",
+                 "--rho", "0.95"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ub"] == doc["lb"] == 0
+    assert doc["ub_solution"] == doc["lb_solution"] == ""
+
+
 @pytest.mark.parametrize("flag", [["--scale-factor", "0"], ["--threads", "2"]])
 @pytest.mark.parametrize("command", [
     ["bounds", "--family", "SC", "--n", "5", "--rho", "0.95", "--m", "2"],

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -253,7 +254,11 @@ def _dantzig_float(profits, weights, cap):
 
 
 def _scalar_screen(fam):
-    """Pivot-by-pivot reference for ``_Family.screen`` on ``_dantzig_float``."""
+    """Pivot-by-pivot reference bounds on ``_dantzig_float``.
+
+    Returns ([(rank, sorted index, bound)], skipped) over the family's
+    pivots with a nonnegative exact capacity.
+    """
     t = fam.table
     family = set(t.family(fam.delta))
     candidates = []
@@ -262,12 +267,11 @@ def _scalar_screen(fam):
         dummy = i == t.size
         if i + 1 not in family:
             continue
-        r = 0.0 if dummy else t.d_float[i] / t.f[i]
-        cap = fam.cap_f - r * fam.dn / fam.dd
-        tol = 1e-6 * (1.0 + abs(fam.cap_f) + abs(cap))
-        if cap < -tol or (cap <= tol and fam.capacity_is_negative(i)):
+        if subproblem_exact(fam.inst, t, i + 1, fam.delta)[1] < 0:
             skipped += 1
             continue
+        r = 0.0 if dummy else t.d_float[i] / t.f[i]
+        cap = fam.cap_f - r * fam.dn / fam.dd
         sd, sf = t.prefix_state(t.size if dummy else t.group_start[i])
         weights = (fam.means_f + np.array([d / t.q for d in sd])
                    - r * np.array(sf, dtype=float))
@@ -292,7 +296,16 @@ def _screen_cases(rng):
         yield inst, omega, build_segments(inst, omega, rng.randint(1, 5), scheme)
 
 
+def _close(bound, ref):
+    return abs(bound - ref) <= 1e-9 * (1 + abs(ref))
+
+
 def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
+    """Block bounds dominate, and expanded rows match, the scalar reference.
+
+    A block of one pivot is bounded by that pivot's own row, so at block
+    length 1 the screen itself must match the reference.
+    """
     straddled = skipped_total = 0
     for inst, omega, table in _screen_cases(rng):
         deltas = [table.inner_budget]
@@ -307,13 +320,23 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(table.group_start[i] < i and i in ranks
                              for i in range(1, table.size))
-            for rows in (1, 2, 3, 1000):
+            refs = {i: ref for _, i, ref in expected}
+            for block, rows in product((1, 2, 3, 1000), (1, 2, 3, 1000)):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
                 monkeypatch.setattr(rkpm, "SCREEN_CHUNK", rows * inst.n)
                 got, got_skipped = fam.screen()
                 assert got_skipped == skipped
-                assert [c[:2] for c in got] == [c[:2] for c in expected]
-                for (_, _, b), (_, _, ref) in zip(got, expected):
-                    assert abs(b - ref) <= 1e-9 * (1 + abs(ref))
+                covered = [i for first, stop, _ in got
+                           for i in range(first, stop)]
+                assert covered == [i for _, i, _ in expected]
+                for first, stop, bound in got:
+                    assert 1 <= stop - first <= block
+                    for i, row in zip(range(first, stop),
+                                      fam.expand(first, stop)):
+                        assert _close(row, refs[i])
+                        assert bound >= refs[i] - 1e-9 * (1 + abs(refs[i]))
+                    if stop - first == 1:
+                        assert _close(bound, refs[first])
     # Some ratio group crossed a one-row chunk boundary, and some pivots
     # were dropped for a negative capacity.
     assert straddled and skipped_total
@@ -342,11 +365,11 @@ def test_bound_pair_dp_cells_stay_small(family, monkeypatch):
     assert max(cells) <= 25_000_000, cells
 
 
-def test_incumbent_floors_keep_the_unfloored_winner(rng):
+def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
     """The family result is (max value, min rank) over unfloored pivot solves.
 
     A small profit alphabet makes equal objectives across pivots common, so
-    the smallest-rank tie-break is exercised.
+    the smallest-rank tie-break is exercised, at several screen block lengths.
     """
     omega = Decimal("4.358898")
     ties = 0
@@ -365,16 +388,20 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng):
                 problem = fam.scaled_subproblem(rank - 1)
                 if problem.capacity >= 0:
                     solved.append((rank, knapsack.solve_knapsack(problem)))
-            res = solve_rkpm(inst, omega, m, delta, scheme=scheme, table=table)
-            if not solved:
-                assert res.objective == 0 and not any(res.solution)
-                continue
-            best = max(sol.value for _, sol in solved)
-            winners = [(rank, sol) for rank, sol in solved if sol.value == best]
-            ties += len(winners) > 1
-            rank, sol = min(winners, key=lambda w: w[0])
-            assert res.objective == sol.value
-            assert res.solution == sol.selected
+            if solved:
+                best = max(sol.value for _, sol in solved)
+                winners = [(rank, sol) for rank, sol in solved
+                           if sol.value == best]
+                ties += len(winners) > 1
+                _, sol = min(winners, key=lambda w: w[0])
+                expected = (sol.value, sol.selected)
+            else:
+                expected = (0, (0,) * inst.n)
+            for block in (1, 3, rkpm.SCREEN_BLOCK):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+                res = solve_rkpm(inst, omega, m, delta, scheme=scheme,
+                                 table=table)
+                assert (res.objective, res.solution) == expected
     assert ties
 
 
@@ -384,3 +411,25 @@ def test_screen_bound_below_a_solved_value_raises(monkeypatch):
     inst = generate(GeneratorSpec(family="SC", n=30, seed=0))
     with pytest.raises(rkpm.SolverInvariantError, match="above its screen bound"):
         upper_bound(inst, Decimal("4.358898"), 5)
+
+
+def test_row_bound_above_its_block_bound_raises(monkeypatch):
+    real = rkpm._Family.screen
+
+    def zero(fam):
+        blocks, skipped = real(fam)
+        return [(first, stop, 0.0) for first, stop, _ in blocks], skipped
+
+    monkeypatch.setattr(rkpm._Family, "screen", zero)
+    inst = generate(GeneratorSpec(family="SC", n=30, seed=0))
+    with pytest.raises(rkpm.SolverInvariantError,
+                       match="above their block bound"):
+        upper_bound(inst, Decimal("4.358898"), 5)
+
+
+@pytest.mark.parametrize("bound", [upper_bound, lower_bound])
+def test_empty_instance_bounds_are_the_empty_selection(bound):
+    inst = SockpInstance(profits=(), means=(), sigmas=(), capacity=Decimal(3))
+    res = bound(inst, Decimal("4.358898"), 3)
+    assert res.objective == 0
+    assert res.solution == ()
