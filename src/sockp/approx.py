@@ -139,37 +139,16 @@ class SegmentTable:
 
         self.d_float = np.array([dn / q for dn in dnum], dtype=float)
         self.f_int = np.array(f, dtype=np.int64)
-        self._ckpts = None  # lazy prefix-sum checkpoints for prefix_state
 
     def prefix_state(self, upto: int):
-        """Per-item sums of (dnum, f) over the first ``upto`` sorted entries.
-
-        Served from checkpointed cumulative snapshots, so random access costs
-        O(stride + n) instead of O(upto).
-        """
+        """Per-item sums of (dnum, f) over the first ``upto`` sorted entries."""
         if not 0 <= upto <= self.size:
             raise ValueError(f"prefix length {upto} out of range")
-        if self._ckpts is None:
-            stride = max(32, self.size // 128 + 1)
-            sd = [0] * self.n
-            sf = [0] * self.n
-            snaps = [(sd.copy(), sf.copy())]
-            for i in range(self.size):
-                j = self.js[i]
-                sd[j] += self.dnum[i]
-                sf[j] += self.f[i]
-                if (i + 1) % stride == 0:
-                    snaps.append((sd.copy(), sf.copy()))
-            self._ckpts = (stride, snaps)
-        stride, snaps = self._ckpts
-        base = min(upto // stride, len(snaps) - 1)
-        sd, sf = snaps[base]
-        sd = sd.copy()
-        sf = sf.copy()
-        for i in range(base * stride, upto):
-            j = self.js[i]
-            sd[j] += self.dnum[i]
-            sf[j] += self.f[i]
+        sd = [0] * self.n
+        sf = [0] * self.n
+        for j, d, f in zip(self.js[:upto], self.dnum[:upto], self.f[:upto]):
+            sd[j] += d
+            sf[j] += f
         return sd, sf
 
     @property

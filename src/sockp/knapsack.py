@@ -1,7 +1,8 @@
 """Exact solver for the ordinary 0/1 knapsack with integer profits.
 
 Profits, weights and the capacity are integers (:mod:`sockp.rkpm` builds its
-pivot knapsacks already scaled, in exact integer arithmetic).  The solver runs
+pivot knapsacks already scaled, in exact integer arithmetic, and hands their
+profits and weights over as int64 or ``object`` arrays).  The solver runs
 one dynamic program over achievable profit values, bounded by the Dantzig
 relaxation: a row holds the least weight reaching each profit, and each item
 updates it with a single numpy ``minimum`` over the row shifted by its
@@ -71,23 +72,42 @@ class SolverInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class KnapsackSubproblem:
-    """One ordinary 0/1 knapsack: integer profits/weights and capacity."""
+    """One ordinary 0/1 knapsack: integer profits/weights and capacity.
 
-    profits: tuple[int, ...]
-    weights: tuple[int, ...]
+    Profits and weights are tuples of ints or 1-D integer arrays (int64 or
+    ``object`` dtype holding Python ints); arrays are used without a copy.
+    """
+
+    profits: tuple[int, ...] | np.ndarray
+    weights: tuple[int, ...] | np.ndarray
     capacity: int
 
     def __post_init__(self):
         if len(self.profits) != len(self.weights):
             raise ValueError("profits and weights must have equal length")
-        if min(self.profits, default=0) < 0:
+        if _any_negative(self.profits):
             raise ValueError("profits must be nonnegative")
-        if min(self.weights, default=0) < 0:
+        if _any_negative(self.weights):
             raise ValueError("weights must be nonnegative")
 
     @property
     def n(self) -> int:
         return len(self.profits)
+
+
+def _any_negative(values) -> bool:
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "iuO":
+            raise ValueError("profits and weights must be 1-D integer arrays")
+        return bool(values.min(initial=0) < 0)
+    return min(values, default=0) < 0
+
+
+def _largest(values) -> int:
+    """Largest entry as a Python int (0 if empty)."""
+    if isinstance(values, np.ndarray):
+        return int(values.max(initial=0))
+    return max(values, default=0)
 
 
 @dataclass(frozen=True)
@@ -136,11 +156,11 @@ def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
     """
     capacity = problem.capacity
     # One product bounds every entry, sum and cross product formed below.
-    bound = (max(problem.profits, default=0) + 1) * (
-        problem.n * max(problem.weights, default=0) + capacity + 1)
+    bound = (_largest(problem.profits) + 1) * (
+        problem.n * _largest(problem.weights) + capacity + 1)
     exact = np.int64 if bound < 2 ** 62 else object
-    p_all = np.array(problem.profits, dtype=exact)
-    w_all = np.array(problem.weights, dtype=exact)
+    p_all = np.asarray(problem.profits, dtype=exact)
+    w_all = np.asarray(problem.weights, dtype=exact)
     live = p_all > 0
     base = np.flatnonzero(live & (w_all == 0)).tolist()
     base_value = int(p_all[base].sum())

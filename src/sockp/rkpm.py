@@ -21,10 +21,17 @@ pivots are counted as skipped.
 
 Subproblem weights are built in exact integer arithmetic and conservatively
 scaled by the fixed factor ``SCALE`` = 10^6 (ceil weights, floor capacity),
-so returned lower bounds are always genuinely SOC-feasible.  A float Dantzig
-screen with generous safety margins picks the few pivots whose knapsack must
-actually be solved; margins only ever cause extra exact solves, never wrong
-answers.  The screen bounds blocks of ``SCREEN_BLOCK`` consecutive pivots.
+so returned lower bounds are always genuinely SOC-feasible.  A pivot's
+weights are a_j / 10^da + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j
+over the item's entries of a strictly larger ratio.  When a block of pivots
+is expanded, the exact per-item sums (sd, sf) up to its first prefix end are
+taken once, by one bincount each; every row of the block adds its few later
+entries to them and forms ``extra`` and the scaled weights as one integer
+array (the ceiling by long division, so int64 holds it).  The rows are int64
+when a bound check on the family's data allows it and ``object`` arrays of
+Python integers otherwise, through the same expressions.  A float Dantzig
+screen picks the few pivots whose knapsack must actually be solved.  The
+screen bounds blocks of ``SCREEN_BLOCK`` consecutive pivots.
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
 capacity are nondecreasing in the index: the knapsack with a block's first
@@ -38,22 +45,62 @@ The family is solved in one sequential pass over the pivots in (bound desc,
 rank asc) order.  A heap holds the blocks; a block that reaches its top and
 could still hold the winner is expanded into its pivots' own LP bounds,
 computed the same way, which go back on the heap.  Each exact value solve
-passes the incumbent as its floor, so the knapsack fixes items by reduced
-cost against it (Martello, Pisinger & Toth, Management Science 45(3), 1999;
+passes the incumbent as its floor (plus one when a tie would not win), so
+the knapsack fixes items by reduced cost against it (Martello, Pisinger & Toth, Management Science 45(3), 1999;
 see :mod:`sockp.knapsack`) and its DP sees only the few items that could
 still change a winning selection; pivots whose LP bound falls short of the
 incumbent need no DP at all, and neither do blocks, which then are never
 bounded pivot by pivot.  Only the winning pivot's selection is
 reconstructed, once, at the end.
+
+Pruning is integral (Kellerer, Pferschy & Pisinger, *Knapsack Problems*,
+2004, 5.1): a pivot's value V is an integer, and the scaled knapsack
+restricts the pivot's true-weight one, so V <= L, its exact LP optimum.  If
+every float screen bound B' satisfies |B' - L| <= e, then V <= floor(B' + e):
+a bound below the incumbent by more than e ends the pass, and one below
+incumbent + 1 - e can at most tie it.  ``_Family.tolerance`` returns
+eps = 2e, which also bounds a row bound above its block bound (both within e
+of exact LPs that are ordered).  With u = 2^-53 and g(k) = k u / (1 - k u):
+
+    e = g(8n + 16) P + lam * g(2K + 12) M.
+
+*Arithmetic of ``_dantzig_rows``.*  P = sum of the profits bounds every LP
+value, every profit partial sum and lam' c' (lam' the break ratio, c' the
+capacity).  Against the exact LP of the float data (w', c'), rounding the
+profits costs u P; the float ratio order misplaces only items whose ratios
+agree to within g(4), at most g(4) P; the profit cumsums are exact below
+2^53 and within g(n) P beyond; the weight cumsums err by g(n) (c' + w'_b),
+which moves the break point and the room by that much, at most 4 g(n + 1) P;
+the fraction p_b room / w_b and the final sum add g(3) P.  All of it is below
+g(8n + 16) P.
+
+*Data.*  For any lam >= 0 the dual function U(lam) = lam c + sum_j
+max(0, p_j - lam w_j) moves by at most lam H between the exact data and the
+float data, H = |c' - c| + sum_j |w'_j - w_j|, and each LP optimum is U at a
+break ratio, at most lam = max p_j / (v_j - h_j) over the items with a
+positive profit that can weigh anything.  v_j = max(mean_j, 1 / (q f_max))
+is the least positive exact weight (every term d - r f of a prefix entry is
+at least 1 / (q f_i)), h_j the weight error below; an item of weight zero is
+exactly zero in float too.  A float weight mean + sd - r sf sums at most K
+gains (K the most entries of one item) and takes six more roundings, so
+h_j <= g(K + 6) (mean_j + 2 G_j), G_j the item's total gain >= sd >= r sf;
+the capacity b - r delta >= 0 takes six roundings, |c' - c| <= g(6) 2b.
+Doubling the counts absorbs the float evaluation of e itself: H <= g(2K +
+12) M, M = 2b + sum_j (mean_j + 2 G_j).  If some v_j <= h_j, eps is
+infinite: nothing is pruned and every result stays exact.  On the benchmark
+instances (n = 100-400, m up to 640) eps is 1e-8 to 1e-7.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +124,7 @@ UPPER = "upper"
 LOWER = "lower"
 EXACT = "exact"
 
-# Integer scale of every pivot knapsack's weights and capacity.
+# Integer scale of every pivot knapsack's weights and capacity, a power of ten.
 SCALE = 10 ** 6
 
 # Elements per temporary array of the matrix screen.
@@ -101,6 +148,40 @@ class BoundResult:
     wall_time: float
     iterations: int | None = None
     objective_history: tuple[int, ...] = ()
+
+
+class _Rows(NamedTuple):
+    """Exact integer arrays of a family's pivot rows, all in one dtype."""
+
+    dnum: np.ndarray  # table gain numerators, in table order
+    f: np.ndarray  # table budgets, in table order
+    a: np.ndarray  # integer means a_j = mean_j * 10^da
+    a_part: np.ndarray | None  # SCALE * a / 10^da, if 10^da divides SCALE
+    profits: np.ndarray
+
+
+def _ceil_scaled(x, den: int):
+    """ceil(SCALE * x / den) of a nonnegative integer array, exactly.
+
+    One division when SCALE divides den (omega and the dispersions carry
+    six or more decimals between them); otherwise long division in base-100
+    digits (SCALE = 10^6 has three).  No intermediate exceeds 100 * den or
+    the result, so int64 holds them whenever it holds those two.  The same
+    expressions run on ``object`` arrays of Python integers.
+    """
+    if den % SCALE == 0:
+        return -(-x // (den // SCALE))
+    quot = x // den
+    rem = x - quot * den
+    left = SCALE
+    while left > 1:
+        step = 100 if left % 100 == 0 else left
+        rem = rem * step
+        digit = rem // den
+        rem -= digit * den
+        quot = quot * step + digit
+        left //= step
+    return quot + (rem > 0)
 
 
 class _Family:
@@ -137,40 +218,115 @@ class _Family:
         return (self.b_int * self.table.q * f_i * self.dd
                 < rnum * self.dn * self.pow_da)
 
-    def _pivot_parts(self, i: int):
-        """(rnum, f_i, extra) of the pivot at sorted index i.
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        """Exact integer data of the pivot rows, int64 where a bound allows.
 
-        The pivot's exact subproblem has weight_j = a_j / pow_da +
-        extra_j / (q * f_i) and capacity b / pow_da - ratio * delta, where
-        extra_j = f_i * sd_j - rnum * sf_j over the entries with a strictly
-        larger ratio.
-        """
-        gs, rnum, f_i = self._pivot(i)
-        sd, sf = self.table.prefix_state(gs)
-        extra = [d * f_i - rnum * s for d, s in zip(sd, sf)]
-        if extra and min(extra) < 0:
-            raise SolverInvariantError(
-                "negative modified weight; ratio ordering violated")
-        return rnum, f_i, extra
-
-    def scaled_subproblem(self, i: int) -> KnapsackSubproblem:
-        """Exact conservatively-scaled knapsack for the pivot at index i.
-
-        Weights are ceil'd and the capacity floor'd at ``SCALE``.
+        The bound covers every value :meth:`subproblem` forms: per-item sums
+        below 2**53 (so float bincounts are exact), the two products of
+        ``extra``, 100 times the long-division denominator q * f_i, and the
+        scaled weights.  When 10^da does not divide ``SCALE`` the mean part
+        of a weight is no integer, and the rows are ``object`` arrays.
         """
         t = self.table
-        rnum, f_i, extra = self._pivot_parts(i)
-        den = self.pow_da * t.q * f_i
-        # weight_j = ceil(SCALE * (a_j * q * f_i + pow_da * extra_j) / den)
-        lin = SCALE * t.q * f_i
-        gain = SCALE * self.pow_da
-        weights = [-((-lin * a - gain * e) // den)
-                   for a, e in zip(self.a_int, extra)]
-        cap_num = SCALE * (self.b_int * t.q * f_i * self.dd
-                           - rnum * self.dn * self.pow_da)
-        capacity = cap_num // (den * self.dd)
-        return KnapsackSubproblem(profits=self.inst.profits,
-                                  weights=tuple(weights), capacity=capacity)
+        unit, rest = divmod(SCALE, self.pow_da)
+        gain = max(t.item_total_dnum, default=0)
+        f_max = max(t.f, default=1)
+        f_item = int(np.bincount(self.js, weights=t.f_int, minlength=1).max())
+        fits = (rest == 0 and gain < 2 ** 53
+                and f_max * gain < 2 ** 62
+                and max(t.dnum, default=0) * f_item < 2 ** 62
+                and 100 * t.q * f_max < 2 ** 63
+                and unit * max(self.a_int, default=0)
+                + SCALE * (gain // t.q + 1) < 2 ** 62)
+        dtype = np.int64 if fits else object
+        a = np.array(self.a_int, dtype=dtype)
+        profits = np.array(self.inst.profits, dtype=np.int64
+                           if max(self.inst.profits, default=0) < 2 ** 63
+                           else object)
+        return _Rows(dnum=np.array(t.dnum, dtype=dtype),
+                     f=np.asarray(t.f_int, dtype=dtype), a=a,
+                     a_part=unit * a if rest == 0 else None, profits=profits)
+
+    def block_sums(self, i: int):
+        """Exact per-item (dnum, f) sums over the prefix of the pivot at i.
+
+        Returns (end, sd, sf): the prefix end group_start[i] and two
+        n-vectors in the rows' dtype, from which :meth:`subproblem` builds
+        the row of this pivot or of any later one.
+        """
+        rows = self._rows
+        end = int(self.group_start[i])
+        js = self.js[:end]
+        n = self.inst.n
+        if rows.dnum.dtype == object:
+            sd = np.zeros(n, dtype=object)
+            sf = np.zeros(n, dtype=object)
+            np.add.at(sd, js, rows.dnum[:end])
+            np.add.at(sf, js, rows.f[:end])
+        else:
+            # Float sums of integers below 2**53 are exact.
+            sd = np.bincount(js, weights=rows.dnum[:end], minlength=n)
+            sf = np.bincount(js, weights=rows.f[:end], minlength=n)
+            sd, sf = sd.astype(np.int64), sf.astype(np.int64)
+        return end, sd, sf
+
+    def subproblem(self, i: int, sums) -> KnapsackSubproblem:
+        """Exact conservatively scaled knapsack of the pivot at index i.
+
+        The pivot's exact weights are a_j / 10^da + extra_j / (q * f_i) with
+        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix, and
+        its capacity is b / 10^da - ratio * delta.  ``sums`` are the
+        :meth:`block_sums` of pivot i or of an earlier pivot; the few table
+        entries between their end and pivot i's prefix end are added here.
+        Weights are ceil'd and the capacity floor'd at ``SCALE``.
+        """
+        rows = self._rows
+        end, sd, sf = sums
+        gs, rnum, f_i = self._pivot(i)
+        extra = f_i * sd - rnum * sf
+        if gs > end:
+            np.add.at(extra, self.js[end:gs],
+                      f_i * rows.dnum[end:gs] - rnum * rows.f[end:gs])
+        if (extra < 0).any():
+            raise SolverInvariantError(
+                "negative modified weight; ratio ordering violated")
+        qf = self.table.q * f_i
+        if rows.a_part is not None:
+            weights = rows.a_part + _ceil_scaled(extra, qf)
+        else:
+            weights = _ceil_scaled(rows.a * qf + self.pow_da * extra,
+                                   self.pow_da * qf)
+        capacity = (SCALE * (self.b_int * qf * self.dd
+                             - rnum * self.dn * self.pow_da)
+                    // (self.pow_da * qf * self.dd))
+        return KnapsackSubproblem(profits=rows.profits, weights=weights,
+                                  capacity=capacity)
+
+    def tolerance(self) -> float:
+        """The pruning tolerance ε of this family (see the module docstring).
+
+        Twice a bound on the float error of any screen bound; infinite when
+        some positive weight cannot be told from zero in float.
+        """
+        t = self.table
+        unit = 2.0 ** -53
+
+        def gamma(k):
+            return k * unit / (1 - k * unit)
+
+        gains = np.array([d / t.q for d in t.item_total_dnum], dtype=float)
+        data = gamma(2 * int(np.bincount(self.js, minlength=1).max()) + 12)
+        eta = data * (self.means_f + 2 * gains)
+        weighs = (self.profits_f > 0) & ((self.means_f > 0) | (gains > 0))
+        least = np.maximum(self.means_f, 1 / (t.q * max(t.f, default=1)))
+        room = (least - eta)[weighs]
+        if (room <= 0).any():
+            return math.inf
+        ratio = float((self.profits_f[weighs] / room).max(initial=0.0))
+        arith = gamma(8 * self.inst.n + 16) * float(sum(self.inst.profits))
+        spread = data * (2 * self.cap_f + self.means_f.sum() + 2 * gains.sum())
+        return 2 * (arith + ratio * spread)
 
     def screen(self):
         """Dantzig bounds of blocks of consecutive pivots.
@@ -218,17 +374,23 @@ class _Family:
         blocks = list(zip(firsts.tolist(), stops.tolist(), bounds.tolist()))
         return blocks, start - first
 
-    def expand(self, first: int, stop: int) -> np.ndarray:
-        """Dantzig bound of each pivot at indices first..stop-1.
+    def expand(self, first: int, stop: int):
+        """Dantzig bounds of the pivots at indices first..stop-1.
 
-        Each bound is the LP relaxation of the pivot's own (unscaled,
-        true-weight) subproblem in float arithmetic; it dominates the scaled
-        integer optimum up to ~1e-8, absorbed by the callers' 0.5 margins.
-        The prefix sums up to the first pivot are rebuilt by one bincount.
+        Returns (bounds, sums).  Each bound is the LP relaxation of the
+        pivot's own (unscaled, true-weight) subproblem in float arithmetic,
+        within half of :meth:`tolerance` of its exact value.  ``sums`` are
+        the exact :meth:`block_sums` of the first pivot, which also give the
+        float prefix sums of the rows; the rows' knapsacks are built from
+        them.
         """
-        sd, sf = self._prefix_sums(0, int(self.group_start[first]))
-        weights = self._pivot_weights(np.arange(first, stop), sd, sf)
-        return _dantzig_rows(self.profits_f, weights, self.caps[first:stop])
+        sums = self.block_sums(first)
+        _, sd, sf = sums
+        weights = self._pivot_weights(np.arange(first, stop),
+                                      (sd / self.table.q).astype(float),
+                                      sf.astype(float))
+        return (_dantzig_rows(self.profits_f, weights, self.caps[first:stop]),
+                sums)
 
     def _prefix_sums(self, lo: int, hi: int):
         """Float per-item (d, f) sums over the table entries lo..hi-1."""
@@ -304,43 +466,52 @@ def _solve_family(fam: _Family):
 
     One pass over the pivots in (bound desc, rank asc) order keeps the
     largest value and, among equal values, the smallest rank.  Values are
-    integers and every screen bound dominates its pivot's value, so the pass
-    stops at the first bound below the incumbent by more than 0.5 and skips a
-    bound that can at most tie it when its rank is larger.  A heap keyed
+    integers and every value is at most its screen bound plus ε
+    (:meth:`_Family.tolerance`), so the pass stops at the first bound below
+    the incumbent by more than ε and skips a bound below incumbent + 1 - ε,
+    which can at most tie it, when its rank is larger.  A heap keyed
     (-bound, first index) holds the screen's blocks; a block that reaches
     the top and passes both rules is replaced by its pivots' own bounds, so
-    the pivots still leave the heap in that order.  Every value solve but
-    the first gets the incumbent as its floor, so it is exact whenever it
-    ties or beats the incumbent; only the winner is reconstructed.
+    the pivots still leave the heap in that order.  Each row entry carries
+    its block's exact prefix sums, from which its knapsack is built.  Every
+    value solve but the first gets a floor: the incumbent for a smaller
+    rank, which wins a tie, and the incumbent + 1 for a larger one, which
+    must beat it.  A solve is exact whenever it reaches its floor, so it is
+    exact whenever its pivot would win; only the winner is reconstructed.
     """
     blocks, skipped = fam.screen()
-    heap = [(-bound, first, stop) for first, stop, bound in blocks]
+    eps = fam.tolerance()
+    heap = [(-bound, first, stop, None) for first, stop, bound in blocks]
     heapq.heapify(heap)
 
     best_value = 0
     best_rank = None
     best_problem = None
     while heap:
-        neg_bound, i, stop = heapq.heappop(heap)
+        # (-bound, index) is unique on the heap: the sums are never compared.
+        neg_bound, i, stop, sums = heapq.heappop(heap)
         bound, rank = -neg_bound, i + 1
         if best_rank is not None:
-            if bound < best_value - 0.5:
+            if bound < best_value - eps:
                 break
-            if bound < best_value + 0.5 and rank > best_rank:
+            if bound < best_value + 1 - eps and rank > best_rank:
                 continue
         if stop - i > 1:
-            rows = fam.expand(i, stop)
-            if rows.max() > bound + 0.5:
+            rows, sums = fam.expand(i, stop)
+            if rows.max() > bound + eps:
                 raise SolverInvariantError(
                     f"pivots {rank}..{stop} have a bound {rows.max():.3f} "
                     f"above their block bound {bound:.3f}")
             for k, row in enumerate(rows.tolist(), start=i):
-                heapq.heappush(heap, (-row, k, k + 1))
+                heapq.heappush(heap, (-row, k, k + 1, sums))
             continue
-        problem = fam.scaled_subproblem(i)
+        if sums is None:
+            sums = fam.block_sums(i)
+        problem = fam.subproblem(i, sums)
         value = solve_knapsack_value(
-            problem, floor=None if best_rank is None else best_value)
-        if value > bound + 0.5:
+            problem, floor=None if best_rank is None
+            else best_value + (rank > best_rank))
+        if value > bound + eps:
             raise SolverInvariantError(f"pivot {rank} has value {value} "
                                        f"above its screen bound {bound:.3f}")
         if best_rank is None or value > best_value or (
@@ -432,18 +603,20 @@ def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
                      delta) -> tuple[list[Fraction], Fraction]:
     """Exact (weights, capacity) of the pivot-``rank`` subproblem.
 
-    Reference form used by enumeration tests, built from the same prefix
-    sums as :meth:`_Family.scaled_subproblem`; rank ``size + 1`` denotes the
-    dummy pivot.
+    Independent ``Fraction`` reference of the pivot rows, for tests: weight_j
+    = mean_j + sum of d - ratio * f over item j's entries of a strictly larger
+    ratio, capacity = capacity - ratio * delta.  Rank ``size + 1`` denotes the
+    dummy pivot (ratio 0, every entry).
     """
     delta = Fraction(delta)
-    fam = _Family(inst, table, delta)
     if not 1 <= rank <= table.size + 1:
         raise ValueError(f"pivot rank {rank} out of range")
-    rnum, f_i, extra = fam._pivot_parts(rank - 1)
-    den = table.q * f_i
-    weights = [Fraction(a, fam.pow_da) + Fraction(e, den)
-               for a, e in zip(fam.a_int, extra)]
-    ratio = Fraction(rnum, den)
-    capacity = Fraction(fam.b_int, fam.pow_da) - ratio * delta
-    return weights, capacity
+    if rank == table.size + 1:
+        end, ratio = table.size, Fraction(0)
+    else:
+        end = table.group_start[rank - 1]
+        ratio = Fraction(table.dnum[rank - 1], table.q * table.f[rank - 1])
+    sd, sf = table.prefix_state(end)
+    weights = [Fraction(mean) + Fraction(d, table.q) - ratio * f
+               for mean, d, f in zip(inst.means, sd, sf)]
+    return weights, Fraction(inst.capacity) - ratio * delta

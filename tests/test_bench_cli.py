@@ -228,6 +228,22 @@ def test_cli_unsound_screen_exits_3(monkeypatch, capsys):
     assert "above its screen bound" in capsys.readouterr().err
 
 
+def test_cli_screen_understated_by_less_than_half_exits_3(monkeypatch, tmp_path,
+                                                         capsys):
+    import sockp.rkpm as rkpm
+
+    # Every item fits every pivot, so each LP optimum is the value 12.
+    inst_path = tmp_path / "loose.json"
+    inst_path.write_text('{"n": 3, "profits": [5, 4, 3], '
+                         '"means": ["1", "2", "3"], '
+                         '"sigmas": ["0.5", "0.5", "0.5"], "capacity": "50"}')
+    real = rkpm._dantzig_rows
+    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 0.3)
+    assert main(["bounds", "--instance", str(inst_path), "--m", "3",
+                 "--rho", "0.95"]) == 3
+    assert "above its screen bound" in capsys.readouterr().err
+
+
 def test_cli_row_bound_above_its_block_bound_exits_3(monkeypatch, capsys):
     import sockp.rkpm as rkpm
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
@@ -212,3 +213,51 @@ def test_floor_above_optimum_fails_reconstruction():
     for floor in (219, 221):
         with pytest.raises(SolverInvariantError):
             solve_knapsack(prob, floor=floor)
+
+
+def _array_forms(prob):
+    """The tuple problem and its int64-array and object-array forms."""
+    yield prob
+    for dtype in (np.int64, object):
+        yield KnapsackSubproblem(profits=np.array(prob.profits, dtype=dtype),
+                                 weights=np.array(prob.weights, dtype=dtype),
+                                 capacity=prob.capacity)
+
+
+def test_array_forms_solve_identically():
+    for prob in _floor_cases(random.Random(29)):
+        if max(prob.weights, default=0) >= 2 ** 63:
+            continue  # no int64 form
+        opt, bits = enumerate_knapsack(prob.profits, prob.weights,
+                                       prob.capacity)
+        for form in _array_forms(prob):
+            assert solve_knapsack(form) == solve_knapsack(prob)
+            for floor in (None, 0, opt - 1, opt, opt + 1):
+                assert (solve_knapsack_value(form, floor=floor)
+                        == solve_knapsack_value(prob, floor=floor))
+            if prob.capacity >= 0:
+                sol = solve_knapsack(form, floor=opt)
+                assert (sol.value, sol.selected) == (opt, bits)
+    # Object arrays carry weights past 2**63 exactly.
+    shift = 1 << 70
+    big = KnapsackSubproblem(profits=np.array([6, 10, 12], dtype=object),
+                             weights=np.array([shift, 2 * shift, 3 * shift],
+                                              dtype=object),
+                             capacity=5 * shift)
+    assert solve_knapsack(big).selected == (0, 1, 1)
+    assert solve_knapsack_value(big) == 22
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_array_invariants_rejected(dtype):
+    def problem(profits, weights):
+        return KnapsackSubproblem(profits=np.array(profits, dtype=dtype),
+                                  weights=np.array(weights, dtype=dtype),
+                                  capacity=3)
+
+    with pytest.raises(ValueError, match="equal length"):
+        problem([1, 2], [1])
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        problem([1, 2], [1, -1])
+    with pytest.raises(ValueError, match="profits must be nonnegative"):
+        problem([-1, 2], [1, 1])

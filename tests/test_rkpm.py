@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ import pytest
 from sockp import (HORIZONTAL, GeneratorSpec, SockpInstance, VERTICAL,
                    beta_exact, build_segments, generate, is_soc_feasible,
                    knapsack, lower_bound, rkpm, solve_rkpm, upper_bound)
+from sockp.approx import SegmentTable
 from sockp.rkpm import _Family, subproblem_exact
 
 from conftest import random_instance, soc_brute_force
@@ -332,7 +334,7 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
                 for first, stop, bound in got:
                     assert 1 <= stop - first <= block
                     for i, row in zip(range(first, stop),
-                                      fam.expand(first, stop)):
+                                      fam.expand(first, stop)[0]):
                         assert _close(row, refs[i])
                         assert bound >= refs[i] - 1e-9 * (1 + abs(refs[i]))
                     if stop - first == 1:
@@ -385,7 +387,7 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
             fam = _Family(inst, table, delta)
             solved = []
             for rank in table.family(delta):
-                problem = fam.scaled_subproblem(rank - 1)
+                problem = fam.subproblem(rank - 1, fam.block_sums(rank - 1))
                 if problem.capacity >= 0:
                     solved.append((rank, knapsack.solve_knapsack(problem)))
             if solved:
@@ -433,3 +435,211 @@ def test_empty_instance_bounds_are_the_empty_selection(bound):
     res = bound(inst, Decimal("4.358898"), 3)
     assert res.objective == 0
     assert res.solution == ()
+
+
+def _budgets(table, n):
+    """The inner budget and a larger one: the outer budget when horizontal.
+
+    inner + n/4 is the horizontal outer budget; the vertical scheme has none,
+    but any budget above the inner one is valid.
+    """
+    return table.inner_budget, table.inner_budget + Fraction(n, 4)
+
+
+def _assert_row_is_exact(fam, i, problem):
+    """``problem`` is ceil(SCALE * w), floor(SCALE * cap) of the reference."""
+    weights, cap = subproblem_exact(fam.inst, fam.table, i + 1, fam.delta)
+    assert problem.weights.tolist() == [math.ceil(rkpm.SCALE * w)
+                                        for w in weights]
+    assert problem.capacity == math.floor(rkpm.SCALE * cap)
+    assert problem.profits.tolist() == list(fam.inst.profits)
+
+
+def _object_cases(rng):
+    """Families whose rows are ``object`` arrays.
+
+    Means with 7 fractional digits (10^7 does not divide SCALE) and
+    dispersions with 20 significant digits (gain sums past 2**53), on both
+    schemes.
+    """
+    for trial in range(4):
+        base = random_instance(rng, rng.randint(3, 8))
+        if trial % 2:
+            means = tuple(Decimal(rng.randint(1, 10 ** 9)).scaleb(-7)
+                          for _ in range(base.n))
+            inst = SockpInstance(profits=base.profits, means=means,
+                                 sigmas=base.sigmas, capacity=base.capacity)
+        else:
+            sigmas = tuple(Decimal(rng.randint(10 ** 19, 10 ** 20)).scaleb(-18)
+                           for _ in range(base.n))
+            inst = SockpInstance(profits=base.profits, means=base.means,
+                                 sigmas=sigmas, capacity=base.capacity)
+        yield inst, Decimal("4.358898"), build_segments(
+            inst, Decimal("4.358898"), rng.randint(1, 4),
+            VERTICAL if trial >= 2 else HORIZONTAL)
+
+
+def _decimal_mean_cases(rng):
+    """int64 rows whose means have 3 fractional digits (10^3 divides SCALE)."""
+    for trial in range(2):
+        base = random_instance(rng, rng.randint(3, 8))
+        means = tuple(Decimal(rng.randint(1, 10 ** 5)).scaleb(-3)
+                      for _ in range(base.n))
+        inst = SockpInstance(profits=base.profits, means=means,
+                             sigmas=base.sigmas, capacity=base.capacity)
+        yield inst, Decimal("4.358898"), build_segments(
+            inst, Decimal("4.358898"), rng.randint(1, 4))
+
+
+def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
+    """Every pivot's scaled knapsack, built from its block's exact sums.
+
+    Rows of expanded blocks (any block length) and the rows the screen
+    skips for a negative capacity, on int64 and on object rows.
+    """
+    dtypes = set()
+    objects = list(_object_cases(rng))
+    cases = (list(_screen_cases(rng)) + list(_decimal_mean_cases(rng))
+             + objects)
+    for inst, omega, table in cases:
+        for delta in _budgets(table, inst.n):
+            fam = _Family(inst, table, delta)
+            dtypes.add(fam._rows.dnum.dtype)
+            if any(table is case[2] for case in objects):
+                assert fam._rows.dnum.dtype == object
+            built = set()
+            for block in (1, 3, 64):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+                blocks, skipped = fam.screen()
+                for first, stop, _ in blocks:
+                    _, sums = fam.expand(first, stop)
+                    for i in range(first, stop):
+                        _assert_row_is_exact(fam, i, fam.subproblem(i, sums))
+                        built.add(i)
+            ranks = table.family(delta)
+            for i in range(ranks[0] - 1, ranks[0] - 1 + skipped):
+                problem = fam.subproblem(i, fam.block_sums(i))
+                assert problem.capacity < 0
+                _assert_row_is_exact(fam, i, problem)
+                built.add(i)
+            assert built == {rank - 1 for rank in ranks}  # the dummy too
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_broken_ratio_order_raises_negative_modified_weight(big):
+    """A table sorted by rising ratio gives pivots negative extra weights."""
+    sigmas = (Decimal("1.5"), Decimal("0.5"), Decimal("2.5"))
+    if big:  # 20 significant digits: object rows
+        sigmas = tuple(s + Decimal("1e-19") for s in sigmas)
+    inst = SockpInstance(profits=(5, 2, 4), means=(Decimal(1),) * 3,
+                         sigmas=sigmas, capacity=Decimal(30))
+    good = build_segments(inst, Decimal(2), 3)
+    broken = SegmentTable(good.n, good.m, good.omega, good.scheme,
+                          good.js[::-1], good.ks[::-1], good.dnum[::-1],
+                          good.f[::-1], good.q, good.item_total_dnum)
+    fam = _Family(inst, broken, broken.inner_budget)
+    assert (fam._rows.dnum.dtype == object) == big
+    with pytest.raises(rkpm.SolverInvariantError,
+                       match="negative modified weight"):
+        for i in range(broken.size + 1):
+            fam.subproblem(i, fam.block_sums(i))
+
+
+def _exact_lp(profits, weights, capacity):
+    """LP optimum of a knapsack with Fraction weights, capacity >= 0."""
+    value = Fraction(sum(p for p, w in zip(profits, weights) if w == 0))
+    room = capacity
+    for _, p, w in sorted(((Fraction(p) / w, p, w)
+                           for p, w in zip(profits, weights) if w > 0),
+                          key=lambda e: -e[0]):
+        if w > room:
+            return value + p * room / w
+        value += p
+        room -= w
+    return value
+
+
+def test_integral_pruning_bounds_hold(rng):
+    """Every value is at most floor(bound + eps), and eps is far from tight.
+
+    Row bounds are within eps / 32 of the exact LP optimum of their pivot,
+    blocks bound their rows up to eps, and each pivot's scaled optimum is at
+    most floor(row bound + eps), the integral rule of the family loop.
+    """
+    omega = Decimal("4.358898")
+    for trial in range(30):
+        inst = random_instance(rng, rng.randint(3, 12),
+                               capacity_ratio=rng.choice((0.1, 0.3, 0.6)))
+        scheme = VERTICAL if trial % 2 else HORIZONTAL
+        table = build_segments(inst, omega, rng.randint(1, 6), scheme)
+        for delta in _budgets(table, inst.n):
+            fam = _Family(inst, table, delta)
+            eps = fam.tolerance()
+            assert 0 < eps < 1e-6
+            blocks, _ = fam.screen()
+            for first, stop, bound in blocks:
+                rows, sums = fam.expand(first, stop)
+                assert rows.max() <= bound + eps
+                for i, row in zip(range(first, stop), rows.tolist()):
+                    weights, cap = subproblem_exact(inst, table, i + 1, delta)
+                    lp = _exact_lp(inst.profits, weights, cap)
+                    assert abs(row - float(lp)) <= eps / 32
+                    assert lp <= bound + eps
+                    value = knapsack.solve_knapsack_value(
+                        fam.subproblem(i, sums))
+                    assert value <= math.floor(row + eps)
+
+
+def test_tolerance_is_infinite_when_a_weight_is_lost_in_rounding():
+    """A zero mean leaves weights of one gain step, 1 / (q f), and a
+    dispersion with 19 fractional digits puts that far below float noise."""
+    inst = SockpInstance(profits=(3, 4), means=(Decimal(0), Decimal(5)),
+                         sigmas=(Decimal("1.2500000000000000001"), Decimal(1)),
+                         capacity=Decimal(10))
+    table = build_segments(inst, Decimal("4.358898"), 3)
+    assert _Family(inst, table, table.inner_budget).tolerance() == math.inf
+    # Every pivot is then solved, and the result is still exact.
+    opt, _ = soc_brute_force(inst, Decimal("4.358898"))
+    assert lower_bound(inst, Decimal("4.358898"), 3).objective <= opt
+    assert upper_bound(inst, Decimal("4.358898"), 3).objective >= opt
+
+
+def _integral_lp_instance():
+    """Every item fits every pivot: each LP optimum is the integer 12."""
+    return SockpInstance(profits=(5, 4, 3),
+                         means=(Decimal(1), Decimal(2), Decimal(3)),
+                         sigmas=(Decimal("0.5"),) * 3, capacity=Decimal(50))
+
+
+def test_screen_bound_understated_by_less_than_half_raises(monkeypatch):
+    """The value check uses eps, not a 0.5 margin: 0.3 below the LP fails."""
+    real = rkpm._dantzig_rows
+    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 0.3)
+    with pytest.raises(rkpm.SolverInvariantError, match="above its screen bound"):
+        upper_bound(_integral_lp_instance(), Decimal("4.358898"), 3)
+
+
+def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
+    """Only a bound below incumbent + 1 - eps may be skipped.
+
+    Here a pivot worth one more than the incumbent has its bound in
+    [incumbent + 1, incumbent + 1.5), so a looser skip rule loses it.
+    """
+    inst = SockpInstance(
+        profits=(2, 2, 1, 3, 2),
+        means=tuple(Decimal(v) for v in (66, 96, 50, 57, 4)),
+        sigmas=tuple(Decimal(v) for v in
+                     ("19.37", "12.28", "4.85", "16.20", "17.42")),
+        capacity=Decimal(136))
+    omega = Decimal("4.358898")
+    table = build_segments(inst, omega, 4, VERTICAL)
+    delta = table.inner_budget + Fraction(inst.n, 4)
+    fam = _Family(inst, table, delta)
+    values = [knapsack.solve_knapsack_value(fam.subproblem(i, fam.block_sums(i)))
+              for i in (rank - 1 for rank in table.family(delta))
+              if not fam.capacity_is_negative(i)]
+    for block in (1, 3, rkpm.SCREEN_BLOCK):
+        monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+        res = solve_rkpm(inst, omega, 4, delta, scheme=VERTICAL, table=table)
+        assert res.objective == max(values) == 3
