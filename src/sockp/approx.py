@@ -6,12 +6,12 @@ chord error (lower envelope, outer polytope).  Each (item, segment) pair
 contributes a gain/budget coefficient pair (d, f) to a bounded continuous
 knapsack whose optimum, ``beta``, is the support function of the approximate
 uncertainty set.  Tables keep d as integers over a common denominator so
-every ratio comparison and greedy fill can be carried out exactly.
+every ratio comparison and greedy fill can be carried out exactly; a
+:class:`SegmentTable` holds each field once, as a read-only numpy array.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -103,53 +103,54 @@ def containment_radii(n: int, m: int, omega):
 class SegmentTable:
     """Sorted (d, f) coefficients of the bounded continuous knapsack.
 
-    Entries are sorted by decreasing d/f with exact cross-multiplied integer
-    comparisons; ties keep (item, segment) order.  ``dnum[i] / q`` is the gain
-    of the entry at rank i+1.  The dummy (nm+1)-th element with d = 0 and
-    f = delta is attached at query time.  Immutable after construction.
+    Entries are sorted by decreasing d/f, checked with exact cross-multiplied
+    integer comparisons; ties keep (item, segment) order.  ``dnum[i] / q`` is
+    the gain of the entry at rank i+1.  The dummy (nm+1)-th element with
+    d = 0 and f = delta is attached at query time.
+
+    Each field is one read-only numpy array in sorted order: ``js`` (item),
+    ``ks`` (segment) and ``group_start`` (first index of the entry's run of
+    equal ratios, where a strict-ratio prefix ends) are intp; ``f`` and its
+    running sum ``prefix_f`` are int64; ``dnum`` and the per-item
+    ``item_total_dnum`` are ``object`` arrays of Python ints, exact for any
+    scheme; ``d_float`` is the correctly rounded float of ``dnum / q``.
+    ``omega`` and ``sigmas`` record the data the table was built from.
     """
 
-    def __init__(self, n, m, omega, scheme, js, ks, dnum, f, q, item_total_dnum):
+    def __init__(self, n, m, omega, sigmas, scheme, js, ks, dnum, f, q,
+                 item_total_dnum):
         self.n = n
         self.m = m
         self.omega = omega
+        self.sigmas = sigmas
         self.scheme = scheme
-        self.js = js
-        self.ks = ks
-        self.dnum = dnum
-        self.f = f
         self.q = q
-        self.item_total_dnum = item_total_dnum
         self.size = len(js)
-
-        self.prefix_f = []
-        acc = 0
-        for fv in f:
-            acc += fv
-            self.prefix_f.append(acc)
-
-        # group_start[i] = first index of the run of entries whose ratio
-        # equals entry i's ratio; strict-ratio prefixes end there.
-        self.group_start = []
-        for i in range(self.size):
-            if i and dnum[i] * f[i - 1] == dnum[i - 1] * f[i]:
-                self.group_start.append(self.group_start[i - 1])
-            else:
-                self.group_start.append(i)
-
-        self.d_float = np.array([dn / q for dn in dnum], dtype=float)
-        self.f_int = np.array(f, dtype=np.int64)
+        self.js = np.array(js, dtype=np.intp)
+        self.ks = np.array(ks, dtype=np.intp)
+        self.dnum = np.array(dnum, dtype=object)
+        self.f = np.array(f, dtype=np.int64)
+        self.item_total_dnum = np.array(item_total_dnum, dtype=object)
+        self.prefix_f = np.cumsum(self.f)
+        tie = np.append(False, self.dnum[1:] * self.f[:-1]
+                        == self.dnum[:-1] * self.f[1:])
+        self.group_start = np.maximum.accumulate(
+            np.where(tie, 0, np.arange(self.size)))
+        self.d_float = (self.dnum / q).astype(float)
+        for arr in (self.js, self.ks, self.dnum, self.f, self.item_total_dnum,
+                    self.prefix_f, self.group_start, self.d_float):
+            arr.flags.writeable = False
 
     def prefix_state(self, upto: int):
-        """Per-item sums of (dnum, f) over the first ``upto`` sorted entries."""
+        """Per-item sums of (dnum, f) over the first ``upto`` sorted entries,
+        as two lists of Python ints."""
         if not 0 <= upto <= self.size:
             raise ValueError(f"prefix length {upto} out of range")
-        sd = [0] * self.n
-        sf = [0] * self.n
-        for j, d, f in zip(self.js[:upto], self.dnum[:upto], self.f[:upto]):
-            sd[j] += d
-            sf[j] += f
-        return sd, sf
+        sd = np.zeros(self.n, dtype=object)
+        sf = np.zeros(self.n, dtype=np.int64)
+        np.add.at(sd, self.js[:upto], self.dnum[:upto])
+        np.add.at(sf, self.js[:upto], self.f[:upto])
+        return sd.tolist(), sf.tolist()
 
     @property
     def inner_budget(self) -> Fraction:
@@ -168,14 +169,16 @@ class SegmentTable:
 
     def entries(self):
         """Yield (rank, item, segment, d as Fraction, f) in sorted order."""
-        for i in range(self.size):
-            yield i + 1, self.js[i], self.ks[i], self.d_fraction(i), self.f[i]
+        for i, (j, k, f) in enumerate(zip(self.js.tolist(), self.ks.tolist(),
+                                          self.f.tolist())):
+            yield i + 1, j, k, self.d_fraction(i), f
 
     def lhat(self, delta) -> int | None:
         """Smallest rank whose cumulative f reaches the budget, if any."""
-        delta = Fraction(delta)
-        threshold = math.ceil(delta)
-        pos = bisect.bisect_left(self.prefix_f, threshold)
+        # Prefix sums lie in [1, total]: clipping keeps the threshold's place.
+        total = int(self.prefix_f[-1]) if self.size else 0
+        pos = int(np.searchsorted(self.prefix_f, min(
+            max(math.ceil(Fraction(delta)), 0), total + 1)))
         return pos + 1 if pos < self.size else None
 
     def family(self, delta) -> list[int]:
@@ -216,64 +219,57 @@ def build_segments(inst: SockpInstance, omega, m: int,
     with localcontext() as ctx:
         ctx.prec = EXACT_PREC
         omega_int = int(omega_d.scaleb(e_omega))
-        sigma_ints = [int(s.scaleb(e_sigma)) for s in inst.sigmas]
+        base = np.array([omega_int * int(s.scaleb(e_sigma))
+                         for s in inst.sigmas], dtype=object)
 
-    raw = []  # (j, k, dnum, f)
+    # Entries in (item, segment) order, one row of m per item.
+    js = np.repeat(np.arange(inst.n, dtype=np.intp), m)
+    ks = np.tile(np.arange(1, m + 1, dtype=np.intp), inst.n)
     if scheme == HORIZONTAL:
         q = 10 ** (e_omega + e_sigma) * m
-        for j, s_int in enumerate(sigma_ints):
-            dn = omega_int * s_int
-            for k in range(1, m + 1):
-                raw.append((j, k, dn, 2 * k - 1))
+        dnum = np.repeat(base, m)
+        f = 2 * ks - 1
     else:
         q = 10 ** (e_omega + e_sigma + _VERTICAL_QUANT)
-        steps = _vertical_steps(m)
-        for j, s_int in enumerate(sigma_ints):
-            base = omega_int * s_int
-            for k in range(1, m + 1):
-                raw.append((j, k, base * steps[k - 1], 1))
+        dnum = np.multiply.outer(base, _vertical_steps(m)).ravel()
+        f = np.ones(inst.n * m, dtype=np.int64)
+    totals = dnum.reshape(inst.n, m).sum(axis=1)
 
-    _sort_by_ratio(raw)
-
-    totals = [0] * inst.n
-    for j, _, dn, _ in raw:
-        totals[j] += dn
-
+    order = _ratio_order(js, ks, dnum, f)
     return SegmentTable(
-        n=inst.n, m=m, omega=omega_d, scheme=scheme,
-        js=[e[0] for e in raw], ks=[e[1] for e in raw],
-        dnum=[e[2] for e in raw], f=[e[3] for e in raw],
-        q=q, item_total_dnum=totals,
-    )
+        n=inst.n, m=m, omega=omega_d, sigmas=inst.sigmas, scheme=scheme,
+        js=js[order], ks=ks[order], dnum=dnum[order], f=f[order], q=q,
+        item_total_dnum=totals)
 
 
-def _sort_by_ratio(raw) -> None:
-    """Sort (j, k, dnum, f) entries by d/f descending, ties by (j, k).
+def _ratio_order(js, ks, dnum, f) -> np.ndarray:
+    """Permutation sorting entries by d/f descending, ties by (j, k).
 
-    Float keys do the heavy lifting; a single exact cross-multiplication pass
-    then verifies the order and falls back to exact rational keys in the rare
-    case a float collision misplaced anything.
+    ``dnum`` is an ``object`` array of Python ints.  Float keys do the heavy
+    lifting; one exact cross-multiplication pass over adjacent entries then
+    verifies the order and falls back to exact rational keys in the rare case
+    a float collision misplaced anything.
     """
-    raw.sort(key=lambda e: (-(float(e[2]) / e[3]), e[0], e[1]))
-    for prev, cur in zip(raw, raw[1:]):
-        lhs = prev[2] * cur[3]
-        rhs = cur[2] * prev[3]
-        if lhs < rhs or (lhs == rhs and (prev[0], prev[1]) > (cur[0], cur[1])):
-            raw.sort(key=lambda e: (-Fraction(e[2], e[3]), e[0], e[1]))
-            return
+    order = np.lexsort((ks, js, -(dnum / f).astype(float)))
+    d, fs, j, k = dnum[order], f[order], js[order], ks[order]
+    lhs, rhs = d[:-1] * fs[1:], d[1:] * fs[:-1]
+    later = (j[:-1] > j[1:]) | ((j[:-1] == j[1:]) & (k[:-1] > k[1:]))
+    if ((lhs < rhs) | ((lhs == rhs) & later)).any():
+        order = np.array(sorted(range(len(js)), key=lambda i: (
+            -Fraction(dnum[i], int(f[i])), js[i], ks[i])), dtype=np.intp)
+    return order
 
 
-def _vertical_steps(m: int) -> list[int]:
-    """Quantized sqrt(k/m) - sqrt((k-1)/m) for k = 1..m, scaled by 10^18."""
+def _vertical_steps(m: int) -> np.ndarray:
+    """Quantized sqrt(k/m) - sqrt((k-1)/m) for k = 1..m, scaled by 10^18,
+    as an ``object`` array of Python ints."""
     quantum = Decimal(1).scaleb(-_VERTICAL_QUANT)
     with localcontext() as ctx:
         ctx.prec = 40
         roots = [(Decimal(k) / Decimal(m)).sqrt() for k in range(m + 1)]
-        steps = []
-        for k in range(1, m + 1):
-            step = (roots[k] - roots[k - 1]).quantize(quantum, ROUND_HALF_EVEN)
-            steps.append(int(step.scaleb(_VERTICAL_QUANT)))
-    return steps
+        return np.array([int((hi - lo).quantize(quantum, ROUND_HALF_EVEN)
+                             .scaleb(_VERTICAL_QUANT))
+                         for lo, hi in zip(roots, roots[1:])], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +279,7 @@ def _vertical_steps(m: int) -> list[int]:
 def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
     """Exact greedy value of the bounded continuous knapsack.
 
-    Walks the entries of selected items in ratio order, saturating each until
+    Takes the entries of selected items in ratio order, saturating each until
     the budget runs out; the last touched entry is taken fractionally and the
     dummy element absorbs any remaining budget at zero gain.  This equals the
     LP optimum.
@@ -291,22 +287,22 @@ def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
     if len(x) != table.n:
         raise ValueError(f"selection vector has length {len(x)}, expected {table.n}")
     delta = Fraction(delta)
-    if table.size and delta < min(table.f):
+    if not table.size:
+        return Fraction(0)
+    if delta < int(table.f.min()):
         raise ValueError(f"budget {delta} is below the smallest entry weight")
-    budget = delta
-    acc_num = 0  # fully taken entries, numerator over table.q
-    partial = Fraction(0)
-    for i in range(table.size):
-        if not x[table.js[i]]:
-            continue
-        fv = table.f[i]
-        if fv <= budget:
-            acc_num += table.dnum[i]
-            budget -= fv
-        else:
-            partial = Fraction(table.dnum[i], table.q) * budget / fv
-            break
-    return Fraction(acc_num, table.q) + partial
+    picked = np.asarray(x, dtype=bool)[table.js]
+    dnum, f = table.dnum[picked], table.f[picked]
+    used = np.cumsum(f)
+    # Entries taken whole: the budgets f are integers, so a running sum fits
+    # delta exactly when it fits floor(delta); clipping keeps the position.
+    full = int(np.searchsorted(
+        used, min(math.floor(delta), int(table.prefix_f[-1])), side="right"))
+    value = Fraction(int(dnum[:full].sum()), table.q)
+    if full < len(f):
+        left = delta - (int(used[full - 1]) if full else 0)
+        value += Fraction(dnum[full], table.q) * left / int(f[full])
+    return value
 
 
 def beta(x: Sequence[int], table: SegmentTable, delta) -> float:

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EXACT_PREC, SockpInstance, as_decimal, inverse_normal_cdf
+from .model import (EXACT_PREC, SockpInstance, _check_rho, as_decimal,
+                    inverse_normal_cdf)
 
 __all__ = [
     "guarantee_gap_dro",
@@ -28,11 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 100_000
-
-
-def _check_rho(rho: float) -> None:
-    if not 0.5 <= rho < 1.0:
-        raise ValueError(f"confidence level must lie in [0.5, 1), got {rho}")
 
 
 def guarantee_gap_normal(n: int, m: int, rho: float) -> float:
@@ -75,10 +71,10 @@ def min_segments_dro(n: int, rho, delta) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rho_f = Fraction(as_decimal(rho))
+    rho_d = as_decimal(rho)
+    _check_rho(rho_d)
+    rho_f = Fraction(rho_d)
     delta_f = Fraction(as_decimal(delta))
-    if not Fraction(1, 2) <= rho_f < 1:
-        raise ValueError(f"confidence level must lie in [0.5, 1), got {rho}")
     if delta_f <= 0:
         raise ValueError(f"target gap must be positive, got {delta}")
     inner = (rho_f * (1 - rho_f) / (4 * delta_f) + rho_f / 4) * n

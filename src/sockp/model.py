@@ -197,8 +197,9 @@ def _truncate(value: Decimal, digits: int) -> Decimal:
     return value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN)
 
 
-def _check_rho(rho: Decimal) -> None:
-    if not (Decimal("0.5") <= rho < 1):
+def _check_rho(rho) -> None:
+    """Reject rho outside [0.5, 1), exactly for Decimal, float or Fraction."""
+    if not 0.5 <= rho < 1:
         raise ValueError(f"confidence level must lie in [0.5, 1), got {rho}")
 
 

@@ -198,19 +198,19 @@ class _Family:
         self.dd = delta.denominator
         # Per pivot index, the dummy last: ratio, capacity (negative ones
         # clipped to 0), end of the strict-ratio prefix.
-        self.r = np.append(table.d_float / table.f_int, 0.0)
+        self.r = np.append(table.d_float / table.f, 0.0)
         self.caps = np.maximum(self.cap_f - self.r * (self.dn / self.dd), 0.0)
-        self.group_start = np.append(
-            np.asarray(table.group_start, dtype=np.intp), table.size)
-        self.js = np.asarray(table.js, dtype=np.intp)
+        self.group_start = np.append(table.group_start, table.size)
+        self.js = table.js
 
     def _pivot(self, i: int):
         """(prefix end, rnum, f_i) of the pivot at sorted index i: ratio
-        rnum / (q * f_i); index ``size`` is the dummy (ratio 0, full prefix)."""
+        rnum / (q * f_i); index ``size`` is the dummy (ratio 0, full prefix).
+        All three are Python ints, so exact products never meet int64."""
         t = self.table
         if i == t.size:
             return t.size, 0, 1
-        return t.group_start[i], t.dnum[i], t.f[i]
+        return int(t.group_start[i]), int(t.dnum[i]), int(t.f[i])
 
     def capacity_is_negative(self, i: int) -> bool:
         """Exact sign of cap - r * delta for the pivot at sorted index i."""
@@ -230,12 +230,12 @@ class _Family:
         """
         t = self.table
         unit, rest = divmod(SCALE, self.pow_da)
-        gain = max(t.item_total_dnum, default=0)
-        f_max = max(t.f, default=1)
-        f_item = int(np.bincount(self.js, weights=t.f_int, minlength=1).max())
+        gain = t.item_total_dnum.max(initial=0)
+        f_max = int(t.f.max(initial=1))
+        f_item = int(np.bincount(self.js, weights=t.f, minlength=1).max())
         fits = (rest == 0 and gain < 2 ** 53
                 and f_max * gain < 2 ** 62
-                and max(t.dnum, default=0) * f_item < 2 ** 62
+                and t.dnum.max(initial=0) * f_item < 2 ** 62
                 and 100 * t.q * f_max < 2 ** 63
                 and unit * max(self.a_int, default=0)
                 + SCALE * (gain // t.q + 1) < 2 ** 62)
@@ -244,8 +244,7 @@ class _Family:
         profits = np.array(self.inst.profits, dtype=np.int64
                            if max(self.inst.profits, default=0) < 2 ** 63
                            else object)
-        return _Rows(dnum=np.array(t.dnum, dtype=dtype),
-                     f=np.asarray(t.f_int, dtype=dtype), a=a,
+        return _Rows(dnum=t.dnum.astype(dtype), f=t.f.astype(dtype), a=a,
                      a_part=unit * a if rest == 0 else None, profits=profits)
 
     def block_sums(self, i: int):
@@ -315,11 +314,11 @@ class _Family:
         def gamma(k):
             return k * unit / (1 - k * unit)
 
-        gains = np.array([d / t.q for d in t.item_total_dnum], dtype=float)
+        gains = (t.item_total_dnum / t.q).astype(float)
         data = gamma(2 * int(np.bincount(self.js, minlength=1).max()) + 12)
         eta = data * (self.means_f + 2 * gains)
         weighs = (self.profits_f > 0) & ((self.means_f > 0) | (gains > 0))
-        least = np.maximum(self.means_f, 1 / (t.q * max(t.f, default=1)))
+        least = np.maximum(self.means_f, 1 / (t.q * int(t.f.max(initial=1))))
         room = (least - eta)[weighs]
         if (room <= 0).any():
             return math.inf
@@ -398,7 +397,7 @@ class _Family:
         js = self.js[lo:hi]
         n = self.inst.n
         return (np.bincount(js, weights=t.d_float[lo:hi], minlength=n),
-                np.bincount(js, weights=t.f_int[lo:hi], minlength=n))
+                np.bincount(js, weights=t.f[lo:hi], minlength=n))
 
     def _pivot_weights(self, idx, sd0, sf0):
         """Float weight rows means + sd - r * sf of the pivots at indices idx.
@@ -419,7 +418,7 @@ class _Family:
         sd = np.cumsum(np.bincount(key, weights=t.d_float[g0:g1],
                                    minlength=cells).reshape(shape),
                        axis=0, dtype=float)
-        sf = np.cumsum(np.bincount(key, weights=t.f_int[g0:g1],
+        sf = np.cumsum(np.bincount(key, weights=t.f[g0:g1],
                                    minlength=cells).reshape(shape),
                        axis=0, dtype=float)
         sd += self.means_f + sd0
@@ -536,13 +535,15 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
     budget of the horizontal scheme gives a feasible lower bound (kind
     ``LOWER``) and every other budget, the inner one first, an upper bound
     on the SOC optimum.  Returns the best solution across the pivot family
-    together with bookkeeping counts.
+    together with bookkeeping counts.  A supplied ``table`` must have been
+    built for this m, scheme, omega and the instance's dispersions.
     """
     start = time.perf_counter()
     omega_d = as_omega(omega)
     if table is None:
         table = build_segments(inst, omega_d, m, scheme)
-    elif table.m != m or table.scheme != scheme or table.n != inst.n:
+    elif ((table.m, table.scheme, table.omega, table.sigmas)
+          != (m, scheme, omega_d, inst.sigmas)):
         raise ValueError("supplied segment table does not match the arguments")
     delta = Fraction(delta)
     if delta < table.inner_budget:
@@ -614,8 +615,9 @@ def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
     if rank == table.size + 1:
         end, ratio = table.size, Fraction(0)
     else:
-        end = table.group_start[rank - 1]
-        ratio = Fraction(table.dnum[rank - 1], table.q * table.f[rank - 1])
+        end = int(table.group_start[rank - 1])
+        ratio = Fraction(table.dnum[rank - 1],
+                         table.q * int(table.f[rank - 1]))
     sd, sf = table.prefix_state(end)
     weights = [Fraction(mean) + Fraction(d, table.q) - ratio * f
                for mean, d, f in zip(inst.means, sd, sf)]

@@ -122,8 +122,8 @@ def test_criterion_02_decomposition_union_equals_direct_set():
                 union = np.zeros(1 << n, dtype=bool)
                 for rank in table.family(delta):
                     ws, cap = subproblem_exact(inst, table, rank, delta)
-                    den = table.q * (1 if rank == table.size + 1 else
-                                     table.f[rank - 1]) * delta.denominator
+                    den = table.q * delta.denominator * (
+                        1 if rank == table.size + 1 else int(table.f[rank - 1]))
                     w_int = []
                     for w in ws:
                         num = w.numerator * den

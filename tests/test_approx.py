@@ -10,6 +10,8 @@ from sockp import (VERTICAL, SockpInstance, beta, beta_exact,
                    build_segments, containment_radii, eval_lower_envelope,
                    eval_upper_envelope)
 
+from sockp.approx import _ratio_order, _vertical_steps
+
 from conftest import beta_pair_oracle, random_instance
 
 
@@ -101,8 +103,9 @@ def test_ties_keep_item_segment_order():
                          sigmas=(Decimal(2), Decimal(2)), capacity=Decimal(10))
     table = build_segments(inst, Decimal(3), 2)
     # equal sigmas give pairwise-tied ratios; (item, segment) order is kept
-    assert list(zip(table.js, table.ks)) == [(0, 1), (1, 1), (0, 2), (1, 2)]
-    assert table.group_start == [0, 0, 2, 2]
+    assert list(zip(table.js.tolist(), table.ks.tolist())) == [
+        (0, 1), (1, 1), (0, 2), (1, 2)]
+    assert table.group_start.tolist() == [0, 0, 2, 2]
 
 
 def test_vertical_coefficients_one_item():
@@ -110,7 +113,7 @@ def test_vertical_coefficients_one_item():
     expected = [10 * (math.sqrt(k / 4) - math.sqrt((k - 1) / 4)) for k in (1, 2, 3, 4)]
     got = [float(d) for _, _, _, d, _ in table.entries()]
     assert got == pytest.approx(expected, abs=1e-12)
-    assert table.f == [1, 1, 1, 1]
+    assert table.f.tolist() == [1, 1, 1, 1]
     assert table.inner_budget == Fraction(4)
     with pytest.raises(ValueError):
         table.outer_budget
@@ -123,19 +126,120 @@ def test_build_rejects_bad_arguments():
         build_segments(_one_item(), Decimal(10), 2, scheme="diagonal")
 
 
-def test_ratio_sort_exact_fallback_on_float_collisions():
-    from sockp.approx import _sort_by_ratio
+def _sorted_by_ratio(raw):
+    """(j, k, dnum, f) tuples in the order of ``approx._ratio_order``."""
+    js, ks, dnum, f = zip(*raw)
+    order = _ratio_order(np.array(js, dtype=np.intp),
+                         np.array(ks, dtype=np.intp),
+                         np.array(dnum, dtype=object),
+                         np.array(f, dtype=np.int64))
+    return [raw[i] for i in order.tolist()]
 
+
+def test_ratio_sort_exact_fallback_on_float_collisions():
     # gains beyond 2^53 collide as float keys; the exact pass must restore
     # the true descending-ratio order
     big = 1 << 60
     raw = [(0, 1, big - 1, 1), (1, 1, big + 1, 1), (2, 1, big, 1)]
-    _sort_by_ratio(raw)
+    raw = _sorted_by_ratio(raw)
     assert [e[2] for e in raw] == [big + 1, big, big - 1]
     # exact ties among colliding keys keep (item, segment) order
     raw = [(1, 1, big, 1), (0, 2, big, 1), (0, 1, big, 1)]
-    _sort_by_ratio(raw)
+    raw = _sorted_by_ratio(raw)
     assert [(e[0], e[1]) for e in raw] == [(0, 1), (0, 2), (1, 1)]
+
+
+def _reference_table(inst, omega, m, scheme):
+    """Every field of the segment table from exact rationals.
+
+    Entries (j, k, d, f) follow the scheme's definition, with the quantized
+    vertical steps of ``_vertical_steps``; they are sorted by
+    (-Fraction(d, f), j, k) and grouped by exactly equal ratios.  Returns the
+    built table, the reference fields and the reference d_float.
+    """
+    table = build_segments(inst, omega, m, scheme)
+    if scheme == VERTICAL:
+        steps = [Fraction(s, 10 ** 18) for s in _vertical_steps(m)]
+        raw = [(j, k, Fraction(omega) * Fraction(sigma) * steps[k - 1], 1)
+               for j, sigma in enumerate(inst.sigmas) for k in range(1, m + 1)]
+    else:
+        raw = [(j, k, Fraction(omega) * Fraction(sigma) / m, 2 * k - 1)
+               for j, sigma in enumerate(inst.sigmas) for k in range(1, m + 1)]
+    raw.sort(key=lambda e: (-e[2] / e[3], e[0], e[1]))
+    dnum = []
+    for _, _, d, _ in raw:
+        assert (d * table.q).denominator == 1
+        dnum.append(int(d * table.q))
+    group_start, prefix_f, totals = [], [], [0] * inst.n
+    for i, (j, _, d, f) in enumerate(raw):
+        same = i and d / f == raw[i - 1][2] / raw[i - 1][3]
+        group_start.append(group_start[-1] if same else i)
+        prefix_f.append((prefix_f[-1] if i else 0) + f)
+        totals[j] += dnum[i]
+    ref = {"js": [e[0] for e in raw], "ks": [e[1] for e in raw],
+           "dnum": dnum, "f": [e[3] for e in raw],
+           "group_start": group_start, "prefix_f": prefix_f,
+           "item_total_dnum": totals}
+    return table, ref, [d / table.q for d in dnum]
+
+
+def _table_cases(rng):
+    omega = Decimal("4.358898")
+    for trial in range(24):
+        scheme = VERTICAL if trial % 2 else "horizontal"
+        inst = random_instance(rng, rng.randint(1, 12))
+        if trial % 3 == 0:  # repeated dispersions: many exact ratio ties
+            inst = SockpInstance(
+                profits=inst.profits, means=inst.means,
+                sigmas=tuple(rng.choice(inst.sigmas[:2]) for _ in inst.sigmas),
+                capacity=inst.capacity)
+        yield inst, omega, rng.randint(1, 9), scheme
+    # Dispersions near 2^60 collide as float ratios: the exact fallback sorts.
+    big = 1 << 60
+    near = SockpInstance(profits=(1,) * 6, means=(Decimal(1),) * 6,
+                         sigmas=tuple(Decimal(big + c)
+                                      for c in (3, -1, 2, 0, 2, 1)),
+                         capacity=Decimal(10))
+    for scheme in ("horizontal", VERTICAL):
+        yield near, Decimal(1), 3, scheme
+
+
+def _greedy_beta(x, ref, q, delta):
+    """beta by the entry-by-entry greedy fill over the reference table."""
+    value, budget = Fraction(0), delta
+    for j, d, f in zip(ref["js"], ref["dnum"], ref["f"]):
+        if x[j]:
+            take = min(Fraction(1), budget / f)
+            value += Fraction(d, q) * take
+            budget -= f * take
+    return value
+
+
+def test_table_matches_exact_reference():
+    """Every field equals an independent Fraction-sorted reference; d_float
+    is the correctly rounded d / q, bit for bit; beta_exact equals the
+    greedy fill over the reference entries."""
+    rng = random.Random(11)
+    widths = set()
+    for inst, omega, m, scheme in _table_cases(rng):
+        table, ref, d_float = _reference_table(inst, omega, m, scheme)
+        for delta in (table.inner_budget, table.inner_budget + Fraction(7, 3),
+                      Fraction(10 ** 30)):
+            x = tuple(rng.randint(0, 1) for _ in range(inst.n))
+            assert beta_exact(x, table, delta) == _greedy_beta(
+                x, ref, table.q, delta)
+        assert table.size == len(ref["js"]) == inst.n * m
+        for name, want in ref.items():
+            arr = getattr(table, name)
+            assert not arr.flags.writeable
+            assert arr.tolist() == want, name
+        assert table.dnum.dtype == table.item_total_dnum.dtype == object
+        assert table.f.dtype == table.prefix_f.dtype == np.int64
+        assert table.js.dtype == table.ks.dtype == table.group_start.dtype \
+            == np.intp
+        assert table.d_float.tobytes() == np.array(d_float).tobytes()
+        widths.add(max(table.dnum.tolist()).bit_length() > 63)
+    assert widths == {False, True}
 
 
 def test_prefix_state_matches_direct_sums():

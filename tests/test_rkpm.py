@@ -49,6 +49,18 @@ def test_mismatched_table_rejected():
     table = build_segments(inst, Decimal(2), 3)
     with pytest.raises(ValueError):
         solve_rkpm(inst, Decimal(2), 2, 4, table=table)
+    # A table of another omega or another instance would give an "upper
+    # bound" below the SOC optimum (844 < 881 and 816 < 838 here).
+    omega = Decimal("4.358898")
+    sc0 = generate(GeneratorSpec(family="SC", n=30, seed=0))
+    sc1 = generate(GeneratorSpec(family="SC", n=30, seed=1))
+    for inst, omega_used, table in (
+            (sc0, 1, build_segments(sc0, omega, 5)),
+            (sc0, omega, build_segments(sc1, omega, 5))):
+        with pytest.raises(ValueError):
+            upper_bound(inst, omega_used, 5, table=table)
+        with pytest.raises(ValueError):
+            lower_bound(inst, omega_used, 5, table=table)
 
 
 def test_vertical_lower_bound_unsupported():
@@ -535,7 +547,7 @@ def test_broken_ratio_order_raises_negative_modified_weight(big):
     inst = SockpInstance(profits=(5, 2, 4), means=(Decimal(1),) * 3,
                          sigmas=sigmas, capacity=Decimal(30))
     good = build_segments(inst, Decimal(2), 3)
-    broken = SegmentTable(good.n, good.m, good.omega, good.scheme,
+    broken = SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
                           good.js[::-1], good.ks[::-1], good.dnum[::-1],
                           good.f[::-1], good.q, good.item_total_dnum)
     fam = _Family(inst, broken, broken.inner_budget)
