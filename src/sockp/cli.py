@@ -25,6 +25,9 @@ from .rkpm import SolverInvariantError, lower_bound, upper_bound
 
 AMBIGUITIES = ("normal", "chebyshev", "delage-ye", "support")
 
+# A sweep has one row per combination of its list flags' values.
+_EMPTY_GRID = "empty sweep grid: a list flag such as --seeds gives no values"
+
 
 def _parse_int_list(text: str) -> list[int]:
     """Comma list and/or a:b ranges, e.g. '5,10' or '0:10' (end exclusive)."""
@@ -210,6 +213,8 @@ def _cmd_bench(args):
                                      ambiguity=args.ambiguity)
         text = bench.write_report(rows, bench.EXACT_FIELDS, args.format,
                                   summary=bench.summarize_exact(rows))
+    if not rows:
+        raise ValueError(_EMPTY_GRID)
     _emit(text, args.out)
     return 0
 
@@ -222,6 +227,8 @@ def _cmd_compare_schemes(args):
         m_horizontal=_parse_int_list(args.m_horizontal),
         m_vertical=_parse_int_list(args.m_vertical),
         ambiguity=args.ambiguity)
+    if not rows:
+        raise ValueError(_EMPTY_GRID)
     _emit(bench.write_report(rows, bench.SCHEME_FIELDS, args.format), args.out)
     return 0
 

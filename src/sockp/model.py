@@ -276,8 +276,14 @@ def resolve_omega(spec: OmegaSpec, digits: int = OMEGA_DIGITS) -> OmegaSpec:
 
 
 def as_omega(omega) -> Decimal:
-    """Normalize an omega argument (OmegaSpec, Decimal, str, number) to Decimal."""
+    """Normalize an omega argument (OmegaSpec, Decimal, str, number) to Decimal.
+
+    A support-interval spec also replaces the dispersions, so it is refused.
+    """
     if isinstance(omega, OmegaSpec):
+        if omega.kind == "support":
+            raise ValueError("a support-interval spec replaces the "
+                             "dispersions: solve what apply_omega_spec returns")
         if omega.resolved_omega is None:
             omega = resolve_omega(omega)
         value = omega.resolved_omega
@@ -470,6 +476,8 @@ def instance_to_json(inst: SockpInstance) -> str:
 
 def instance_from_json(text: str) -> SockpInstance:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("instance document is not a JSON object")
     try:
         n = int(doc["n"])
         inst = SockpInstance(
@@ -481,6 +489,9 @@ def instance_from_json(text: str) -> SockpInstance:
         )
     except KeyError as exc:
         raise ValueError(f"instance document is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"instance document has a field of the wrong type: "
+                         f"{exc}") from None
     if inst.n != n:
         raise ValueError(f"declared n = {n} but {inst.n} items were given")
     return inst

@@ -25,9 +25,9 @@ so returned lower bounds are always genuinely SOC-feasible.  A pivot's
 weights are a_j / 10^da + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j
 over the item's entries of a strictly larger ratio.  When a block of pivots
 is expanded, the exact per-item sums (sd, sf) up to its first prefix end are
-taken once, by one bincount each; every row of the block adds its few later
+taken once, by ``np.add.at``; every row of the block adds its few later
 entries to them and forms ``extra`` and the scaled weights as one integer
-array (the ceiling by long division, so int64 holds it).  The rows are int64
+array (the ceiling by one division).  The rows are int64
 when a bound check on the family's data allows it and ``object`` arrays of
 Python integers otherwise, through the same expressions.  A float Dantzig
 screen picks the few pivots whose knapsack must actually be solved.  The
@@ -37,7 +37,8 @@ entries of ratio above r, so every item's pivot weight and the pivot
 capacity are nondecreasing in the index: the knapsack with a block's first
 weight row and its last capacity relaxes every pivot in it, and its LP bound
 dominates theirs.  The block rows are bounded as matrices: their prefix
-gain/budget sums come from one bincount and cumsum over a chunk's table
+gain/budget sums come from exact sums, which the screen extends in place
+chunk by chunk, and one bincount and cumsum over a chunk's later table
 entries, and their LP bounds from a row-wise argsort, cumsum and break
 count, with every temporary array kept near ``SCREEN_CHUNK`` elements.
 
@@ -81,8 +82,10 @@ break ratio, at most lam = max p_j / (v_j - h_j) over the items with a
 positive profit that can weigh anything.  v_j = max(mean_j, 1 / (q f_max))
 is the least positive exact weight (every term d - r f of a prefix entry is
 at least 1 / (q f_i)), h_j the weight error below; an item of weight zero is
-exactly zero in float too.  A float weight mean + sd - r sf sums at most K
-gains (K the most entries of one item) and takes six more roundings, so
+exactly zero in float too.  A float weight mean + sd - r sf sums the float
+of an exact prefix sum (at most three roundings) and fewer than K later
+gains (K the most entries of one item; K if that sum is zero), so each term
+takes at most K + 6 roundings and
 h_j <= g(K + 6) (mean_j + 2 G_j), G_j the item's total gain >= sd >= r sf;
 the capacity b - r delta >= 0 takes six roundings, |c' - c| <= g(6) 2b.
 Doubling the counts absorbs the float evaluation of e itself: H <= g(2K +
@@ -163,25 +166,13 @@ class _Rows(NamedTuple):
 def _ceil_scaled(x, den: int):
     """ceil(SCALE * x / den) of a nonnegative integer array, exactly.
 
-    One division when SCALE divides den (omega and the dispersions carry
-    six or more decimals between them); otherwise long division in base-100
-    digits (SCALE = 10^6 has three).  No intermediate exceeds 100 * den or
-    the result, so int64 holds them whenever it holds those two.  The same
-    expressions run on ``object`` arrays of Python integers.
+    With g = gcd(SCALE, den) this is one ceiling division of x * (SCALE / g)
+    by den / g, so int64 holds it whenever it holds those two (see
+    :attr:`_Family._rows`).  The same expressions run on ``object`` arrays
+    of Python integers.
     """
-    if den % SCALE == 0:
-        return -(-x // (den // SCALE))
-    quot = x // den
-    rem = x - quot * den
-    left = SCALE
-    while left > 1:
-        step = 100 if left % 100 == 0 else left
-        rem = rem * step
-        digit = rem // den
-        rem -= digit * den
-        quot = quot * step + digit
-        left //= step
-    return quot + (rem > 0)
+    g = math.gcd(SCALE, den)
+    return -(-(x * (SCALE // g)) // (den // g))
 
 
 class _Family:
@@ -222,21 +213,22 @@ class _Family:
     def _rows(self) -> _Rows:
         """Exact integer data of the pivot rows, int64 where a bound allows.
 
-        The bound covers every value :meth:`subproblem` forms: per-item sums
-        below 2**53 (so float bincounts are exact), the two products of
-        ``extra``, 100 times the long-division denominator q * f_i, and the
-        scaled weights.  When 10^da does not divide ``SCALE`` the mean part
-        of a weight is no integer, and the rows are ``object`` arrays.
+        The bound covers every value :meth:`block_sums` and :meth:`subproblem`
+        form: the per-item sums, the two products of ``extra``, the numerator
+        and divisor of :func:`_ceil_scaled` (g0 = gcd(SCALE, q) divides its g),
+        and the scaled weights.  When 10^da does not divide ``SCALE`` the mean
+        part of a weight is no integer, and the rows are ``object`` arrays.
         """
         t = self.table
         unit, rest = divmod(SCALE, self.pow_da)
         gain = t.item_total_dnum.max(initial=0)
         f_max = int(t.f.max(initial=1))
         f_item = int(np.bincount(self.js, weights=t.f, minlength=1).max())
-        fits = (rest == 0 and gain < 2 ** 53
-                and f_max * gain < 2 ** 62
+        g0 = math.gcd(SCALE, t.q)
+        fits = (rest == 0
+                and SCALE // g0 * f_max * gain < 2 ** 62
+                and t.q * f_max // g0 < 2 ** 63
                 and t.dnum.max(initial=0) * f_item < 2 ** 62
-                and 100 * t.q * f_max < 2 ** 63
                 and unit * max(self.a_int, default=0)
                 + SCALE * (gain // t.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
@@ -247,27 +239,23 @@ class _Family:
         return _Rows(dnum=t.dnum.astype(dtype), f=t.f.astype(dtype), a=a,
                      a_part=unit * a if rest == 0 else None, profits=profits)
 
-    def block_sums(self, i: int):
+    def block_sums(self, i: int, sums=None):
         """Exact per-item (dnum, f) sums over the prefix of the pivot at i.
 
         Returns (end, sd, sf): the prefix end group_start[i] and two
         n-vectors in the rows' dtype, from which :meth:`subproblem` builds
-        the row of this pivot or of any later one.
+        the row of this pivot or of any later one.  Given the ``sums`` of an
+        earlier prefix, adds the entries in between to their vectors in
+        place, so pass only sums that nothing else holds.
         """
         rows = self._rows
+        if sums is None:
+            sums = (0, *np.zeros((2, self.inst.n), dtype=rows.dnum.dtype))
+        start, sd, sf = sums
         end = int(self.group_start[i])
-        js = self.js[:end]
-        n = self.inst.n
-        if rows.dnum.dtype == object:
-            sd = np.zeros(n, dtype=object)
-            sf = np.zeros(n, dtype=object)
-            np.add.at(sd, js, rows.dnum[:end])
-            np.add.at(sf, js, rows.f[:end])
-        else:
-            # Float sums of integers below 2**53 are exact.
-            sd = np.bincount(js, weights=rows.dnum[:end], minlength=n)
-            sf = np.bincount(js, weights=rows.f[:end], minlength=n)
-            sd, sf = sd.astype(np.int64), sf.astype(np.int64)
+        js = self.js[start:end]
+        np.add.at(sd, js, rows.dnum[start:end])
+        np.add.at(sf, js, rows.f[start:end])
         return end, sd, sf
 
     def subproblem(self, i: int, sums) -> KnapsackSubproblem:
@@ -356,19 +344,16 @@ class _Family:
         group_start = self.group_start[firsts]
         bounds = np.empty(len(firsts))
         rows = max(1, SCREEN_CHUNK // max(self.inst.n, 1))
-        # Float per-item (d, f) sums over the first `upto` table entries.
-        sd = sf = 0.0
-        upto = c0 = 0
+        sums = None  # exact per-item sums, extended chunk by chunk
+        c0 = 0
         while c0 < len(firsts):
             # The chunk spans at most `rows` blocks and SCREEN_CHUNK entries.
             g0 = int(group_start[c0])
             c1 = min(c0 + rows, int(np.searchsorted(
                 group_start, g0 + SCREEN_CHUNK, side="right")))
-            d, f = self._prefix_sums(upto, g0)
-            sd, sf, upto = sd + d, sf + f, g0
-            weights = self._pivot_weights(firsts[c0:c1], sd, sf)
-            bounds[c0:c1] = _dantzig_rows(self.profits_f, weights,
-                                          self.caps[stops[c0:c1] - 1])
+            sums = self.block_sums(firsts[c0], sums)
+            bounds[c0:c1] = self._row_bounds(firsts[c0:c1], sums,
+                                             self.caps[stops[c0:c1] - 1])
             c0 = c1
         blocks = list(zip(firsts.tolist(), stops.tolist(), bounds.tolist()))
         return blocks, start - first
@@ -379,36 +364,27 @@ class _Family:
         Returns (bounds, sums).  Each bound is the LP relaxation of the
         pivot's own (unscaled, true-weight) subproblem in float arithmetic,
         within half of :meth:`tolerance` of its exact value.  ``sums`` are
-        the exact :meth:`block_sums` of the first pivot, which also give the
-        float prefix sums of the rows; the rows' knapsacks are built from
-        them.
+        the exact :meth:`block_sums` of the first pivot; the rows' knapsacks
+        are built from them.
         """
         sums = self.block_sums(first)
-        _, sd, sf = sums
-        weights = self._pivot_weights(np.arange(first, stop),
-                                      (sd / self.table.q).astype(float),
-                                      sf.astype(float))
-        return (_dantzig_rows(self.profits_f, weights, self.caps[first:stop]),
+        return (self._row_bounds(np.arange(first, stop), sums,
+                                 self.caps[first:stop]),
                 sums)
 
-    def _prefix_sums(self, lo: int, hi: int):
-        """Float per-item (d, f) sums over the table entries lo..hi-1."""
-        t = self.table
-        js = self.js[lo:hi]
-        n = self.inst.n
-        return (np.bincount(js, weights=t.d_float[lo:hi], minlength=n),
-                np.bincount(js, weights=t.f[lo:hi], minlength=n))
+    def _row_bounds(self, idx, sums, caps):
+        """Float Dantzig bounds of the weight rows of the pivots at idx.
 
-    def _pivot_weights(self, idx, sd0, sf0):
-        """Float weight rows means + sd - r * sf of the pivots at indices idx.
-
-        ``idx`` is increasing, so the prefix ends group_start[idx] are
-        nondecreasing.  ``sd0``/``sf0`` are the sums up to the first prefix
-        end; one bincount of the entries up to the last one, keyed by the
+        Row k has weights means + sd - r * sf of pivot idx[k] and capacity
+        ``caps[k]``.  ``idx`` is increasing, so the prefix ends
+        group_start[idx] are nondecreasing.  ``sums`` are the exact
+        :meth:`block_sums` up to the first prefix end, converted to float
+        once; one bincount of the entries up to the last one, keyed by the
         first row whose prefix holds them, and a cumsum give every row.
         """
         t = self.table
         n = self.inst.n
+        _, sd0, sf0 = sums
         ends = self.group_start[idx]
         g0, g1 = int(ends[0]), int(ends[-1])
         key = np.searchsorted(ends, np.arange(g0, g1), side="right") * n
@@ -421,10 +397,10 @@ class _Family:
         sf = np.cumsum(np.bincount(key, weights=t.f[g0:g1],
                                    minlength=cells).reshape(shape),
                        axis=0, dtype=float)
-        sd += self.means_f + sd0
-        sf += sf0
+        sd += self.means_f + (sd0 / t.q).astype(float)
+        sf += sf0.astype(float)
         sd -= self.r[idx, None] * sf
-        return sd
+        return _dantzig_rows(self.profits_f, sd, caps)
 
 
 def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
@@ -518,9 +494,6 @@ def _solve_family(fam: _Family):
             best_value, best_rank, best_problem = value, rank, problem
 
     examined = sum(stop - first for first, stop, _ in blocks)
-    if best_problem is None:
-        # Entire family empty; only possible with a negative capacity.
-        return 0, (0,) * fam.inst.n, examined, skipped
     sol = solve_knapsack(best_problem, floor=best_value)
     return sol.value, sol.selected, examined, skipped
 

@@ -172,7 +172,7 @@ def test_cli_compare_schemes(capsys):
     assert len(lines) == 3
 
 
-def test_cli_invalid_inputs_exit_2(capsys):
+def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["bounds", "--m", "3"]) == 2            # no instance source
     capsys.readouterr()
     assert main(["exact", "--family", "SC", "--n", "5", "--omega", "-2"]) == 2
@@ -181,6 +181,21 @@ def test_cli_invalid_inputs_exit_2(capsys):
     capsys.readouterr()
     assert main(["guarantee", "--n", "100", "--rho", "0.95"]) == 2
     capsys.readouterr()
+    # Documents that are no JSON object, or whose fields have a wrong type.
+    good = {"n": 1, "profits": [5], "means": ["1"], "sigmas": ["1"],
+            "capacity": "3"}
+    for doc in ({**good, "profits": 5}, {**good, "means": [None]}, [1, 2]):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", "--instance", str(path), "--m", "2",
+                     "--rho", "0.95"]) == 2
+        capsys.readouterr()
+    # Empty sweep grids, which would print a header-only report.
+    for argv in (["bench", "--mode", "bounds"],
+                 ["bench", "--mode", "exact", "--seeds", "5:2"],
+                 ["compare-schemes", "--m-horizontal", "", "--m-vertical", ""]):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_cli_internal_invariant_failure_exits_3(monkeypatch, tmp_path):

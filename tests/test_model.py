@@ -4,9 +4,10 @@ from decimal import Decimal
 
 import pytest
 
-from sockp import (OmegaSpec, SockpInstance, instance_from_json,
-                   instance_to_json, inverse_normal_cdf, is_soc_feasible,
-                   resolve_omega, soc_lhs)
+from sockp import (GeneratorSpec, OmegaSpec, SockpInstance, generate,
+                   instance_from_json, instance_to_json, inverse_normal_cdf,
+                   is_soc_feasible, lower_bound, resolve_omega, soc_lhs,
+                   solve_exact, upper_bound)
 from sockp.model import apply_omega_spec, as_omega
 
 from conftest import random_instance
@@ -226,3 +227,20 @@ def test_as_omega_accepts_spec_and_numbers():
     assert as_omega(2) == Decimal(2)
     with pytest.raises(ValueError):
         as_omega("0")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, omega: upper_bound(inst, omega, 3),
+    lambda inst, omega: lower_bound(inst, omega, 3),
+    solve_exact,
+], ids=["upper", "lower", "exact"])
+def test_solvers_reject_a_support_spec_as_omega(solve):
+    """A support spec also swaps the dispersions, which a bare omega drops."""
+    inst = generate(GeneratorSpec(family="SC", n=20, seed=0))
+    spec = OmegaSpec.support_interval("0.95", ["0"] * inst.n, inst.sigmas)
+    for omega in (spec, resolve_omega(spec)):
+        with pytest.raises(ValueError, match="apply_omega_spec"):
+            solve(inst, omega)
+    cheb = OmegaSpec.chebyshev("0.95")
+    assert (solve(inst, cheb).objective
+            == solve(inst, as_omega(cheb)).objective)

@@ -471,7 +471,7 @@ def _object_cases(rng):
     """Families whose rows are ``object`` arrays.
 
     Means with 7 fractional digits (10^7 does not divide SCALE) and
-    dispersions with 20 significant digits (gain sums past 2**53), on both
+    dispersions with 20 significant digits (item gains past 2**62), on both
     schemes.
     """
     for trial in range(4):
@@ -503,6 +503,37 @@ def _decimal_mean_cases(rng):
             inst, Decimal("4.358898"), rng.randint(1, 4))
 
 
+def _wide_gain_cases(rng):
+    """int64 rows whose item gains lie between 2**53 and 2**62.
+
+    Dispersions 1e5-2e5 with four decimals give q = 10^10 m and gains of
+    1.7-3.3e16 at m = 2-4.
+    """
+    for trial in range(2):
+        inst = random_instance(rng, rng.randint(3, 8), sigma_lo=10 ** 9,
+                               sigma_hi=2 * 10 ** 9, sigma_digits=4,
+                               capacity_ratio=rng.choice((2000, 8000)))
+        table = build_segments(inst, Decimal("4.358898"), rng.randint(2, 4))
+        assert 2 ** 53 < table.item_total_dnum.max() < 2 ** 62
+        yield inst, Decimal("4.358898"), table
+
+
+def _wide_divisor_cases(rng):
+    """Small gains over q = 10^25 m, whose ceiling divisor needs ``object``.
+
+    omega has 12 decimals and the dispersions, near 1e-12, have 13: the
+    gains are small, but q * f_i / SCALE is past 2**63.
+    """
+    omega = Decimal("1.000000000001")
+    for trial in range(2):
+        inst = random_instance(rng, rng.randint(3, 8), sigma_lo=5,
+                               sigma_hi=20, sigma_digits=13)
+        m = rng.randint(1, 4)
+        table = build_segments(inst, omega, m)
+        assert table.q == 10 ** 25 * m
+        yield inst, omega, table
+
+
 def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     """Every pivot's scaled knapsack, built from its block's exact sums.
 
@@ -513,12 +544,18 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     objects = list(_object_cases(rng))
     cases = (list(_screen_cases(rng)) + list(_decimal_mean_cases(rng))
              + objects)
+    wide_gains = list(_wide_gain_cases(rng))
+    wide_divisors = list(_wide_divisor_cases(rng))
+    objects += wide_divisors
+    cases += wide_gains + wide_divisors
     for inst, omega, table in cases:
         for delta in _budgets(table, inst.n):
             fam = _Family(inst, table, delta)
             dtypes.add(fam._rows.dnum.dtype)
             if any(table is case[2] for case in objects):
                 assert fam._rows.dnum.dtype == object
+            if any(table is case[2] for case in wide_gains):
+                assert fam._rows.dnum.dtype == np.int64
             built = set()
             for block in (1, 3, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
