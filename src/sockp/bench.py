@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from decimal import Decimal
 from typing import Iterable, Sequence
@@ -41,14 +42,6 @@ EXACT_FIELDS = ("family", "n", "rho", "seed", "iters", "m_final", "knap_solves",
 SCHEME_FIELDS = ("family", "n", "rho", "seed", "scheme", "m", "ub", "time_ms")
 
 
-def resolve_rho_omega(rho, ambiguity: str = "chebyshev") -> Decimal:
-    """Safety factor for a confidence level under a parameter-free ambiguity."""
-    if ambiguity not in ("normal", "chebyshev"):
-        raise ValueError(
-            f"{ambiguity!r} ambiguity needs extra parameters; resolve it explicitly")
-    return resolve_omega(OmegaSpec(kind=ambiguity, rho=Decimal(str(rho)))).resolved_omega
-
-
 def _gap_pct(ub: int, lb: int):
     return (ub - lb) / lb * 100.0 if lb > 0 else None
 
@@ -56,6 +49,33 @@ def _gap_pct(ub: int, lb: int):
 @functools.lru_cache(maxsize=256)
 def _instance(family: str, n: int, seed: int):
     return generate(GeneratorSpec(family=family, n=n, seed=seed))
+
+
+def _cases(families, sizes, rhos, seeds, ambiguity):
+    """(row key, omega, instance) per (family, n, rho, seed), in that order."""
+    omegas = {rho: resolve_omega(OmegaSpec(kind=ambiguity, rho=Decimal(str(rho))))
+              .resolved_omega for rho in rhos}
+    for family, n, rho, seed in itertools.product(families, sizes, rhos, seeds):
+        yield ({"family": family, "n": n, "rho": str(rho), "seed": seed},
+               omegas[rho], _instance(family, n, seed))
+
+
+def _summarize(rows: Iterable[dict], keys: Sequence[str],
+               fields: Sequence[str]) -> list[dict]:
+    """Per group of rows equal on ``keys``, in key order: the seed count and
+    each field's mean over the rows where it is not None."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    out = []
+    for key in sorted(groups):
+        members = groups[key]
+        summary = dict(zip(keys, key), seeds=len(members))
+        for f in fields:
+            values = [r[f] for r in members if r[f] is not None]
+            summary[f"mean_{f}"] = sum(values) / len(values) if values else None
+        out.append(summary)
+    return out
 
 
 def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
@@ -68,43 +88,22 @@ def run_bounds_bench(families: Sequence[str], sizes: Sequence[int],
     columns double as the series for convergence plots.
     """
     rows = []
-    for family in families:
-        for n in sizes:
-            for rho in rhos:
-                for seed in seeds:
-                    for m in m_grid:
-                        omega = resolve_rho_omega(rho, ambiguity)
-                        inst = _instance(family, n, seed)
-                        table = build_segments(inst, omega, m)
-                        ub = upper_bound(inst, omega, m, table=table)
-                        lb = lower_bound(inst, omega, m, table=table)
-                        rows.append({
-                            "family": family, "n": n, "rho": str(rho),
-                            "m": m, "seed": seed,
-                            "ub": ub.objective, "lb": lb.objective,
-                            "gap_pct": _gap_pct(ub.objective, lb.objective),
-                            "time_ms": round(
-                                (ub.wall_time + lb.wall_time) * 1000, 3),
-                        })
+    for key, omega, inst in _cases(families, sizes, rhos, seeds, ambiguity):
+        for m in m_grid:
+            table = build_segments(inst, omega, m)
+            ub = upper_bound(inst, omega, m, table=table)
+            lb = lower_bound(inst, omega, m, table=table)
+            row = dict(key, m=m, ub=ub.objective, lb=lb.objective,
+                       gap_pct=_gap_pct(ub.objective, lb.objective),
+                       time_ms=round((ub.wall_time + lb.wall_time) * 1000, 3))
+            # the columns put m before seed
+            rows.append({f: row[f] for f in BOUNDS_FIELDS})
     return rows
 
 
 def summarize_bounds(rows: Iterable[dict]) -> list[dict]:
     """Mean gap and time per (family, n, rho, m), seeds aggregated."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["family"], row["n"], row["rho"], row["m"]), []).append(row)
-    out = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3])):
-        members = groups[key]
-        gaps = [r["gap_pct"] for r in members if r["gap_pct"] is not None]
-        out.append({
-            "family": key[0], "n": key[1], "rho": key[2], "m": key[3],
-            "seeds": len(members),
-            "mean_gap_pct": sum(gaps) / len(gaps) if gaps else None,
-            "mean_time_ms": sum(r["time_ms"] for r in members) / len(members),
-        })
-    return out
+    return _summarize(rows, ("family", "n", "rho", "m"), ("gap_pct", "time_ms"))
 
 
 def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
@@ -112,40 +111,19 @@ def run_exact_bench(families: Sequence[str], sizes: Sequence[int],
                     ambiguity: str = "chebyshev") -> list[dict]:
     """Exact-solver protocol: iterations, final m, knapsack count, objective."""
     rows = []
-    for family in families:
-        for n in sizes:
-            for rho in rhos:
-                for seed in seeds:
-                    inst = _instance(family, n, seed)
-                    res = solve_exact(inst, resolve_rho_omega(rho, ambiguity))
-                    rows.append({
-                        "family": family, "n": n, "rho": str(rho),
-                        "seed": seed, "iters": res.iterations,
-                        "m_final": res.m,
-                        "knap_solves": res.subproblems_solved,
-                        "time_ms": round(res.wall_time * 1000, 3),
-                        "objective": res.objective,
-                    })
+    for key, omega, inst in _cases(families, sizes, rhos, seeds, ambiguity):
+        res = solve_exact(inst, omega)
+        rows.append(dict(key, iters=res.iterations, m_final=res.m,
+                         knap_solves=res.subproblems_solved,
+                         time_ms=round(res.wall_time * 1000, 3),
+                         objective=res.objective))
     return rows
 
 
 def summarize_exact(rows: Iterable[dict]) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["family"], row["n"], row["rho"]), []).append(row)
-    out = []
-    for key in sorted(groups):
-        members = groups[key]
-        k = len(members)
-        out.append({
-            "family": key[0], "n": key[1], "rho": key[2], "seeds": k,
-            "mean_iters": sum(r["iters"] for r in members) / k,
-            "mean_m_final": sum(r["m_final"] for r in members) / k,
-            "mean_knap_solves": sum(r["knap_solves"] for r in members) / k,
-            "mean_time_ms": sum(r["time_ms"] for r in members) / k,
-            "mean_objective": sum(r["objective"] for r in members) / k,
-        })
-    return out
+    """Mean of every exact-protocol measure per (family, n, rho)."""
+    return _summarize(rows, ("family", "n", "rho"),
+                      ("iters", "m_final", "knap_solves", "time_ms", "objective"))
 
 
 def run_scheme_comparison(families: Sequence[str], sizes: Sequence[int],
@@ -157,20 +135,11 @@ def run_scheme_comparison(families: Sequence[str], sizes: Sequence[int],
     plan = ([(HORIZONTAL, m) for m in m_horizontal]
             + [(VERTICAL, m) for m in m_vertical])
     rows = []
-    for family in families:
-        for n in sizes:
-            for rho in rhos:
-                for seed in seeds:
-                    for scheme, m in plan:
-                        inst = _instance(family, n, seed)
-                        ub = upper_bound(inst, resolve_rho_omega(rho, ambiguity),
-                                         m, scheme=scheme)
-                        rows.append({
-                            "family": family, "n": n, "rho": str(rho),
-                            "seed": seed, "scheme": scheme, "m": m,
-                            "ub": ub.objective,
-                            "time_ms": round(ub.wall_time * 1000, 3),
-                        })
+    for key, omega, inst in _cases(families, sizes, rhos, seeds, ambiguity):
+        for scheme, m in plan:
+            ub = upper_bound(inst, omega, m, scheme=scheme)
+            rows.append(dict(key, scheme=scheme, m=m, ub=ub.objective,
+                             time_ms=round(ub.wall_time * 1000, 3)))
     return rows
 
 
@@ -184,18 +153,16 @@ def rows_to_csv(rows: Iterable[dict], fields: Sequence[str]) -> str:
 
 
 def write_report(rows: list[dict], fields: Sequence[str], fmt: str,
-                 out=None, summary: list[dict] | None = None) -> str:
-    """Render rows as csv or json (optionally with a summary block)."""
+                 summary: list[dict] | None = None) -> str:
+    """Render rows as csv or json (optionally with a summary block).
+
+    Returns the text; the caller writes it out.
+    """
     if fmt == "csv":
-        text = rows_to_csv(rows, fields)
-    elif fmt == "json":
-        payload = {"rows": rows}
-        if summary is not None:
-            payload["summary"] = summary
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+        return rows_to_csv(rows, fields)
+    if fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+    payload = {"rows": rows}
+    if summary is not None:
+        payload["summary"] = summary
+    return json.dumps(payload, indent=2) + "\n"

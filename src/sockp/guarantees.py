@@ -113,19 +113,16 @@ def min_segments_normal_order(n: int, rho, delta) -> int:
 
 
 def monte_carlo_feasibility(x: Sequence[int], inst: SockpInstance,
-                            distribution: str = "normal",
                             samples: int = DEFAULT_SAMPLES,
                             seed: int = 0) -> float:
     """Empirical chance-constraint satisfaction rate of a selection.
 
-    Draws item weights independently from Normal(mean_j, sigma_j^2) and
-    returns the fraction of draws whose selected total stays within capacity.
-    Deterministic given (seed, samples).  Items with sigma = 0 contribute
-    their means exactly, so degenerate instances are classified without
-    sampling noise.
+    Draws item weights independently from Normal(mean_j, sigma_j^2), the one
+    law sampled here, and returns the fraction of draws whose selected total
+    stays within capacity.  Deterministic given (seed, samples).  Items with
+    sigma = 0 contribute their means exactly, so degenerate instances are
+    classified without sampling noise.
     """
-    if distribution != "normal":
-        raise ValueError(f"unsupported distribution {distribution!r}")
     samples = int(samples)
     if samples < 1:
         raise ValueError("sample count must be at least 1")

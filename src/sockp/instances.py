@@ -65,19 +65,16 @@ def _round4(value: float) -> Decimal:
     return Decimal(repr(value)).quantize(_QUANTUM, ROUND_HALF_EVEN)
 
 
-def generate(spec: GeneratorSpec, with_audit: bool = False):
+def generate(spec: GeneratorSpec) -> SockpInstance:
     """Generate one instance; identical specs yield identical instances.
 
-    With ``with_audit`` the per-item draws behind the R-family dispersion
-    flip (base dispersion and the Unif[0.5, 0.8] multiplier) are returned
-    alongside the instance for auditability.
+    Each draw comes from its own ``_draw`` substream, so any of them (say an
+    R family's Unif[0.5, 0.8] multiplier) can be recomputed on its own.
     """
     base_family = {"SCR": "SC", "ICR": "IC"}.get(spec.family, spec.family)
     profits = []
     means = []
     sigmas = []
-    audit_u = []
-    audit_base = []
 
     for j in range(spec.n):
         base = int(_draw(spec.seed, _FIELD_BASE, j).integers(1, 101))
@@ -98,11 +95,8 @@ def generate(spec: GeneratorSpec, with_audit: bool = False):
 
         if spec.family in ("SCR", "ICR"):
             v = 0.5 + 0.3 * float(_draw(spec.seed, _FIELD_INVERSE, j).random())
-            flipped = Decimal(10) - _round4(float(sigma) * v)
-            assert flipped >= 0
-            audit_u.append(Decimal(repr(v)))
-            audit_base.append(sigma)
-            sigma = flipped
+            sigma = Decimal(10) - _round4(float(sigma) * v)
+            assert sigma >= 0
 
         profits.append(profit)
         means.append(Decimal(mean))
@@ -119,8 +113,5 @@ def generate(spec: GeneratorSpec, with_audit: bool = False):
         omega = resolve_omega(
             OmegaSpec(kind=spec.omega_kind, rho=spec.rho)).resolved_omega
 
-    inst = SockpInstance(profits=tuple(profits), means=tuple(means),
+    return SockpInstance(profits=tuple(profits), means=tuple(means),
                          sigmas=tuple(sigmas), capacity=capacity, omega=omega)
-    if with_audit:
-        return inst, {"u": tuple(audit_u), "base_sigma": tuple(audit_base)}
-    return inst

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, ROUND_DOWN, localcontext
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,8 +36,8 @@ __all__ = [
     "soc_lhs",
 ]
 
-# Default number of decimal digits kept when truncating an irrational safety
-# factor; finite decimals are required for the exact scaled-integer checks.
+# Number of decimal digits kept when truncating an irrational safety factor;
+# finite decimals are required for the exact scaled-integer checks.
 OMEGA_DIGITS = 6
 
 # Working precision for exact decimal arithmetic (scaling, products).  The
@@ -85,60 +86,18 @@ def _check_coeff(d: Decimal, label: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Inverse standard-normal CDF (Wichura's rational approximation, full double
-# precision; far better than the 1e-9 absolute accuracy required here).
+# Inverse standard-normal CDF
 # ---------------------------------------------------------------------------
 
-_PPND_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-           1.9715909503065514427e3, 1.3731693765509461125e4,
-           4.5921953931549871457e4, 6.7265770927008700853e4,
-           3.3430575583588128105e4, 2.5090809287301226727e3)
-_PPND_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-           5.3941960214247511077e3, 2.1213794301586595867e4,
-           3.9307895800092710610e4, 2.8729085735721942674e4,
-           5.2264952788528545610e3)
-_PPND_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-           5.76949722146069140550e0, 3.64784832476320460504e0,
-           1.27045825245236838258e0, 2.41780725177450611770e-1,
-           2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_PPND_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-           6.89767334985100004550e-1, 1.48103976427480074590e-1,
-           1.51986665636164571966e-2, 5.47593808499534494600e-4,
-           1.05075007164441684324e-9)
-_PPND_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-           1.78482653991729133580e0, 2.42667955230531880660e-1,
-           2.65321895265761230930e-2, 1.24266094738807843860e-3,
-           2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-           1.48753612908506148525e-2, 7.86869131145613259100e-4,
-           1.84631831751005468180e-5, 1.42151175831644588870e-7,
-           2.04426310338993978564e-15)
-
-
-def _ppnd_poly(coeffs, r):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
-
-
 def inverse_normal_cdf(p: float) -> float:
-    """Quantile of the standard normal distribution for ``p`` in (0, 1)."""
+    """Quantile of the standard normal distribution for ``p`` in (0, 1).
+
+    The standard library's Wichura AS241 routine, full double precision
+    down to the far tails.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _ppnd_poly(_PPND_A, r) / _ppnd_poly(_PPND_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _ppnd_poly(_PPND_C, r) / _ppnd_poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        val = _ppnd_poly(_PPND_E, r) / _ppnd_poly(_PPND_F, r)
-    return -val if q < 0 else val
+    return NormalDist().inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +152,13 @@ class OmegaSpec:
         return cls(kind="explicit", resolved_omega=as_decimal(omega))
 
 
-def _truncate(value: Decimal, digits: int) -> Decimal:
-    return value.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_DOWN)
-
-
 def _check_rho(rho) -> None:
     """Reject rho outside [0.5, 1), exactly for Decimal, float or Fraction."""
     if not 0.5 <= rho < 1:
         raise ValueError(f"confidence level must lie in [0.5, 1), got {rho}")
 
 
-def resolve_omega(spec: OmegaSpec, digits: int = OMEGA_DIGITS) -> OmegaSpec:
+def resolve_omega(spec: OmegaSpec) -> OmegaSpec:
     """Resolve a distributional assumption into a positive safety factor.
 
     normal      omega = Phi^{-1}(rho)
@@ -215,8 +170,8 @@ def resolve_omega(spec: OmegaSpec, digits: int = OMEGA_DIGITS) -> OmegaSpec:
                 ``support_form="hoeffding"``, by upper - lower)
     explicit    passes through unchanged
 
-    Irrational results are truncated to ``digits`` fractional digits so the
-    downstream exact-arithmetic machinery sees a finite decimal.
+    Irrational results are truncated to ``OMEGA_DIGITS`` fractional digits so
+    the downstream exact-arithmetic machinery sees a finite decimal.
     """
     if spec.kind not in _OMEGA_KINDS:
         raise ValueError(f"unknown ambiguity kind {spec.kind!r}")
@@ -267,7 +222,7 @@ def resolve_omega(spec: OmegaSpec, digits: int = OMEGA_DIGITS) -> OmegaSpec:
             else:
                 sigmas = tuple(hi - lo for lo, hi in zip(spec.lower, spec.upper))
 
-    omega = _truncate(omega, digits)
+    omega = omega.quantize(Decimal(1).scaleb(-OMEGA_DIGITS), rounding=ROUND_DOWN)
     if omega <= 0:
         raise ValueError(
             f"resolved safety factor {omega} is not positive; "
@@ -438,15 +393,16 @@ def is_soc_feasible(x: Sequence[int], inst: SockpInstance, omega) -> bool:
     return slack * slack * lhs_shift >= var * rhs_shift
 
 
-def apply_omega_spec(inst: SockpInstance, spec: OmegaSpec,
-                     digits: int = OMEGA_DIGITS):
+def apply_omega_spec(inst: SockpInstance, spec: OmegaSpec):
     """Resolve ``spec`` against ``inst``; returns (instance, omega Decimal).
 
+    An unresolved ``spec`` goes through :func:`resolve_omega` (so an
+    irrational factor is truncated to ``OMEGA_DIGITS`` digits).
     For support-interval ambiguity the instance's dispersion coefficients are
     replaced by the transformed ones, so the returned instance is the one the
     solver should run on.
     """
-    resolved = resolve_omega(spec, digits=digits) if spec.resolved_omega is None else spec
+    resolved = resolve_omega(spec) if spec.resolved_omega is None else spec
     omega = resolved.resolved_omega
     if resolved.resolved_sigmas is not None:
         if len(resolved.resolved_sigmas) != inst.n:
@@ -474,16 +430,30 @@ def instance_to_json(inst: SockpInstance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(value, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_list(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> SockpInstance:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("instance document is not a JSON object")
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "n")
         inst = SockpInstance(
-            profits=tuple(int(p) for p in doc["profits"]),
-            means=tuple(Decimal(v) for v in doc["means"]),
-            sigmas=tuple(Decimal(v) for v in doc["sigmas"]),
+            profits=tuple(_json_int(p, "a profit")
+                          for p in _json_list(doc, "profits")),
+            means=tuple(Decimal(v) for v in _json_list(doc, "means")),
+            sigmas=tuple(Decimal(v) for v in _json_list(doc, "sigmas")),
             capacity=Decimal(doc["capacity"]),
             omega=Decimal(doc["omega"]) if "omega" in doc else None,
         )

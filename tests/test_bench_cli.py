@@ -81,8 +81,8 @@ def test_csv_rendering_and_header():
 def test_write_report_json(tmp_path):
     rows = run_bounds_bench(["SC"], [10], [Decimal("0.95")], [2], [0])
     path = tmp_path / "report.json"
-    write_report(rows, BOUNDS_FIELDS, "json", out=str(path),
-                 summary=summarize_bounds(rows))
+    path.write_text(write_report(rows, BOUNDS_FIELDS, "json",
+                                 summary=summarize_bounds(rows)))
     doc = json.loads(path.read_text())
     assert doc["rows"] and doc["summary"]
     with pytest.raises(ValueError):
@@ -184,7 +184,12 @@ def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
     # Documents that are no JSON object, or whose fields have a wrong type.
     good = {"n": 1, "profits": [5], "means": ["1"], "sigmas": ["1"],
             "capacity": "3"}
-    for doc in ({**good, "profits": 5}, {**good, "means": [None]}, [1, 2]):
+    pair = {"n": 2, "profits": [5, 6], "means": ["1", "2"], "sigmas": ["1", "1"],
+            "capacity": "3"}
+    for doc in ({**good, "profits": 5}, {**good, "means": [None]}, [1, 2],
+                {**pair, "profits": [1.5, 2.9]}, {**pair, "profits": "12"},
+                {**pair, "means": "12"}, {**pair, "n": 2.7},
+                {**good, "n": True, "profits": [True]}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["bounds", "--instance", str(path), "--m", "2",

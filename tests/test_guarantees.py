@@ -146,5 +146,3 @@ def test_monte_carlo_validates_inputs(rng):
         monte_carlo_feasibility((1, 0, 1), inst, samples=0)
     with pytest.raises(ValueError):
         monte_carlo_feasibility((1, 0), inst)
-    with pytest.raises(ValueError):
-        monte_carlo_feasibility((1, 0, 1), inst, distribution="cauchy")

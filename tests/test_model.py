@@ -37,6 +37,14 @@ def test_inverse_normal_against_bisection_oracle():
         assert inverse_normal_cdf(p) == pytest.approx(_phi_inv_bisect(p), abs=1e-9)
 
 
+def test_inverse_normal_far_tails():
+    # below e^-25 ~ 1.39e-11 the quantile takes AS241's outermost branch
+    assert inverse_normal_cdf(1e-20) == pytest.approx(-9.262340089798408, abs=1e-9)
+    assert inverse_normal_cdf(1 - 1e-16) == pytest.approx(8.209536151601386, abs=1e-9)
+    spec = resolve_omega(OmegaSpec.normal("0.999999999999"))
+    assert spec.resolved_omega == Decimal("7.034486")
+
+
 def test_inverse_normal_domain():
     for p in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValueError):
@@ -114,11 +122,6 @@ def test_omega_monotone_in_rho_and_chebyshev_dominates_normal():
     assert normals == sorted(normals)
     assert chebs == sorted(chebs)
     assert all(c > n for c, n in zip(chebs, normals))
-
-
-def test_truncation_digits_configurable():
-    spec = resolve_omega(OmegaSpec.chebyshev("0.95"), digits=3)
-    assert spec.resolved_omega == Decimal("4.358")
 
 
 def _tiny(b="7"):
