@@ -113,8 +113,8 @@ class SegmentTable:
     equal ratios, where a strict-ratio prefix ends) are intp; ``f`` and its
     running sum ``prefix_f`` are int64; ``dnum`` and the per-item
     ``item_total_dnum`` are ``object`` arrays of Python ints, exact for any
-    scheme; ``d_float`` is the correctly rounded float of ``dnum / q``.
-    ``omega`` and ``sigmas`` record the data the table was built from.
+    scheme.  ``omega`` and ``sigmas`` record the data the table was built
+    from.
     """
 
     def __init__(self, n, m, omega, sigmas, scheme, js, ks, dnum, f, q,
@@ -136,21 +136,9 @@ class SegmentTable:
                         == self.dnum[:-1] * self.f[1:])
         self.group_start = np.maximum.accumulate(
             np.where(tie, 0, np.arange(self.size)))
-        self.d_float = (self.dnum / q).astype(float)
         for arr in (self.js, self.ks, self.dnum, self.f, self.item_total_dnum,
-                    self.prefix_f, self.group_start, self.d_float):
+                    self.prefix_f, self.group_start):
             arr.flags.writeable = False
-
-    def prefix_state(self, upto: int):
-        """Per-item sums of (dnum, f) over the first ``upto`` sorted entries,
-        as two lists of Python ints."""
-        if not 0 <= upto <= self.size:
-            raise ValueError(f"prefix length {upto} out of range")
-        sd = np.zeros(self.n, dtype=object)
-        sf = np.zeros(self.n, dtype=np.int64)
-        np.add.at(sd, self.js[:upto], self.dnum[:upto])
-        np.add.at(sf, self.js[:upto], self.f[:upto])
-        return sd.tolist(), sf.tolist()
 
     @property
     def inner_budget(self) -> Fraction:
@@ -164,15 +152,6 @@ class SegmentTable:
             raise ValueError("the vertical scheme is used for upper bounds only")
         return Fraction(self.m * self.m) + Fraction(self.n, 4)
 
-    def d_fraction(self, i: int) -> Fraction:
-        return Fraction(self.dnum[i], self.q)
-
-    def entries(self):
-        """Yield (rank, item, segment, d as Fraction, f) in sorted order."""
-        for i, (j, k, f) in enumerate(zip(self.js.tolist(), self.ks.tolist(),
-                                          self.f.tolist())):
-            yield i + 1, j, k, self.d_fraction(i), f
-
     def lhat(self, delta) -> int | None:
         """Smallest rank whose cumulative f reaches the budget, if any."""
         # Prefix sums lie in [1, total]: clipping keeps the threshold's place.
@@ -180,20 +159,6 @@ class SegmentTable:
         pos = int(np.searchsorted(self.prefix_f, min(
             max(math.ceil(Fraction(delta)), 0), total + 1)))
         return pos + 1 if pos < self.size else None
-
-    def family(self, delta) -> list[int]:
-        """Pivot ranks of the decomposition: {lhat..nm} plus the dummy nm+1.
-
-        The last real rank nm stays in: a selection whose worst selected entry
-        is ranked last, with the budget running out inside it, has that entry
-        as its greedy pivot, so dropping rank nm would lose such points from
-        the union (checked by enumeration in the tests).
-        """
-        lh = self.lhat(delta)
-        dummy = self.size + 1
-        if lh is None:
-            return [dummy]
-        return list(range(lh, self.size + 1)) + [dummy]
 
 
 def build_segments(inst: SockpInstance, omega, m: int,

@@ -110,6 +110,18 @@ def _largest(values) -> int:
     return max(values, default=0)
 
 
+def exact_dtype(profit_max: int, n: int, weight_max: int, capacity: int):
+    """int64 if it holds a Dantzig bound's exact arithmetic, else ``object``.
+
+    For n items with profits up to ``profit_max``, weights up to
+    ``weight_max`` and a capacity up to ``capacity``, the product
+    (profit_max + 1) * (n * weight_max + capacity + 1) bounds every entry,
+    sum and cross product of p_b * c + sum_j max(0, w_b p_j - p_b w_j).
+    """
+    fits = (profit_max + 1) * (n * weight_max + capacity + 1) < 2 ** 62
+    return np.int64 if fits else object
+
+
 @dataclass(frozen=True)
 class KnapsackSolution:
     selected: tuple[int, ...]
@@ -155,10 +167,8 @@ def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
     capacity must be nonnegative.
     """
     capacity = problem.capacity
-    # One product bounds every entry, sum and cross product formed below.
-    bound = (_largest(problem.profits) + 1) * (
-        problem.n * _largest(problem.weights) + capacity + 1)
-    exact = np.int64 if bound < 2 ** 62 else object
+    exact = exact_dtype(_largest(problem.profits), problem.n,
+                        _largest(problem.weights), capacity)
     p_all = np.asarray(problem.profits, dtype=exact)
     w_all = np.asarray(problem.weights, dtype=exact)
     live = p_all > 0

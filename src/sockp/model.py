@@ -436,6 +436,15 @@ def _json_int(value, label: str) -> int:
     return value
 
 
+def _json_decimal(value, label: str) -> Decimal:
+    """A decimal from a JSON string or integer.  A JSON float may already
+    have lost digits and a boolean is no number, so both are refused."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{label} must be a JSON string or integer, "
+                         f"got {value!r}")
+    return Decimal(value)
+
+
 def _json_list(doc: dict, key: str) -> list:
     value = doc[key]
     if not isinstance(value, list):
@@ -452,10 +461,13 @@ def instance_from_json(text: str) -> SockpInstance:
         inst = SockpInstance(
             profits=tuple(_json_int(p, "a profit")
                           for p in _json_list(doc, "profits")),
-            means=tuple(Decimal(v) for v in _json_list(doc, "means")),
-            sigmas=tuple(Decimal(v) for v in _json_list(doc, "sigmas")),
-            capacity=Decimal(doc["capacity"]),
-            omega=Decimal(doc["omega"]) if "omega" in doc else None,
+            means=tuple(_json_decimal(v, "a mean")
+                        for v in _json_list(doc, "means")),
+            sigmas=tuple(_json_decimal(v, "a sigma")
+                         for v in _json_list(doc, "sigmas")),
+            capacity=_json_decimal(doc["capacity"], "capacity"),
+            omega=(_json_decimal(doc["omega"], "omega") if "omega" in doc
+                   else None),
         )
     except KeyError as exc:
         raise ValueError(f"instance document is missing field {exc}") from None

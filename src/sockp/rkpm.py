@@ -19,79 +19,53 @@ cap - r * delta rises with the index, so the pivots with a negative capacity
 are a prefix of the range; one exact bisection finds where it ends, and those
 pivots are counted as skipped.
 
-Subproblem weights are built in exact integer arithmetic and conservatively
-scaled by the fixed factor ``SCALE`` = 10^6 (ceil weights, floor capacity),
-so returned lower bounds are always genuinely SOC-feasible.  A pivot's
-weights are a_j / 10^da + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j
-over the item's entries of a strictly larger ratio.  When a block of pivots
-is expanded, the exact per-item sums (sd, sf) up to its first prefix end are
-taken once, by ``np.add.at``; every row of the block adds its few later
-entries to them and forms ``extra`` and the scaled weights as one integer
-array (the ceiling by one division).  The rows are int64
-when a bound check on the family's data allows it and ``object`` arrays of
-Python integers otherwise, through the same expressions.  A float Dantzig
-screen picks the few pivots whose knapsack must actually be solved.  The
-screen bounds blocks of ``SCREEN_BLOCK`` consecutive pivots.
+Every pivot has one form: an exact integer knapsack, scaled by the fixed
+factor ``SCALE`` = 10^6 (ceil weights, floor capacity), so returned lower
+bounds are always genuinely SOC-feasible.  The screen bounds it, the family
+pass prunes by it and the DP solves it.  A pivot's weights are
+a_j / 10^da + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the
+item's entries of a strictly larger ratio.  :meth:`_Family.weights` builds
+the rows of pivots at increasing indices as one matrix: the exact per-item
+sums (sd, sf) up to the first prefix end come from ``np.add.at``, every
+later entry is added to the first row whose prefix holds it and a cumsum
+carries it down the rows, and each row is ceil'd by one division by its own
+divisor.  The rows are int64 when a bound check on the family's data allows
+it and ``object`` arrays of Python integers otherwise, through the same
+expressions.
+
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
-capacity are nondecreasing in the index: the knapsack with a block's first
-weight row and its last capacity relaxes every pivot in it, and its LP bound
-dominates theirs.  The block rows are bounded as matrices: their prefix
-gain/budget sums come from exact sums, which the screen extends in place
-chunk by chunk, and one bincount and cumsum over a chunk's later table
-entries, and their LP bounds from a row-wise argsort, cumsum and break
-count, with every temporary array kept near ``SCREEN_CHUNK`` elements.
+capacity are nondecreasing in the index, and so are their ceilings and
+floors: the scaled knapsack with a block's first weight row and its last
+capacity relaxes every scaled pivot knapsack in the block.  The screen
+bounds blocks of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, a
+chunk of blocks at a time, with every temporary array kept near
+``SCREEN_CHUNK`` elements.
+
+Every bound, of a block or of a pivot, is the integer Lagrangian bound
+
+    U = floor((p_b c + sum_j max(0, w_b p_j - p_b w_j)) / w_b)
+
+with b the break item of a greedy fill in float ratio order.  For any item
+with w_b > 0, lam = p_b / w_b >= 0 gives lam c + sum_j max(0, p_j - lam w_j)
+>= the LP optimum, and values are integers, so U bounds every selection
+whatever b is: a misordered near-tie only loosens it.  In the right order U
+is the floor of the LP optimum (Kellerer, Pferschy & Pisinger, *Knapsack
+Problems*, 2004, 5.1).  When every item fits, lam = 0 and U is the sum of
+the profits.  The arithmetic is exact, in int64 or ``object`` by the rule of
+:func:`sockp.knapsack.exact_dtype`.
 
 The family is solved in one sequential pass over the pivots in (bound desc,
 rank asc) order.  A heap holds the blocks; a block that reaches its top and
-could still hold the winner is expanded into its pivots' own LP bounds,
-computed the same way, which go back on the heap.  Each exact value solve
+could still hold the winner is expanded: its rows are built once as one
+matrix, and each goes back on the heap with the smaller of its own bound and
+the block's.  A bound below the incumbent ends the pass, and one equal to it
+can at most tie, so it is skipped for a larger rank.  Each exact value solve
 passes the incumbent as its floor (plus one when a tie would not win), so
-the knapsack fixes items by reduced cost against it (Martello, Pisinger & Toth, Management Science 45(3), 1999;
-see :mod:`sockp.knapsack`) and its DP sees only the few items that could
-still change a winning selection; pivots whose LP bound falls short of the
-incumbent need no DP at all, and neither do blocks, which then are never
-bounded pivot by pivot.  Only the winning pivot's selection is
-reconstructed, once, at the end.
-
-Pruning is integral (Kellerer, Pferschy & Pisinger, *Knapsack Problems*,
-2004, 5.1): a pivot's value V is an integer, and the scaled knapsack
-restricts the pivot's true-weight one, so V <= L, its exact LP optimum.  If
-every float screen bound B' satisfies |B' - L| <= e, then V <= floor(B' + e):
-a bound below the incumbent by more than e ends the pass, and one below
-incumbent + 1 - e can at most tie it.  ``_Family.tolerance`` returns
-eps = 2e, which also bounds a row bound above its block bound (both within e
-of exact LPs that are ordered).  With u = 2^-53 and g(k) = k u / (1 - k u):
-
-    e = g(8n + 16) P + lam * g(2K + 12) M.
-
-*Arithmetic of ``_dantzig_rows``.*  P = sum of the profits bounds every LP
-value, every profit partial sum and lam' c' (lam' the break ratio, c' the
-capacity).  Against the exact LP of the float data (w', c'), rounding the
-profits costs u P; the float ratio order misplaces only items whose ratios
-agree to within g(4), at most g(4) P; the profit cumsums are exact below
-2^53 and within g(n) P beyond; the weight cumsums err by g(n) (c' + w'_b),
-which moves the break point and the room by that much, at most 4 g(n + 1) P;
-the fraction p_b room / w_b and the final sum add g(3) P.  All of it is below
-g(8n + 16) P.
-
-*Data.*  For any lam >= 0 the dual function U(lam) = lam c + sum_j
-max(0, p_j - lam w_j) moves by at most lam H between the exact data and the
-float data, H = |c' - c| + sum_j |w'_j - w_j|, and each LP optimum is U at a
-break ratio, at most lam = max p_j / (v_j - h_j) over the items with a
-positive profit that can weigh anything.  v_j = max(mean_j, 1 / (q f_max))
-is the least positive exact weight (every term d - r f of a prefix entry is
-at least 1 / (q f_i)), h_j the weight error below; an item of weight zero is
-exactly zero in float too.  A float weight mean + sd - r sf sums the float
-of an exact prefix sum (at most three roundings) and fewer than K later
-gains (K the most entries of one item; K if that sum is zero), so each term
-takes at most K + 6 roundings and
-h_j <= g(K + 6) (mean_j + 2 G_j), G_j the item's total gain >= sd >= r sf;
-the capacity b - r delta >= 0 takes six roundings, |c' - c| <= g(6) 2b.
-Doubling the counts absorbs the float evaluation of e itself: H <= g(2K +
-12) M, M = 2b + sum_j (mean_j + 2 G_j).  If some v_j <= h_j, eps is
-infinite: nothing is pruned and every result stays exact.  On the benchmark
-instances (n = 100-400, m up to 640) eps is 1e-8 to 1e-7.
+the knapsack fixes items by reduced cost against it (Martello, Pisinger &
+Toth, Management Science 45(3), 1999; see :mod:`sockp.knapsack`) and its DP
+sees only the few items that could still change a winning selection.  Only
+the winning pivot's selection is reconstructed, once, at the end.
 """
 
 from __future__ import annotations
@@ -109,7 +83,7 @@ import numpy as np
 
 from .approx import HORIZONTAL, SegmentTable, beta_exact, build_segments
 from .knapsack import (KnapsackSubproblem, SolverInvariantError,
-                       solve_knapsack, solve_knapsack_value)
+                       exact_dtype, solve_knapsack, solve_knapsack_value)
 from .model import SockpInstance, as_omega, is_soc_feasible
 
 __all__ = [
@@ -139,7 +113,12 @@ SCREEN_BLOCK = 64
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Outcome of one bound computation (or of the exact doubling solve)."""
+    """Outcome of one bound computation (or of the exact doubling solve).
+
+    ``subproblems_solved`` counts the pivots screened, the family size less
+    ``subproblems_skipped`` (the pivots with a negative capacity), not the
+    knapsacks solved: most screened pivots are pruned by their bound.
+    """
 
     solution: tuple[int, ...]
     objective: int
@@ -156,41 +135,69 @@ class BoundResult:
 class _Rows(NamedTuple):
     """Exact integer arrays of a family's pivot rows, all in one dtype."""
 
-    dnum: np.ndarray  # table gain numerators, in table order
-    f: np.ndarray  # table budgets, in table order
+    dnum: np.ndarray  # table gain numerators, then 0 for the dummy pivot
+    f: np.ndarray  # table budgets, then 1 for the dummy pivot
     a: np.ndarray  # integer means a_j = mean_j * 10^da
     a_part: np.ndarray | None  # SCALE * a / 10^da, if 10^da divides SCALE
     profits: np.ndarray
 
 
-def _ceil_scaled(x, den: int):
-    """ceil(SCALE * x / den) of a nonnegative integer array, exactly.
+def _ceil_scaled(x, dens, dtype):
+    """ceil(SCALE * x[k] / dens[k]) of each row k of a nonnegative matrix.
 
     With g = gcd(SCALE, den) this is one ceiling division of x * (SCALE / g)
     by den / g, so int64 holds it whenever it holds those two (see
     :attr:`_Family._rows`).  The same expressions run on ``object`` arrays
     of Python integers.
     """
-    g = math.gcd(SCALE, den)
-    return -(-(x * (SCALE // g)) // (den // g))
+    g = [math.gcd(SCALE, den) for den in dens]
+    mult = np.array([SCALE // gk for gk in g], dtype=dtype)[:, None]
+    div = np.array([den // gk for den, gk in zip(dens, g)], dtype=dtype)[:, None]
+    return -(-(x * mult) // div)
+
+
+def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
+                       caps) -> list[int]:
+    """Integer LP bound of each weight row (see the module docstring).
+
+    Row k is a knapsack with the shared ``profits``, weights ``weights[k]``
+    and the nonnegative capacity ``caps[k]``.  The float ratio order only
+    picks the break item b; the bound is exact and valid for any b.
+    """
+    rows, n = weights.shape
+    if not n:
+        return [0] * rows
+    dtype = exact_dtype(int(profits.max(initial=0)), n,
+                        int(weights.max(initial=0)), max(caps, default=0))
+    p = profits.astype(dtype, copy=False)
+    w = weights.astype(dtype, copy=False)
+    c = np.array(caps, dtype=dtype)
+    weighs = w > 0
+    ratios = np.where(weighs, (p / np.where(weighs, w, 1)).astype(float),
+                      np.inf)
+    order = np.argsort(-ratios, axis=1)
+    fill = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+    k = np.count_nonzero(fill <= c[:, None], axis=1)
+    r = np.arange(rows)
+    b = order[r, np.minimum(k, n - 1)]
+    fits = k == n  # lam = 0: every item fits
+    p_b = np.where(fits, 0, p[b]).astype(dtype)
+    w_b = np.where(fits, 1, w[r, b]).astype(dtype)
+    gains = np.maximum(w_b[:, None] * p - p_b[:, None] * w, 0)
+    return ((p_b * c + gains.sum(axis=1)) // w_b).tolist()
 
 
 class _Family:
-    """Shared exact/float data for one (instance, table, delta) family."""
+    """Shared exact data for one (instance, table, delta) family."""
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, delta: Fraction):
         self.inst = inst
         self.table = table
         self.delta = delta
         self.a_int, self.b_int, self.pow_da = inst.integer_view()
-        self.profits_f = np.array(inst.profits, dtype=float)
-        self.means_f, _, self.cap_f = inst.float_views()
         self.dn = delta.numerator
         self.dd = delta.denominator
-        # Per pivot index, the dummy last: ratio, capacity (negative ones
-        # clipped to 0), end of the strict-ratio prefix.
-        self.r = np.append(table.d_float / table.f, 0.0)
-        self.caps = np.maximum(self.cap_f - self.r * (self.dn / self.dd), 0.0)
+        # Per pivot index, the dummy last: end of the strict-ratio prefix.
         self.group_start = np.append(table.group_start, table.size)
         self.js = table.js
 
@@ -213,7 +220,7 @@ class _Family:
     def _rows(self) -> _Rows:
         """Exact integer data of the pivot rows, int64 where a bound allows.
 
-        The bound covers every value :meth:`block_sums` and :meth:`subproblem`
+        The bound covers every value :meth:`block_sums` and :meth:`weights`
         form: the per-item sums, the two products of ``extra``, the numerator
         and divisor of :func:`_ceil_scaled` (g0 = gcd(SCALE, q) divides its g),
         and the scaled weights.  When 10^da does not divide ``SCALE`` the mean
@@ -236,15 +243,16 @@ class _Family:
         profits = np.array(self.inst.profits, dtype=np.int64
                            if max(self.inst.profits, default=0) < 2 ** 63
                            else object)
-        return _Rows(dnum=t.dnum.astype(dtype), f=t.f.astype(dtype), a=a,
+        return _Rows(dnum=np.append(t.dnum, 0).astype(dtype),
+                     f=np.append(t.f, 1).astype(dtype), a=a,
                      a_part=unit * a if rest == 0 else None, profits=profits)
 
     def block_sums(self, i: int, sums=None):
         """Exact per-item (dnum, f) sums over the prefix of the pivot at i.
 
         Returns (end, sd, sf): the prefix end group_start[i] and two
-        n-vectors in the rows' dtype, from which :meth:`subproblem` builds
-        the row of this pivot or of any later one.  Given the ``sums`` of an
+        n-vectors in the rows' dtype, from which :meth:`weights` builds the
+        row of this pivot or of any later one.  Given the ``sums`` of an
         earlier prefix, adds the entries in between to their vectors in
         place, so pass only sums that nothing else holds.
         """
@@ -258,80 +266,65 @@ class _Family:
         np.add.at(sf, js, rows.f[start:end])
         return end, sd, sf
 
-    def subproblem(self, i: int, sums) -> KnapsackSubproblem:
-        """Exact conservatively scaled knapsack of the pivot at index i.
+    def weights(self, idx, sums) -> np.ndarray:
+        """Exact conservatively scaled weight rows of the pivots at ``idx``.
 
-        The pivot's exact weights are a_j / 10^da + extra_j / (q * f_i) with
-        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix, and
-        its capacity is b / 10^da - ratio * delta.  ``sums`` are the
-        :meth:`block_sums` of pivot i or of an earlier pivot; the few table
-        entries between their end and pivot i's prefix end are added here.
-        Weights are ceil'd and the capacity floor'd at ``SCALE``.
+        Pivot i's exact weights are a_j / 10^da + extra_j / (q * f_i) with
+        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix; they
+        are ceil'd at ``SCALE``.  ``idx`` is increasing and ``sums`` are the
+        :meth:`block_sums` of idx[0] or of an earlier pivot.  The entries
+        between their end and the last prefix end are added once, keyed by
+        the first row whose prefix holds them, and a cumsum down the rows
+        gives every row's sums.  Returns a (len(idx), n) array in the rows'
+        dtype.
         """
         rows = self._rows
-        end, sd, sf = sums
-        gs, rnum, f_i = self._pivot(i)
-        extra = f_i * sd - rnum * sf
-        if gs > end:
-            np.add.at(extra, self.js[end:gs],
-                      f_i * rows.dnum[end:gs] - rnum * rows.f[end:gs])
+        dtype = rows.dnum.dtype
+        end, sd0, sf0 = sums
+        ends = self.group_start[idx]
+        stop = int(ends[-1])
+        sd = np.zeros((len(ends), self.inst.n), dtype=dtype)
+        sf = np.zeros_like(sd)
+        key = (np.searchsorted(ends, np.arange(end, stop), side="right"),
+               self.js[end:stop])
+        np.add.at(sd, key, rows.dnum[end:stop])
+        np.add.at(sf, key, rows.f[end:stop])
+        rnum, f = rows.dnum[idx, None], rows.f[idx, None]
+        extra = f * (np.cumsum(sd, axis=0) + sd0) - rnum * (
+            np.cumsum(sf, axis=0) + sf0)
         if (extra < 0).any():
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
-        qf = self.table.q * f_i
+        qf = [self.table.q * int(f_i) for f_i in f[:, 0]]
         if rows.a_part is not None:
-            weights = rows.a_part + _ceil_scaled(extra, qf)
-        else:
-            weights = _ceil_scaled(rows.a * qf + self.pow_da * extra,
-                                   self.pow_da * qf)
-        capacity = (SCALE * (self.b_int * qf * self.dd
-                             - rnum * self.dn * self.pow_da)
-                    // (self.pow_da * qf * self.dd))
-        return KnapsackSubproblem(profits=rows.profits, weights=weights,
-                                  capacity=capacity)
+            return rows.a_part + _ceil_scaled(extra, qf, dtype)
+        return _ceil_scaled(rows.a * np.array(qf, dtype=object)[:, None]
+                            + self.pow_da * extra,
+                            [self.pow_da * v for v in qf], dtype)
 
-    def tolerance(self) -> float:
-        """The pruning tolerance ε of this family (see the module docstring).
-
-        Twice a bound on the float error of any screen bound; infinite when
-        some positive weight cannot be told from zero in float.
-        """
-        t = self.table
-        unit = 2.0 ** -53
-
-        def gamma(k):
-            return k * unit / (1 - k * unit)
-
-        gains = (t.item_total_dnum / t.q).astype(float)
-        data = gamma(2 * int(np.bincount(self.js, minlength=1).max()) + 12)
-        eta = data * (self.means_f + 2 * gains)
-        weighs = (self.profits_f > 0) & ((self.means_f > 0) | (gains > 0))
-        least = np.maximum(self.means_f, 1 / (t.q * int(t.f.max(initial=1))))
-        room = (least - eta)[weighs]
-        if (room <= 0).any():
-            return math.inf
-        ratio = float((self.profits_f[weighs] / room).max(initial=0.0))
-        arith = gamma(8 * self.inst.n + 16) * float(sum(self.inst.profits))
-        spread = data * (2 * self.cap_f + self.means_f.sum() + 2 * gains.sum())
-        return 2 * (arith + ratio * spread)
+    def capacities(self, idx) -> list[int]:
+        """Scaled capacities floor(SCALE * (b / 10^da - ratio * delta)) of the
+        pivots at ``idx``, as Python ints."""
+        caps = []
+        for i in idx:
+            _, rnum, f_i = self._pivot(int(i))
+            qf = self.table.q * f_i
+            caps.append(SCALE * (self.b_int * qf * self.dd
+                                 - rnum * self.dn * self.pow_da)
+                        // (self.pow_da * qf * self.dd))
+        return caps
 
     def screen(self):
-        """Dantzig bounds of blocks of consecutive pivots.
+        """Integer LP bounds of blocks of consecutive pivots.
 
         Returns ([(first, stop, bound)], skipped): block indices first..stop-1
-        in family order, with a float LP bound that dominates the bound of
-        every pivot in the block (see :meth:`expand`).  Blocks hold
-        ``SCREEN_BLOCK`` pivots, the last one possibly fewer.  The pivots
-        with a negative capacity are a prefix of the family, found by an
-        exact bisection and counted as skipped.
-
-        Every pivot weight means + sd - r * sf is nondecreasing in the index:
-        r falls, which raises each prefix term d - r * f, and the entries that
-        join the prefix have a ratio above r, so their terms are positive.
-        The capacity cap - r * delta rises too.  The knapsack with a block's
-        first weight row and its last capacity therefore relaxes every pivot
-        in the block.  Those rows are bounded as matrices, a chunk of blocks
-        at a time, so the screen sorts one weight row per block, not per pivot.
+        in family order, with an integer bound on the scaled knapsack of
+        every pivot in the block, from its first weight row and its last
+        capacity (see the module docstring).  Blocks hold ``SCREEN_BLOCK``
+        pivots, the last one possibly fewer.  The pivots with a negative
+        capacity are a prefix of the family, found by an exact bisection and
+        counted as skipped.  The block rows are built a chunk at a time from
+        one running :meth:`block_sums`.
         """
         t = self.table
         lh = t.lhat(self.delta)
@@ -342,7 +335,7 @@ class _Family:
         firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
         stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
         group_start = self.group_start[firsts]
-        bounds = np.empty(len(firsts))
+        bounds = []
         rows = max(1, SCREEN_CHUNK // max(self.inst.n, 1))
         sums = None  # exact per-item sums, extended chunk by chunk
         c0 = 0
@@ -352,88 +345,23 @@ class _Family:
             c1 = min(c0 + rows, int(np.searchsorted(
                 group_start, g0 + SCREEN_CHUNK, side="right")))
             sums = self.block_sums(firsts[c0], sums)
-            bounds[c0:c1] = self._row_bounds(firsts[c0:c1], sums,
-                                             self.caps[stops[c0:c1] - 1])
+            bounds += _integer_lp_bounds(
+                self._rows.profits, self.weights(firsts[c0:c1], sums),
+                self.capacities(stops[c0:c1] - 1))
             c0 = c1
-        blocks = list(zip(firsts.tolist(), stops.tolist(), bounds.tolist()))
-        return blocks, start - first
+        return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
 
     def expand(self, first: int, stop: int):
-        """Dantzig bounds of the pivots at indices first..stop-1.
+        """Rows of the pivots at indices first..stop-1 and their bounds.
 
-        Returns (bounds, sums).  Each bound is the LP relaxation of the
-        pivot's own (unscaled, true-weight) subproblem in float arithmetic,
-        within half of :meth:`tolerance` of its exact value.  ``sums`` are
-        the exact :meth:`block_sums` of the first pivot; the rows' knapsacks
-        are built from them.
+        Returns (bounds, weights, capacities): the integer LP bound of each
+        pivot's scaled knapsack, its weight matrix and its capacities.
         """
-        sums = self.block_sums(first)
-        return (self._row_bounds(np.arange(first, stop), sums,
-                                 self.caps[first:stop]),
-                sums)
-
-    def _row_bounds(self, idx, sums, caps):
-        """Float Dantzig bounds of the weight rows of the pivots at idx.
-
-        Row k has weights means + sd - r * sf of pivot idx[k] and capacity
-        ``caps[k]``.  ``idx`` is increasing, so the prefix ends
-        group_start[idx] are nondecreasing.  ``sums`` are the exact
-        :meth:`block_sums` up to the first prefix end, converted to float
-        once; one bincount of the entries up to the last one, keyed by the
-        first row whose prefix holds them, and a cumsum give every row.
-        """
-        t = self.table
-        n = self.inst.n
-        _, sd0, sf0 = sums
-        ends = self.group_start[idx]
-        g0, g1 = int(ends[0]), int(ends[-1])
-        key = np.searchsorted(ends, np.arange(g0, g1), side="right") * n
-        key += self.js[g0:g1]
-        cells = len(idx) * n
-        shape = (len(idx), n)
-        sd = np.cumsum(np.bincount(key, weights=t.d_float[g0:g1],
-                                   minlength=cells).reshape(shape),
-                       axis=0, dtype=float)
-        sf = np.cumsum(np.bincount(key, weights=t.f[g0:g1],
-                                   minlength=cells).reshape(shape),
-                       axis=0, dtype=float)
-        sd += self.means_f + (sd0 / t.q).astype(float)
-        sf += sf0.astype(float)
-        sd -= self.r[idx, None] * sf
-        return _dantzig_rows(self.profits_f, sd, caps)
-
-
-def _dantzig_rows(profits: np.ndarray, weights: np.ndarray,
-                  caps: np.ndarray) -> np.ndarray:
-    """Float Dantzig (LP relaxation) bound of each weight row.
-
-    Row k is a knapsack with the shared ``profits``, weights ``weights[k]``
-    and the nonnegative capacity ``caps[k]``.
-    """
-    rows, n = weights.shape
-    if not n:
-        return np.zeros(rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300),
-                          np.inf)
-    ratios = np.where(profits > 0, ratios, 0.0)
-    # Ties may fall in any order: the LP value does not depend on it.
-    order = np.argsort(-ratios, axis=1)
-    w_sorted = weights.ravel()[order + (np.arange(rows) * n)[:, None]]
-    p_sorted = profits[order]
-    cum_w = np.cumsum(w_sorted, axis=1)
-    cum_p = np.cumsum(p_sorted, axis=1)
-    k = np.count_nonzero(cum_w <= caps[:, None], axis=1)
-    r = np.arange(rows)
-    prev = np.maximum(k - 1, 0)
-    full = np.where(k > 0, cum_p[r, prev], 0.0)
-    room = caps - np.where(k > 0, cum_w[r, prev], 0.0)
-    nxt = np.minimum(k, n - 1)
-    w_next = w_sorted[r, nxt]
-    frac = np.where((k < n) & (w_next > 0) & (room > 0),
-                    p_sorted[r, nxt] * room / np.where(w_next > 0, w_next, 1.0),
-                    0.0)
-    return full + frac
+        idx = np.arange(first, stop)
+        weights = self.weights(idx, self.block_sums(first))
+        caps = self.capacities(idx)
+        return (_integer_lp_bounds(self._rows.profits, weights, caps),
+                weights, caps)
 
 
 def _solve_family(fam: _Family):
@@ -441,21 +369,20 @@ def _solve_family(fam: _Family):
 
     One pass over the pivots in (bound desc, rank asc) order keeps the
     largest value and, among equal values, the smallest rank.  Values are
-    integers and every value is at most its screen bound plus ε
-    (:meth:`_Family.tolerance`), so the pass stops at the first bound below
-    the incumbent by more than ε and skips a bound below incumbent + 1 - ε,
-    which can at most tie it, when its rank is larger.  A heap keyed
+    integers and every value is at most its integer bound, so the pass stops
+    at the first bound below the incumbent and skips a bound equal to it,
+    which can at most tie, when its rank is larger.  A heap keyed
     (-bound, first index) holds the screen's blocks; a block that reaches
-    the top and passes both rules is replaced by its pivots' own bounds, so
-    the pivots still leave the heap in that order.  Each row entry carries
-    its block's exact prefix sums, from which its knapsack is built.  Every
-    value solve but the first gets a floor: the incumbent for a smaller
-    rank, which wins a tie, and the incumbent + 1 for a larger one, which
-    must beat it.  A solve is exact whenever it reaches its floor, so it is
-    exact whenever its pivot would win; only the winner is reconstructed.
+    the top and passes both rules is replaced by its pivots' rows, each
+    with the smaller of its own bound and the block's, so the pivots still
+    leave the heap in that order.  Each row entry carries its block's weight
+    matrix, from which its knapsack is taken.  Every value solve but the
+    first gets a floor: the incumbent for a smaller rank, which wins a tie,
+    and the incumbent + 1 for a larger one, which must beat it.  A solve is
+    exact whenever it reaches its floor, so it is exact whenever its pivot
+    would win; only the winner is reconstructed.
     """
     blocks, skipped = fam.screen()
-    eps = fam.tolerance()
     heap = [(-bound, first, stop, None) for first, stop, bound in blocks]
     heapq.heapify(heap)
 
@@ -463,32 +390,31 @@ def _solve_family(fam: _Family):
     best_rank = None
     best_problem = None
     while heap:
-        # (-bound, index) is unique on the heap: the sums are never compared.
-        neg_bound, i, stop, sums = heapq.heappop(heap)
+        # (-bound, index) is unique on the heap: the rows are never compared.
+        neg_bound, i, stop, row = heapq.heappop(heap)
         bound, rank = -neg_bound, i + 1
         if best_rank is not None:
-            if bound < best_value - eps:
+            if bound < best_value:
                 break
-            if bound < best_value + 1 - eps and rank > best_rank:
+            if bound == best_value and rank > best_rank:
                 continue
-        if stop - i > 1:
-            rows, sums = fam.expand(i, stop)
-            if rows.max() > bound + eps:
-                raise SolverInvariantError(
-                    f"pivots {rank}..{stop} have a bound {rows.max():.3f} "
-                    f"above their block bound {bound:.3f}")
-            for k, row in enumerate(rows.tolist(), start=i):
-                heapq.heappush(heap, (-row, k, k + 1, sums))
+        if row is None:
+            bounds, weights, caps = fam.expand(i, stop)
+            for k, row_bound in enumerate(bounds):
+                heapq.heappush(heap, (-min(row_bound, bound), i + k,
+                                      i + k + 1, (weights, caps, k)))
             continue
-        if sums is None:
-            sums = fam.block_sums(i)
-        problem = fam.subproblem(i, sums)
+        weights, caps, k = row
+        # A copy, so that no caller holding the problem keeps the matrix.
+        problem = KnapsackSubproblem(profits=fam._rows.profits,
+                                     weights=weights[k].copy(),
+                                     capacity=caps[k])
         value = solve_knapsack_value(
             problem, floor=None if best_rank is None
             else best_value + (rank > best_rank))
-        if value > bound + eps:
+        if value > bound:
             raise SolverInvariantError(f"pivot {rank} has value {value} "
-                                       f"above its screen bound {bound:.3f}")
+                                       f"above its screen bound {bound}")
         if best_rank is None or value > best_value or (
                 value == best_value and rank < best_rank):
             best_value, best_rank, best_problem = value, rank, problem
@@ -571,27 +497,3 @@ def lower_bound(inst: SockpInstance, omega, m: int, *,
         table = build_segments(inst, as_omega(omega), m, HORIZONTAL)
     return solve_rkpm(inst, omega, m, table.outer_budget, scheme=HORIZONTAL,
                       table=table)
-
-
-def subproblem_exact(inst: SockpInstance, table: SegmentTable, rank: int,
-                     delta) -> tuple[list[Fraction], Fraction]:
-    """Exact (weights, capacity) of the pivot-``rank`` subproblem.
-
-    Independent ``Fraction`` reference of the pivot rows, for tests: weight_j
-    = mean_j + sum of d - ratio * f over item j's entries of a strictly larger
-    ratio, capacity = capacity - ratio * delta.  Rank ``size + 1`` denotes the
-    dummy pivot (ratio 0, every entry).
-    """
-    delta = Fraction(delta)
-    if not 1 <= rank <= table.size + 1:
-        raise ValueError(f"pivot rank {rank} out of range")
-    if rank == table.size + 1:
-        end, ratio = table.size, Fraction(0)
-    else:
-        end = int(table.group_start[rank - 1])
-        ratio = Fraction(table.dnum[rank - 1],
-                         table.q * int(table.f[rank - 1]))
-    sd, sf = table.prefix_state(end)
-    weights = [Fraction(mean) + Fraction(d, table.q) - ratio * f
-               for mean, d, f in zip(inst.means, sd, sf)]
-    return weights, Fraction(inst.capacity) - ratio * delta

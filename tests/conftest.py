@@ -85,6 +85,73 @@ def beta_pair_oracle(x, table, delta):
     return best
 
 
+def prefix_state(table, upto):
+    """Per-item sums of (dnum, f) over the first ``upto`` sorted entries, as
+    two lists of Python ints."""
+    if not 0 <= upto <= table.size:
+        raise ValueError(f"prefix length {upto} out of range")
+    sd, sf = [0] * table.n, [0] * table.n
+    for i in range(upto):
+        j = int(table.js[i])
+        sd[j] += int(table.dnum[i])
+        sf[j] += int(table.f[i])
+    return sd, sf
+
+
+def d_fraction(table, i):
+    """Gain of the entry at sorted index i."""
+    return Fraction(int(table.dnum[i]), table.q)
+
+
+def entries(table):
+    """Yield (rank, item, segment, d as Fraction, f) in sorted order."""
+    for i in range(table.size):
+        yield (i + 1, int(table.js[i]), int(table.ks[i]), d_fraction(table, i),
+               int(table.f[i]))
+
+
+def family(table, delta):
+    """Pivot ranks of the decomposition: {lhat..nm} plus the dummy nm+1.
+
+    lhat is the smallest rank whose cumulative f reaches ``delta``.  The last
+    real rank nm stays in: a selection whose worst selected entry is ranked
+    last, with the budget running out inside it, has that entry as its
+    greedy pivot, so dropping rank nm would lose such points from the union
+    (checked by enumeration in the tests).
+    """
+    delta = Fraction(delta)
+    used = 0
+    for i in range(table.size):
+        used += int(table.f[i])
+        if used >= delta:
+            return list(range(i + 1, table.size + 2))
+    return [table.size + 1]
+
+
+def subproblem_exact(inst, table, rank, delta):
+    """Exact (weights, capacity) of the pivot-``rank`` subproblem.
+
+    Fraction reference of the pivot rows: weight_j = mean_j + sum of
+    d - ratio * f over item j's entries of a strictly larger ratio, capacity
+    = capacity - ratio * delta.  Rank ``size + 1`` denotes the dummy pivot
+    (ratio 0, every entry).
+    """
+    delta = Fraction(delta)
+    if not 1 <= rank <= table.size + 1:
+        raise ValueError(f"pivot rank {rank} out of range")
+    if rank == table.size + 1:
+        end, ratio = table.size, Fraction(0)
+    else:
+        ratio = d_fraction(table, rank - 1) / int(table.f[rank - 1])
+        end = rank - 1
+        while end and d_fraction(table, end - 1) / int(table.f[end - 1]) == ratio:
+            end -= 1
+    sd, sf = prefix_state(table, end)
+    weights = [Fraction(mean) + Fraction(d, table.q) - ratio * f
+               for mean, d, f in zip(inst.means, sd, sf)]
+    return weights, Fraction(inst.capacity) - ratio * delta
+
+
 def random_instance(rng: random.Random, n, *, sigma_lo=1, sigma_hi=2000,
                     sigma_digits=2, profit_hi=100, mean_hi=100,
                     capacity_ratio=0.5) -> SockpInstance:

@@ -20,9 +20,8 @@ from sockp import (GeneratorSpec, OmegaSpec, VERTICAL,
                    monte_carlo_feasibility, resolve_omega, solve_exact,
                    upper_bound)
 from sockp.model import as_omega
-from sockp.rkpm import subproblem_exact
 
-from conftest import random_instance
+from conftest import family, random_instance, subproblem_exact
 
 # Fixed benchmark sample for the trend criteria (strongly correlated family,
 # n = 100, confidence 0.95 under moment ambiguity).  The block is pinned so
@@ -120,7 +119,7 @@ def test_criterion_02_decomposition_union_equals_direct_set():
             table = build_segments(inst, omega, m)
             for delta in (table.inner_budget, table.outer_budget):
                 union = np.zeros(1 << n, dtype=bool)
-                for rank in table.family(delta):
+                for rank in family(table, delta):
                     ws, cap = subproblem_exact(inst, table, rank, delta)
                     den = table.q * delta.denominator * (
                         1 if rank == table.size + 1 else int(table.f[rank - 1]))

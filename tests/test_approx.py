@@ -12,7 +12,8 @@ from sockp import (VERTICAL, SockpInstance, beta, beta_exact,
 
 from sockp.approx import _ratio_order, _vertical_steps
 
-from conftest import beta_pair_oracle, random_instance
+from conftest import (beta_pair_oracle, entries, family, prefix_state,
+                      random_instance)
 
 
 def _one_item(sigma="1"):
@@ -81,10 +82,10 @@ def test_upper_envelope_refines_under_doubling():
 
 def test_horizontal_coefficients_one_item():
     table = build_segments(_one_item(), Decimal(10), 5)
-    entries = list(table.entries())
-    assert [f for _, _, _, _, f in entries] == [1, 3, 5, 7, 9]
-    assert [d for _, _, _, d, _ in entries] == [Fraction(2)] * 5
-    assert [k for _, _, k, _, _ in entries] == [1, 2, 3, 4, 5]
+    rows = list(entries(table))
+    assert [f for _, _, _, _, f in rows] == [1, 3, 5, 7, 9]
+    assert [d for _, _, _, d, _ in rows] == [Fraction(2)] * 5
+    assert [k for _, _, k, _, _ in rows] == [1, 2, 3, 4, 5]
 
 
 def test_horizontal_gains_sum_to_omega_sigma():
@@ -111,7 +112,7 @@ def test_ties_keep_item_segment_order():
 def test_vertical_coefficients_one_item():
     table = build_segments(_one_item(), Decimal(10), 4, scheme=VERTICAL)
     expected = [10 * (math.sqrt(k / 4) - math.sqrt((k - 1) / 4)) for k in (1, 2, 3, 4)]
-    got = [float(d) for _, _, _, d, _ in table.entries()]
+    got = [float(d) for _, _, _, d, _ in entries(table)]
     assert got == pytest.approx(expected, abs=1e-12)
     assert table.f.tolist() == [1, 1, 1, 1]
     assert table.inner_budget == Fraction(4)
@@ -155,7 +156,7 @@ def _reference_table(inst, omega, m, scheme):
     Entries (j, k, d, f) follow the scheme's definition, with the quantized
     vertical steps of ``_vertical_steps``; they are sorted by
     (-Fraction(d, f), j, k) and grouped by exactly equal ratios.  Returns the
-    built table, the reference fields and the reference d_float.
+    built table and the reference fields.
     """
     table = build_segments(inst, omega, m, scheme)
     if scheme == VERTICAL:
@@ -180,7 +181,7 @@ def _reference_table(inst, omega, m, scheme):
            "dnum": dnum, "f": [e[3] for e in raw],
            "group_start": group_start, "prefix_f": prefix_f,
            "item_total_dnum": totals}
-    return table, ref, [d / table.q for d in dnum]
+    return table, ref
 
 
 def _table_cases(rng):
@@ -216,13 +217,12 @@ def _greedy_beta(x, ref, q, delta):
 
 
 def test_table_matches_exact_reference():
-    """Every field equals an independent Fraction-sorted reference; d_float
-    is the correctly rounded d / q, bit for bit; beta_exact equals the
-    greedy fill over the reference entries."""
+    """Every field equals an independent Fraction-sorted reference, and
+    beta_exact equals the greedy fill over the reference entries."""
     rng = random.Random(11)
     widths = set()
     for inst, omega, m, scheme in _table_cases(rng):
-        table, ref, d_float = _reference_table(inst, omega, m, scheme)
+        table, ref = _reference_table(inst, omega, m, scheme)
         for delta in (table.inner_budget, table.inner_budget + Fraction(7, 3),
                       Fraction(10 ** 30)):
             x = tuple(rng.randint(0, 1) for _ in range(inst.n))
@@ -237,7 +237,6 @@ def test_table_matches_exact_reference():
         assert table.f.dtype == table.prefix_f.dtype == np.int64
         assert table.js.dtype == table.ks.dtype == table.group_start.dtype \
             == np.intp
-        assert table.d_float.tobytes() == np.array(d_float).tobytes()
         widths.add(max(table.dnum.tolist()).bit_length() > 63)
     assert widths == {False, True}
 
@@ -247,7 +246,7 @@ def test_prefix_state_matches_direct_sums():
     inst = random_instance(rng, 5)
     table = build_segments(inst, Decimal("2.5"), 4)
     for upto in range(table.size + 1):
-        sd, sf = table.prefix_state(upto)
+        sd, sf = prefix_state(table, upto)
         for j in range(inst.n):
             want_d = sum(table.dnum[i] for i in range(upto) if table.js[i] == j)
             want_f = sum(table.f[i] for i in range(upto) if table.js[i] == j)
@@ -351,7 +350,7 @@ def test_lhat_and_family_shape():
     # f = (1, 3, 5); prefix 1, 4, 9
     assert table.lhat(Fraction(9)) == 3
     assert table.lhat(Fraction(10)) is None
-    assert table.family(Fraction(9)) == [3, 4]
+    assert family(table, Fraction(9)) == [3, 4]
     assert table.lhat(Fraction(2)) == 2
-    assert table.family(Fraction(2)) == [2, 3, 4]
-    assert table.family(Fraction(10)) == [4]          # budget beyond all entries
+    assert family(table, Fraction(2)) == [2, 3, 4]
+    assert family(table, Fraction(10)) == [4]          # budget beyond all entries

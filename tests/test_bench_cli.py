@@ -189,7 +189,10 @@ def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
     for doc in ({**good, "profits": 5}, {**good, "means": [None]}, [1, 2],
                 {**pair, "profits": [1.5, 2.9]}, {**pair, "profits": "12"},
                 {**pair, "means": "12"}, {**pair, "n": 2.7},
-                {**good, "n": True, "profits": [True]}):
+                {**good, "n": True, "profits": [True]},
+                {**good, "means": [True], "capacity": True},
+                {**good, "omega": False}, {**good, "means": [0.1]},
+                {**good, "sigmas": [1.5]}, {**good, "capacity": 3.0}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["bounds", "--instance", str(path), "--m", "2",
@@ -241,8 +244,9 @@ def test_cli_knapsack_reconstruction_failure_exits_3(monkeypatch, capsys):
 def test_cli_unsound_screen_exits_3(monkeypatch, capsys):
     import sockp.rkpm as rkpm
 
-    real = rkpm._dantzig_rows
-    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 10)
+    real = rkpm._integer_lp_bounds
+    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
+                        lambda *args: [b - 10 for b in real(*args)])
     assert main(["bounds", "--family", "SC", "--n", "30", "--m", "5",
                  "--rho", "0.95"]) == 3
     assert "above its screen bound" in capsys.readouterr().err
@@ -252,31 +256,18 @@ def test_cli_screen_understated_by_less_than_half_exits_3(monkeypatch, tmp_path,
                                                          capsys):
     import sockp.rkpm as rkpm
 
-    # Every item fits every pivot, so each LP optimum is the value 12.
+    # Every item fits every pivot, so each LP optimum is the value 12, and
+    # understating it by 0.3 floors the bound to 11.
     inst_path = tmp_path / "loose.json"
     inst_path.write_text('{"n": 3, "profits": [5, 4, 3], '
                          '"means": ["1", "2", "3"], '
                          '"sigmas": ["0.5", "0.5", "0.5"], "capacity": "50"}')
-    real = rkpm._dantzig_rows
-    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 0.3)
+    real = rkpm._integer_lp_bounds
+    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
+                        lambda *args: [b - 1 for b in real(*args)])
     assert main(["bounds", "--instance", str(inst_path), "--m", "3",
                  "--rho", "0.95"]) == 3
     assert "above its screen bound" in capsys.readouterr().err
-
-
-def test_cli_row_bound_above_its_block_bound_exits_3(monkeypatch, capsys):
-    import sockp.rkpm as rkpm
-
-    real = rkpm._Family.screen
-
-    def zero(fam):
-        blocks, skipped = real(fam)
-        return [(first, stop, 0.0) for first, stop, _ in blocks], skipped
-
-    monkeypatch.setattr(rkpm._Family, "screen", zero)
-    assert main(["bounds", "--family", "SC", "--n", "30", "--m", "5",
-                 "--rho", "0.95"]) == 3
-    assert "above their block bound" in capsys.readouterr().err
 
 
 def test_cli_bounds_on_an_empty_instance(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -10,9 +11,9 @@ from sockp import (HORIZONTAL, GeneratorSpec, SockpInstance, VERTICAL,
                    beta_exact, build_segments, generate, is_soc_feasible,
                    knapsack, lower_bound, rkpm, solve_rkpm, upper_bound)
 from sockp.approx import SegmentTable
-from sockp.rkpm import _Family, subproblem_exact
+from sockp.rkpm import _Family, _integer_lp_bounds
 
-from conftest import random_instance, soc_brute_force
+from conftest import family, random_instance, soc_brute_force, subproblem_exact
 
 
 def _single(b):
@@ -95,7 +96,7 @@ def test_union_matches_beta_description(rng):
             for delta in (table.inner_budget, table.inner_budget + 1,
                           table.outer_budget):
                 subs = [subproblem_exact(inst, table, rank, delta)
-                        for rank in table.family(delta)]
+                        for rank in family(table, delta)]
                 cap = Fraction(inst.capacity)
                 enumerated_best = 0
                 for mask in range(1 << n):
@@ -126,7 +127,7 @@ def test_union_holds_under_heavy_ratio_ties():
         assert len(set(table.group_start)) < table.size  # real tie groups
         for delta in (table.inner_budget, table.outer_budget):
             subs = [subproblem_exact(inst, table, rank, delta)
-                    for rank in table.family(delta)]
+                    for rank in family(table, delta)]
             cap = Fraction(inst.capacity)
             best = 0
             for mask in range(1 << inst.n):
@@ -166,7 +167,7 @@ def test_modified_weights_never_drop_below_means(rng):
         inst = random_instance(rng, rng.randint(2, 6))
         table = build_segments(inst, Decimal("4.358898"), 3)
         delta = table.inner_budget
-        for rank in table.family(delta):
+        for rank in family(table, delta):
             weights, _ = subproblem_exact(inst, table, rank, delta)
             for w, mean in zip(weights, inst.means):
                 assert w >= Fraction(mean)
@@ -201,8 +202,8 @@ def test_subproblem_accounting(rng):
     m = 3
     table = build_segments(inst, omega, m)
     res = upper_bound(inst, omega, m, table=table)
-    family = table.family(table.inner_budget)
-    assert res.subproblems_solved + res.subproblems_skipped == len(family)
+    pivots = family(table, table.inner_budget)
+    assert res.subproblems_solved + res.subproblems_skipped == len(pivots)
     assert res.m == m
     assert res.delta == Fraction(9)
 
@@ -248,50 +249,49 @@ def test_lower_bound_solution_satisfies_robust_constraint(rng):
             <= Fraction(inst.capacity)
 
 
-def _dantzig_float(profits, weights, cap):
-    """Scalar LP bound of one knapsack with a nonnegative capacity."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(weights > 0, profits / np.maximum(weights, 1e-300), np.inf)
-        ratios = np.where(profits > 0, ratios, 0.0)
-    order = np.argsort(-ratios, kind="stable")
-    w_sorted = weights[order]
-    p_sorted = profits[order]
-    cum_w = np.cumsum(w_sorted)
-    k = int(np.searchsorted(cum_w, cap, side="right"))
-    if k >= len(order):
-        return float(p_sorted.sum())
-    full = float(p_sorted[:k].sum())
-    room = cap - (float(cum_w[k - 1]) if k else 0.0)
-    if w_sorted[k] > 0 and room > 0:
-        full += float(p_sorted[k]) * room / float(w_sorted[k])
-    return full
+def _exact_lp(profits, weights, capacity):
+    """LP optimum of a knapsack with Fraction weights, capacity >= 0."""
+    value = Fraction(sum(p for p, w in zip(profits, weights) if w == 0))
+    room = capacity
+    for _, p, w in sorted(((Fraction(p) / w, p, w)
+                           for p, w in zip(profits, weights) if w > 0),
+                          key=lambda e: -e[0]):
+        if w > room:
+            return value + p * room / w
+        value += p
+        room -= w
+    return value
 
 
-def _scalar_screen(fam):
-    """Pivot-by-pivot reference bounds on ``_dantzig_float``.
+def _subproblem(fam, i):
+    """Scaled knapsack of the pivot at sorted index i, from its own sums."""
+    return knapsack.KnapsackSubproblem(
+        profits=fam._rows.profits,
+        weights=fam.weights([i], fam.block_sums(i))[0],
+        capacity=fam.capacities([i])[0])
 
-    Returns ([(rank, sorted index, bound)], skipped) over the family's
-    pivots with a nonnegative exact capacity.
+
+def _reference_pivots(fam):
+    """Scaled Fraction reference of every pivot with a nonnegative capacity.
+
+    Returns ({sorted index: (weights, capacity, optimum)}, skipped): weights
+    ceil(SCALE * w) and capacity floor(SCALE * cap) of ``subproblem_exact``,
+    the optimum of that knapsack, and the number of pivots with a negative
+    capacity.
     """
-    t = fam.table
-    family = set(t.family(fam.delta))
-    candidates = []
-    skipped = 0
-    for i in range(t.size + 1):
-        dummy = i == t.size
-        if i + 1 not in family:
-            continue
-        if subproblem_exact(fam.inst, t, i + 1, fam.delta)[1] < 0:
+    refs, skipped = {}, 0
+    for rank in family(fam.table, fam.delta):
+        exact_weights, exact_cap = subproblem_exact(fam.inst, fam.table, rank,
+                                                    fam.delta)
+        weights = [math.ceil(rkpm.SCALE * w) for w in exact_weights]
+        cap = math.floor(rkpm.SCALE * exact_cap)
+        if cap < 0:
             skipped += 1
             continue
-        r = 0.0 if dummy else t.d_float[i] / t.f[i]
-        cap = fam.cap_f - r * fam.dn / fam.dd
-        sd, sf = t.prefix_state(t.size if dummy else t.group_start[i])
-        weights = (fam.means_f + np.array([d / t.q for d in sd])
-                   - r * np.array(sf, dtype=float))
-        candidates.append((i + 1, i, _dantzig_float(
-            fam.profits_f, weights, max(cap, 0.0))))
-    return candidates, skipped
+        optimum = knapsack.solve_knapsack_value(knapsack.KnapsackSubproblem(
+            profits=fam.inst.profits, weights=tuple(weights), capacity=cap))
+        refs[rank - 1] = (weights, cap, optimum)
+    return refs, skipped
 
 
 def _screen_cases(rng):
@@ -310,15 +310,13 @@ def _screen_cases(rng):
         yield inst, omega, build_segments(inst, omega, rng.randint(1, 5), scheme)
 
 
-def _close(bound, ref):
-    return abs(bound - ref) <= 1e-9 * (1 + abs(ref))
-
-
 def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
-    """Block bounds dominate, and expanded rows match, the scalar reference.
+    """Block and row bounds are the LP floors of the scaled reference rows.
 
-    A block of one pivot is bounded by that pivot's own row, so at block
-    length 1 the screen itself must match the reference.
+    A block is bounded by the knapsack of its first pivot's weights and its
+    last pivot's capacity, and each expanded row by its own knapsack: both
+    equal the floor of the exact LP optimum of the reference, at every block
+    and chunk length, and no bound falls below a pivot's scaled optimum.
     """
     straddled = skipped_total = 0
     for inst, omega, table in _screen_cases(rng):
@@ -327,33 +325,73 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             deltas.append(table.outer_budget)
         for delta in deltas:
             fam = _Family(inst, table, Fraction(delta))
-            expected, skipped = _scalar_screen(fam)
+            refs, skipped = _reference_pivots(fam)
             skipped_total += skipped
-            ranks = set(table.family(delta))
+            ranks = set(family(table, delta))
             # Entries i-1 and i share a ratio and both are pivots (ranks i
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(table.group_start[i] < i and i in ranks
                              for i in range(1, table.size))
-            refs = {i: ref for _, i, ref in expected}
-            for block, rows in product((1, 2, 3, 1000), (1, 2, 3, 1000)):
+            for block, rows in product((1, 2, 3, 64), (1, 2, 3, 1000)):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
                 monkeypatch.setattr(rkpm, "SCREEN_CHUNK", rows * inst.n)
                 got, got_skipped = fam.screen()
                 assert got_skipped == skipped
                 covered = [i for first, stop, _ in got
                            for i in range(first, stop)]
-                assert covered == [i for _, i, _ in expected]
+                assert covered == sorted(refs)
                 for first, stop, bound in got:
                     assert 1 <= stop - first <= block
-                    for i, row in zip(range(first, stop),
-                                      fam.expand(first, stop)[0]):
-                        assert _close(row, refs[i])
-                        assert bound >= refs[i] - 1e-9 * (1 + abs(refs[i]))
-                    if stop - first == 1:
-                        assert _close(bound, refs[first])
+                    assert bound == math.floor(_exact_lp(
+                        inst.profits, refs[first][0], refs[stop - 1][1]))
+                    row_bounds, _, _ = fam.expand(first, stop)
+                    for i, row in zip(range(first, stop), row_bounds):
+                        weights, cap, optimum = refs[i]
+                        assert row == math.floor(_exact_lp(inst.profits,
+                                                           weights, cap))
+                        assert bound >= row >= optimum
     # Some ratio group crossed a one-row chunk boundary, and some pivots
     # were dropped for a negative capacity.
     assert straddled and skipped_total
+
+
+def test_integer_lp_bounds_are_lp_floors():
+    """Each row's bound is the floor of its exact LP optimum.
+
+    Rows mix ratio ties, zero weights, zero profits, items heavier than the
+    capacity and capacities that every item fits; the scaled copies run on
+    ``object`` arrays.
+    """
+    rng = random.Random(7)
+    cases = [
+        ([3, 3, 0, 5], [[1, 1, 2, 0], [2, 2, 2, 0]], [1, 3]),  # ties, zeros
+        ([4, 1], [[10, 1]], [5]),  # an item heavier than the capacity
+        ([2, 2, 0], [[1, 1, 7]], [9]),  # everything fits
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        profits = [rng.choice((0, 1, 2, 3, 6, rng.randint(0, 50)))
+                   for _ in range(n)]
+        rows = [[rng.choice((0, 1, 2, 4, rng.randint(0, 60))) for _ in range(n)]
+                for _ in range(rng.randint(1, 5))]
+        cases.append((profits, rows, [rng.choice((0, rng.randint(0, 40),
+                                                  sum(w), sum(w) + 3))
+                                      for w in rows]))
+    fits = heavy = 0
+    for profits, rows, caps in cases:
+        want = [math.floor(_exact_lp(profits, w, c)) for w, c in zip(rows, caps)]
+        got = _integer_lp_bounds(np.array(profits, dtype=np.int64),
+                                 np.array(rows, dtype=np.int64), caps)
+        assert got == want
+        scale = 10 ** 20  # past the int64 rule: object arithmetic
+        got = _integer_lp_bounds(np.array(profits, dtype=object),
+                                 np.array(rows, dtype=object) * scale,
+                                 [c * scale for c in caps])
+        assert got == want
+        fits += any(sum(w) <= c for w, c in zip(rows, caps))
+        heavy += any(max(w) > c for w, c in zip(rows, caps))
+    assert knapsack.exact_dtype(60, 9, 60 * 10 ** 20, 0) is object
+    assert fits and heavy
 
 
 @pytest.mark.parametrize("family", ["SC", "IC"])
@@ -398,8 +436,8 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
                       table.inner_budget + Fraction(inst.n, 4)):
             fam = _Family(inst, table, delta)
             solved = []
-            for rank in table.family(delta):
-                problem = fam.subproblem(rank - 1, fam.block_sums(rank - 1))
+            for rank in family(table, delta):
+                problem = _subproblem(fam, rank - 1)
                 if problem.capacity >= 0:
                     solved.append((rank, knapsack.solve_knapsack(problem)))
             if solved:
@@ -419,25 +457,17 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
     assert ties
 
 
+def _lower_bounds_by(monkeypatch, drop):
+    """Make every screen and row bound ``drop`` lower than it is."""
+    real = rkpm._integer_lp_bounds
+    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
+                        lambda *args: [b - drop for b in real(*args)])
+
+
 def test_screen_bound_below_a_solved_value_raises(monkeypatch):
-    real = rkpm._dantzig_rows
-    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 10)
+    _lower_bounds_by(monkeypatch, 10)
     inst = generate(GeneratorSpec(family="SC", n=30, seed=0))
     with pytest.raises(rkpm.SolverInvariantError, match="above its screen bound"):
-        upper_bound(inst, Decimal("4.358898"), 5)
-
-
-def test_row_bound_above_its_block_bound_raises(monkeypatch):
-    real = rkpm._Family.screen
-
-    def zero(fam):
-        blocks, skipped = real(fam)
-        return [(first, stop, 0.0) for first, stop, _ in blocks], skipped
-
-    monkeypatch.setattr(rkpm._Family, "screen", zero)
-    inst = generate(GeneratorSpec(family="SC", n=30, seed=0))
-    with pytest.raises(rkpm.SolverInvariantError,
-                       match="above their block bound"):
         upper_bound(inst, Decimal("4.358898"), 5)
 
 
@@ -458,13 +488,13 @@ def _budgets(table, n):
     return table.inner_budget, table.inner_budget + Fraction(n, 4)
 
 
-def _assert_row_is_exact(fam, i, problem):
-    """``problem`` is ceil(SCALE * w), floor(SCALE * cap) of the reference."""
-    weights, cap = subproblem_exact(fam.inst, fam.table, i + 1, fam.delta)
-    assert problem.weights.tolist() == [math.ceil(rkpm.SCALE * w)
-                                        for w in weights]
-    assert problem.capacity == math.floor(rkpm.SCALE * cap)
-    assert problem.profits.tolist() == list(fam.inst.profits)
+def _assert_row_is_exact(fam, i, weights, capacity):
+    """``weights`` and ``capacity`` are ceil(SCALE * w), floor(SCALE * cap)
+    of the reference."""
+    ref_weights, ref_cap = subproblem_exact(fam.inst, fam.table, i + 1,
+                                            fam.delta)
+    assert weights.tolist() == [math.ceil(rkpm.SCALE * w) for w in ref_weights]
+    assert capacity == math.floor(rkpm.SCALE * ref_cap)
 
 
 def _object_cases(rng):
@@ -561,15 +591,16 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
                 blocks, skipped = fam.screen()
                 for first, stop, _ in blocks:
-                    _, sums = fam.expand(first, stop)
-                    for i in range(first, stop):
-                        _assert_row_is_exact(fam, i, fam.subproblem(i, sums))
+                    _, weights, caps = fam.expand(first, stop)
+                    assert weights.dtype == fam._rows.dnum.dtype
+                    for k, i in enumerate(range(first, stop)):
+                        _assert_row_is_exact(fam, i, weights[k], caps[k])
                         built.add(i)
-            ranks = table.family(delta)
+            ranks = family(table, delta)
             for i in range(ranks[0] - 1, ranks[0] - 1 + skipped):
-                problem = fam.subproblem(i, fam.block_sums(i))
+                problem = _subproblem(fam, i)
                 assert problem.capacity < 0
-                _assert_row_is_exact(fam, i, problem)
+                _assert_row_is_exact(fam, i, problem.weights, problem.capacity)
                 built.add(i)
             assert built == {rank - 1 for rank in ranks}  # the dummy too
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
@@ -592,29 +623,16 @@ def test_broken_ratio_order_raises_negative_modified_weight(big):
     with pytest.raises(rkpm.SolverInvariantError,
                        match="negative modified weight"):
         for i in range(broken.size + 1):
-            fam.subproblem(i, fam.block_sums(i))
+            _subproblem(fam, i)
 
 
-def _exact_lp(profits, weights, capacity):
-    """LP optimum of a knapsack with Fraction weights, capacity >= 0."""
-    value = Fraction(sum(p for p, w in zip(profits, weights) if w == 0))
-    room = capacity
-    for _, p, w in sorted(((Fraction(p) / w, p, w)
-                           for p, w in zip(profits, weights) if w > 0),
-                          key=lambda e: -e[0]):
-        if w > room:
-            return value + p * room / w
-        value += p
-        room -= w
-    return value
+def test_integral_pruning_bounds_hold(rng, monkeypatch):
+    """No bound is below a scaled optimum it may prune.
 
-
-def test_integral_pruning_bounds_hold(rng):
-    """Every value is at most floor(bound + eps), and eps is far from tight.
-
-    Row bounds are within eps / 32 of the exact LP optimum of their pivot,
-    blocks bound their rows up to eps, and each pivot's scaled optimum is at
-    most floor(row bound + eps), the integral rule of the family loop.
+    The pass stops at a bound below the incumbent and skips one equal to it,
+    so every block bound and every row bound must be at least the optimum of
+    each of its pivots' scaled knapsacks, here from the Fraction reference,
+    at every block length and on both schemes.
     """
     omega = Decimal("4.358898")
     for trial in range(30):
@@ -624,34 +642,39 @@ def test_integral_pruning_bounds_hold(rng):
         table = build_segments(inst, omega, rng.randint(1, 6), scheme)
         for delta in _budgets(table, inst.n):
             fam = _Family(inst, table, delta)
-            eps = fam.tolerance()
-            assert 0 < eps < 1e-6
-            blocks, _ = fam.screen()
-            for first, stop, bound in blocks:
-                rows, sums = fam.expand(first, stop)
-                assert rows.max() <= bound + eps
-                for i, row in zip(range(first, stop), rows.tolist()):
-                    weights, cap = subproblem_exact(inst, table, i + 1, delta)
-                    lp = _exact_lp(inst.profits, weights, cap)
-                    assert abs(row - float(lp)) <= eps / 32
-                    assert lp <= bound + eps
-                    value = knapsack.solve_knapsack_value(
-                        fam.subproblem(i, sums))
-                    assert value <= math.floor(row + eps)
+            refs, _ = _reference_pivots(fam)
+            for block in (1, 2, 3, 64):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+                blocks, _ = fam.screen()
+                for first, stop, bound in blocks:
+                    rows, _, _ = fam.expand(first, stop)
+                    for i, row in zip(range(first, stop), rows):
+                        assert min(bound, row) >= refs[i][2]
 
 
-def test_tolerance_is_infinite_when_a_weight_is_lost_in_rounding():
+def test_tolerance_is_infinite_when_a_weight_is_lost_in_rounding(monkeypatch):
     """A zero mean leaves weights of one gain step, 1 / (q f), and a
-    dispersion with 19 fractional digits puts that far below float noise."""
+    dispersion with 19 fractional digits puts that far below float noise.
+
+    Float bounds that cannot tell such a weight from zero have no finite
+    tolerance and prune nothing; the integer bounds still prune, and every
+    result stays exact.
+    """
     inst = SockpInstance(profits=(3, 4), means=(Decimal(0), Decimal(5)),
                          sigmas=(Decimal("1.2500000000000000001"), Decimal(1)),
                          capacity=Decimal(10))
-    table = build_segments(inst, Decimal("4.358898"), 3)
-    assert _Family(inst, table, table.inner_budget).tolerance() == math.inf
-    # Every pivot is then solved, and the result is still exact.
-    opt, _ = soc_brute_force(inst, Decimal("4.358898"))
-    assert lower_bound(inst, Decimal("4.358898"), 3).objective <= opt
-    assert upper_bound(inst, Decimal("4.358898"), 3).objective >= opt
+    omega = Decimal("4.358898")
+    solves = []
+    real = rkpm.solve_knapsack_value
+    monkeypatch.setattr(rkpm, "solve_knapsack_value",
+                        lambda *args, **kw: solves.append(1) or real(*args, **kw))
+    opt, _ = soc_brute_force(inst, omega)
+    lb = lower_bound(inst, omega, 3)
+    lb_solves = len(solves)
+    ub = upper_bound(inst, omega, 3)
+    assert lb.objective <= opt <= ub.objective
+    assert lb_solves < lb.subproblems_solved
+    assert len(solves) - lb_solves < ub.subproblems_solved
 
 
 def _integral_lp_instance():
@@ -662,18 +685,19 @@ def _integral_lp_instance():
 
 
 def test_screen_bound_understated_by_less_than_half_raises(monkeypatch):
-    """The value check uses eps, not a 0.5 margin: 0.3 below the LP fails."""
-    real = rkpm._dantzig_rows
-    monkeypatch.setattr(rkpm, "_dantzig_rows", lambda *args: real(*args) - 0.3)
+    """The value check has no margin: each LP optimum here is the integer 12,
+    so an LP understated by 0.3 floors to the bound 11, which must fail."""
+    _lower_bounds_by(monkeypatch, 1)
     with pytest.raises(rkpm.SolverInvariantError, match="above its screen bound"):
         upper_bound(_integral_lp_instance(), Decimal("4.358898"), 3)
 
 
 def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
-    """Only a bound below incumbent + 1 - eps may be skipped.
+    """Only a bound equal to the incumbent may be skipped.
 
-    Here a pivot worth one more than the incumbent has its bound in
-    [incumbent + 1, incumbent + 1.5), so a looser skip rule loses it.
+    Here a pivot worth one more than the incumbent has the bound
+    incumbent + 1 (its LP optimum is below incumbent + 1.5), so a skip rule
+    that also took that bound would lose it.
     """
     inst = SockpInstance(
         profits=(2, 2, 1, 3, 2),
@@ -685,8 +709,8 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
     table = build_segments(inst, omega, 4, VERTICAL)
     delta = table.inner_budget + Fraction(inst.n, 4)
     fam = _Family(inst, table, delta)
-    values = [knapsack.solve_knapsack_value(fam.subproblem(i, fam.block_sums(i)))
-              for i in (rank - 1 for rank in table.family(delta))
+    values = [knapsack.solve_knapsack_value(_subproblem(fam, i))
+              for i in (rank - 1 for rank in family(table, delta))
               if not fam.capacity_is_negative(i)]
     for block in (1, 3, rkpm.SCREEN_BLOCK):
         monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
