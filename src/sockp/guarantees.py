@@ -45,8 +45,10 @@ def guarantee_gap_normal(n: int, m: int, rho: float) -> float:
     if 4 * m * m < n:
         raise ValueError(f"the bound requires m >= sqrt(n)/2, got m = {m}, n = {n}")
     z = inverse_normal_cdf(rho)
-    t = 1.0 - n / (4.0 * m * m)
-    return z / math.sqrt(2.0 * math.pi) * (1.0 - math.sqrt(t)) * math.exp(-0.5 * z * z * t)
+    x = n / (4.0 * m * m)
+    # 1 - sqrt(1 - x) without the cancellation that loses it at small x.
+    return (z / math.sqrt(2.0 * math.pi) * x / (1.0 + math.sqrt(1.0 - x))
+            * math.exp(-0.5 * z * z * (1.0 - x)))
 
 
 def guarantee_gap_dro(n: int, m: int, rho: float) -> float:

@@ -19,20 +19,22 @@ suffix row is kept and the others are rebuilt a block at a time, so
 reconstruction memory stays bounded whatever the dtype.
 
 Before the DP runs, one pass over the profit and weight arrays settles every
-item.  Masks drop the zero-profit and oversized items and take the
-zero-weight ones; the rest are fixed by reduced cost against a floor
-(Martello, Pisinger & Toth, "Dynamic programming and strong bounds for the 0-1
-knapsack problem", Management Science 45(3), 1999).  With lam = p_b / w_b the
-ratio of the break item of the greedy fill, every selection x satisfies
+item.  A mask drops the zero-profit and oversized items; the rest are fixed
+by reduced cost against a floor (Martello, Pisinger & Toth, "Dynamic
+programming and strong bounds for the 0-1 knapsack problem", Management
+Science 45(3), 1999).  With lam = p_b / w_b the ratio of the break item of
+the greedy fill, or lam = 0 when the fill takes every item, every selection
+x satisfies
 
     value(x) <= U - sum over items j off their LP side of |p_j - lam w_j|,
     U = lam * cap + sum_j max(0, p_j - lam w_j),
 
 so an item whose reduced cost exceeds U - floor takes its LP side (in if its
 ratio beats lam, out if it falls short) in every selection worth at least the
-floor.  The floor is the caller's ``floor`` or the greedy value, whichever is
-larger; the DP then sees only the free items and the capacity left by the
-items fixed in.  All of it is exact integer arithmetic scaled by w_b; the
+floor.  A zero-weight item has ratio infinity and is fixed in outright, as it
+belongs to every optimum.  The floor is the caller's ``floor`` or the greedy
+value, whichever is larger; the DP then sees only the free items and the
+capacity left by the items fixed in.  All of it is exact integer arithmetic scaled by w_b; the
 float ratio order only picks the break item, so it affects how many items are
 fixed, never whether the fixing is valid.  Every optimum obeys the fixings,
 so the fixed coordinates agree across optima and the lexicographically
@@ -159,51 +161,46 @@ class _Reduction(NamedTuple):
 def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
     """Settle and fix items against ``floor`` (see the module docstring).
 
-    Zero-profit and oversized items are never selected, and a zero-weight
-    item with positive profit belongs to every optimum; the other items are
-    fixed by reduced cost.  ``floor`` counts the whole problem; None means
-    the greedy value.  The free items keep their ascending index order, and
-    every selection worth at least the floor obeys the fixings.  The
-    capacity must be nonnegative.
+    Zero-profit and oversized items are never selected.  The others are
+    fixed by reduced cost, and a zero-weight item, of ratio infinity, is
+    fixed in: it belongs to every optimum.  When the greedy fill takes every
+    item, lam = 0.  ``floor`` counts the whole problem; None means the greedy
+    value.  The free items keep their ascending index order, and every
+    optimum worth at least the floor obeys the fixings.  The capacity must be
+    nonnegative.
     """
     capacity = problem.capacity
     exact = exact_dtype(_largest(problem.profits), problem.n,
                         _largest(problem.weights), capacity)
     p_all = np.asarray(problem.profits, dtype=exact)
     w_all = np.asarray(problem.weights, dtype=exact)
-    live = p_all > 0
-    base = np.flatnonzero(live & (w_all == 0)).tolist()
-    base_value = int(p_all[base].sum())
-    kept = np.flatnonzero(live & (w_all > 0) & (w_all <= capacity))
+    kept = np.flatnonzero((p_all > 0) & (w_all <= capacity))
     p_arr, w_arr = p_all[kept], w_all[kept]
-    total_w = int(w_arr.sum())
-    if total_w <= capacity:
-        # Everything fits: taking all items is the only optimum.
-        total_p = base_value + int(p_arr.sum())
-        return _Reduction(total_p, base + kept.tolist(), total_p, [],
-                          capacity - total_w, 0)
-    order = np.argsort(-(p_arr / w_arr).astype(float), kind="stable")
+    weighs = w_arr > 0
+    ratios = np.where(weighs, (p_arr / np.where(weighs, w_arr, 1)).astype(float),
+                      np.inf)
+    order = np.argsort(-ratios, kind="stable")
     # The break item: first in ratio order that overflows the greedy fill.
     pos = int(np.searchsorted(np.cumsum(w_arr[order]), capacity, side="right"))
     greedy = int(p_arr[order[:pos]].sum())
-    b = order[pos]
-    p_b, w_b = int(p_arr[b]), int(w_arr[b])
+    if pos < len(kept):
+        p_b, w_b = int(p_arr[order[pos]]), int(w_arr[order[pos]])
+    else:
+        p_b, w_b = 0, 1  # lam = 0: every item fits
     reduced = w_b * p_arr - p_b * w_arr  # w_b * (p_j - lam * w_j)
     gains = np.maximum(reduced, 0)
-    target = greedy if floor is None else max(floor - base_value, greedy)
+    target = greedy if floor is None else max(floor, greedy)
     slack = p_b * capacity + int(gains.sum()) - w_b * target
-    if slack < 0:
-        return _Reduction(base_value + greedy, [], 0, None, capacity, 0)
-    fix_in = reduced > slack
+    fix_in = ~weighs | (reduced > slack)
     room = capacity - int(w_arr[fix_in].sum())
-    if room < 0:
-        return _Reduction(base_value + greedy, [], 0, None, room, 0)
+    if slack < 0 or room < 0:
+        return _Reduction(greedy, [], 0, None, room, 0)
     free = ~fix_in & (-reduced <= slack) & (w_arr <= room)
     idx = np.flatnonzero(free)
     upper = (p_b * room + int(gains[idx].sum())) // w_b
-    return _Reduction(base_value + greedy,
-                      base + kept[fix_in].tolist(),
-                      base_value + int(p_arr[fix_in].sum()),
+    return _Reduction(greedy,
+                      kept[fix_in].tolist(),
+                      int(p_arr[fix_in].sum()),
                       list(zip(kept[idx].tolist(), p_arr[idx].tolist(),
                                w_arr[idx].tolist())),
                       room,
@@ -225,8 +222,6 @@ def solve_knapsack_value(problem: KnapsackSubproblem,
     red = _reduce(problem, floor)
     if red.free is None:
         return red.greedy
-    if not red.free:
-        return red.fixed_value
     if red.upper + 1 > STATE_CAP:
         value = _bb_value(red.free, red.room)
     else:
@@ -253,12 +248,10 @@ def solve_knapsack(problem: KnapsackSubproblem,
     if red.free is None:
         raise SolverInvariantError(
             "reduced-cost slack or room went negative below the optimum")
-    value, chosen = 0, []
-    if red.free:
-        if red.upper + 1 > STATE_CAP:
-            value, chosen = _branch_and_bound(red.free, red.room)
-        else:
-            value, chosen = _dp_by_profit(red.free, red.room, red.upper)
+    if red.upper + 1 > STATE_CAP:
+        value, chosen = _branch_and_bound(red.free, red.room)
+    else:
+        value, chosen = _dp_by_profit(red.free, red.room, red.upper)
     value += red.fixed_value
     if floor is not None and value != floor:
         raise SolverInvariantError(
@@ -323,8 +316,6 @@ def _dp_by_profit(kept, capacity, upper):
     rows = {k: _empty_row(width, capacity)}
     _sweep(rows[k].copy(), kept, k, 0, rows, stride)
     value = _best_profit(rows[0], capacity)
-    if value == 0:
-        return 0, []
 
     # Lexicographically smallest optimum: prefer leaving each item out when
     # the remaining suffix can still deliver the missing profit in the room.
@@ -403,8 +394,6 @@ def _bb_value(kept, capacity, target=None):
 
 def _branch_and_bound(kept, capacity):
     best = _bb_value(kept, capacity)
-    if best == 0:
-        return 0, []
 
     # Fix bits in index order, keeping the lexicographically smallest vector
     # that still completes to the optimal value.

@@ -259,7 +259,8 @@ class SockpInstance:
     """Data of one SOC-constrained binary knapsack instance.
 
     Profits are nonnegative integers; means, dispersions and the capacity are
-    nonnegative finite decimals.  ``omega`` optionally records the safety
+    nonnegative finite decimals.  Each has at most ``MAX_COEFF_DIGITS``
+    significant digits.  ``omega`` optionally records the safety
     factor the instance was built for.  Instances are read-only after
     construction and safe for concurrent use.
     """
@@ -289,6 +290,8 @@ class SockpInstance:
             raise ValueError("sigmas must be nonnegative finite decimals")
         if self.capacity < 0 or not self.capacity.is_finite():
             raise ValueError("capacity must be a nonnegative finite decimal")
+        for p in self.profits:
+            _check_coeff(Decimal(p), "profit")
         for v in self.means:
             _check_coeff(v, "mean")
         for v in self.sigmas:

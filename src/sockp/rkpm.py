@@ -71,13 +71,11 @@ the winning pivot's selection is reconstructed, once, at the end.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,22 +130,12 @@ class BoundResult:
     objective_history: tuple[int, ...] = ()
 
 
-class _Rows(NamedTuple):
-    """Exact integer arrays of a family's pivot rows, all in one dtype."""
-
-    dnum: np.ndarray  # table gain numerators, then 0 for the dummy pivot
-    f: np.ndarray  # table budgets, then 1 for the dummy pivot
-    a: np.ndarray  # integer means a_j = mean_j * 10^da
-    a_part: np.ndarray | None  # SCALE * a / 10^da, if 10^da divides SCALE
-    profits: np.ndarray
-
-
 def _ceil_scaled(x, dens, dtype):
     """ceil(SCALE * x[k] / dens[k]) of each row k of a nonnegative matrix.
 
     With g = gcd(SCALE, den) this is one ceiling division of x * (SCALE / g)
     by den / g, so int64 holds it whenever it holds those two (see
-    :attr:`_Family._rows`).  The same expressions run on ``object`` arrays
+    :class:`_Family`).  The same expressions run on ``object`` arrays
     of Python integers.
     """
     g = [math.gcd(SCALE, den) for den in dens]
@@ -188,7 +176,19 @@ def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
 
 
 class _Family:
-    """Shared exact data for one (instance, table, delta) family."""
+    """Shared exact data for one (instance, table, delta) family.
+
+    ``dnum`` and ``f`` hold the table's gain numerators and budgets with the
+    dummy pivot's 0 and 1 appended, ``a`` the integer means a_j = mean_j *
+    10^da, ``a_part`` SCALE * a / 10^da when 10^da divides ``SCALE`` (else
+    None), and ``profits`` the profits.  They are int64 where a bound allows
+    and ``object`` arrays of Python integers otherwise.  The bound covers
+    every value :meth:`block_sums` and :meth:`weights` form: the per-item
+    sums, the two products of ``extra``, the numerator and divisor of
+    :func:`_ceil_scaled` (g0 = gcd(SCALE, q) divides its g), and the scaled
+    weights.  When 10^da does not divide ``SCALE`` the mean part of a weight
+    is no integer, and the rows are ``object`` arrays.
+    """
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, delta: Fraction):
         self.inst = inst
@@ -200,70 +200,42 @@ class _Family:
         # Per pivot index, the dummy last: end of the strict-ratio prefix.
         self.group_start = np.append(table.group_start, table.size)
         self.js = table.js
-
-    def _pivot(self, i: int):
-        """(prefix end, rnum, f_i) of the pivot at sorted index i: ratio
-        rnum / (q * f_i); index ``size`` is the dummy (ratio 0, full prefix).
-        All three are Python ints, so exact products never meet int64."""
-        t = self.table
-        if i == t.size:
-            return t.size, 0, 1
-        return int(t.group_start[i]), int(t.dnum[i]), int(t.f[i])
-
-    def capacity_is_negative(self, i: int) -> bool:
-        """Exact sign of cap - r * delta for the pivot at sorted index i."""
-        _, rnum, f_i = self._pivot(i)
-        return (self.b_int * self.table.q * f_i * self.dd
-                < rnum * self.dn * self.pow_da)
-
-    @functools.cached_property
-    def _rows(self) -> _Rows:
-        """Exact integer data of the pivot rows, int64 where a bound allows.
-
-        The bound covers every value :meth:`block_sums` and :meth:`weights`
-        form: the per-item sums, the two products of ``extra``, the numerator
-        and divisor of :func:`_ceil_scaled` (g0 = gcd(SCALE, q) divides its g),
-        and the scaled weights.  When 10^da does not divide ``SCALE`` the mean
-        part of a weight is no integer, and the rows are ``object`` arrays.
-        """
-        t = self.table
         unit, rest = divmod(SCALE, self.pow_da)
-        gain = t.item_total_dnum.max(initial=0)
-        f_max = int(t.f.max(initial=1))
-        f_item = int(np.bincount(self.js, weights=t.f, minlength=1).max())
-        g0 = math.gcd(SCALE, t.q)
+        gain = table.item_total_dnum.max(initial=0)
+        f_max = int(table.f.max(initial=1))
+        f_item = int(np.bincount(self.js, weights=table.f, minlength=1).max())
+        g0 = math.gcd(SCALE, table.q)
         fits = (rest == 0
                 and SCALE // g0 * f_max * gain < 2 ** 62
-                and t.q * f_max // g0 < 2 ** 63
-                and t.dnum.max(initial=0) * f_item < 2 ** 62
+                and table.q * f_max // g0 < 2 ** 63
+                and table.dnum.max(initial=0) * f_item < 2 ** 62
                 and unit * max(self.a_int, default=0)
-                + SCALE * (gain // t.q + 1) < 2 ** 62)
+                + SCALE * (gain // table.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
-        a = np.array(self.a_int, dtype=dtype)
-        profits = np.array(self.inst.profits, dtype=np.int64
-                           if max(self.inst.profits, default=0) < 2 ** 63
-                           else object)
-        return _Rows(dnum=np.append(t.dnum, 0).astype(dtype),
-                     f=np.append(t.f, 1).astype(dtype), a=a,
-                     a_part=unit * a if rest == 0 else None, profits=profits)
+        self.dnum = np.append(table.dnum, 0).astype(dtype)
+        self.f = np.append(table.f, 1).astype(dtype)
+        self.a = np.array(self.a_int, dtype=dtype)
+        self.a_part = unit * self.a if rest == 0 else None
+        self.profits = np.array(inst.profits, dtype=np.int64
+                                if max(inst.profits, default=0) < 2 ** 63
+                                else object)
 
     def block_sums(self, i: int, sums=None):
         """Exact per-item (dnum, f) sums over the prefix of the pivot at i.
 
         Returns (end, sd, sf): the prefix end group_start[i] and two
-        n-vectors in the rows' dtype, from which :meth:`weights` builds the
+        n-vectors in the family's dtype, from which :meth:`weights` builds the
         row of this pivot or of any later one.  Given the ``sums`` of an
         earlier prefix, adds the entries in between to their vectors in
         place, so pass only sums that nothing else holds.
         """
-        rows = self._rows
         if sums is None:
-            sums = (0, *np.zeros((2, self.inst.n), dtype=rows.dnum.dtype))
+            sums = (0, *np.zeros((2, self.inst.n), dtype=self.dnum.dtype))
         start, sd, sf = sums
         end = int(self.group_start[i])
         js = self.js[start:end]
-        np.add.at(sd, js, rows.dnum[start:end])
-        np.add.at(sf, js, rows.f[start:end])
+        np.add.at(sd, js, self.dnum[start:end])
+        np.add.at(sf, js, self.f[start:end])
         return end, sd, sf
 
     def weights(self, idx, sums) -> np.ndarray:
@@ -275,11 +247,10 @@ class _Family:
         :meth:`block_sums` of idx[0] or of an earlier pivot.  The entries
         between their end and the last prefix end are added once, keyed by
         the first row whose prefix holds them, and a cumsum down the rows
-        gives every row's sums.  Returns a (len(idx), n) array in the rows'
-        dtype.
+        gives every row's sums.  Returns a (len(idx), n) array in the
+        family's dtype.
         """
-        rows = self._rows
-        dtype = rows.dnum.dtype
+        dtype = self.dnum.dtype
         end, sd0, sf0 = sums
         ends = self.group_start[idx]
         stop = int(ends[-1])
@@ -287,18 +258,18 @@ class _Family:
         sf = np.zeros_like(sd)
         key = (np.searchsorted(ends, np.arange(end, stop), side="right"),
                self.js[end:stop])
-        np.add.at(sd, key, rows.dnum[end:stop])
-        np.add.at(sf, key, rows.f[end:stop])
-        rnum, f = rows.dnum[idx, None], rows.f[idx, None]
+        np.add.at(sd, key, self.dnum[end:stop])
+        np.add.at(sf, key, self.f[end:stop])
+        rnum, f = self.dnum[idx, None], self.f[idx, None]
         extra = f * (np.cumsum(sd, axis=0) + sd0) - rnum * (
             np.cumsum(sf, axis=0) + sf0)
         if (extra < 0).any():
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
         qf = [self.table.q * int(f_i) for f_i in f[:, 0]]
-        if rows.a_part is not None:
-            return rows.a_part + _ceil_scaled(extra, qf, dtype)
-        return _ceil_scaled(rows.a * np.array(qf, dtype=object)[:, None]
+        if self.a_part is not None:
+            return self.a_part + _ceil_scaled(extra, qf, dtype)
+        return _ceil_scaled(self.a * np.array(qf, dtype=object)[:, None]
                             + self.pow_da * extra,
                             [self.pow_da * v for v in qf], dtype)
 
@@ -307,8 +278,7 @@ class _Family:
         pivots at ``idx``, as Python ints."""
         caps = []
         for i in idx:
-            _, rnum, f_i = self._pivot(int(i))
-            qf = self.table.q * f_i
+            rnum, qf = int(self.dnum[i]), self.table.q * int(self.f[i])
             caps.append(SCALE * (self.b_int * qf * self.dd
                                  - rnum * self.dn * self.pow_da)
                         // (self.pow_da * qf * self.dd))
@@ -331,7 +301,7 @@ class _Family:
         first = t.size if lh is None else lh - 1  # first real pivot index
         start = bisect.bisect_left(
             range(t.size + 1), True, lo=first,
-            key=lambda i: not self.capacity_is_negative(i))
+            key=lambda i: self.capacities([i])[0] >= 0)
         firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
         stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
         group_start = self.group_start[firsts]
@@ -346,7 +316,7 @@ class _Family:
                 group_start, g0 + SCREEN_CHUNK, side="right")))
             sums = self.block_sums(firsts[c0], sums)
             bounds += _integer_lp_bounds(
-                self._rows.profits, self.weights(firsts[c0:c1], sums),
+                self.profits, self.weights(firsts[c0:c1], sums),
                 self.capacities(stops[c0:c1] - 1))
             c0 = c1
         return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
@@ -360,7 +330,7 @@ class _Family:
         idx = np.arange(first, stop)
         weights = self.weights(idx, self.block_sums(first))
         caps = self.capacities(idx)
-        return (_integer_lp_bounds(self._rows.profits, weights, caps),
+        return (_integer_lp_bounds(self.profits, weights, caps),
                 weights, caps)
 
 
@@ -376,9 +346,9 @@ def _solve_family(fam: _Family):
     the top and passes both rules is replaced by its pivots' rows, each
     with the smaller of its own bound and the block's, so the pivots still
     leave the heap in that order.  Each row entry carries its block's weight
-    matrix, from which its knapsack is taken.  Every value solve but the
-    first gets a floor: the incumbent for a smaller rank, which wins a tie,
-    and the incumbent + 1 for a larger one, which must beat it.  A solve is
+    matrix, from which its knapsack is taken.  Every value solve gets a
+    floor: the incumbent for a smaller rank, which wins a tie, and the
+    incumbent + 1 for a larger one, which must beat it.  A solve is
     exact whenever it reaches its floor, so it is exact whenever its pivot
     would win; only the winner is reconstructed.
     """
@@ -386,18 +356,17 @@ def _solve_family(fam: _Family):
     heap = [(-bound, first, stop, None) for first, stop, bound in blocks]
     heapq.heapify(heap)
 
-    best_value = 0
-    best_rank = None
-    best_problem = None
+    # No pivot yet: value -1 is below every value and rank 0 below every
+    # rank, so the first row solved gets floor 0 and wins.
+    best_value, best_rank, best_problem = -1, 0, None
     while heap:
         # (-bound, index) is unique on the heap: the rows are never compared.
         neg_bound, i, stop, row = heapq.heappop(heap)
         bound, rank = -neg_bound, i + 1
-        if best_rank is not None:
-            if bound < best_value:
-                break
-            if bound == best_value and rank > best_rank:
-                continue
+        if bound < best_value:
+            break
+        if bound == best_value and rank > best_rank:
+            continue
         if row is None:
             bounds, weights, caps = fam.expand(i, stop)
             for k, row_bound in enumerate(bounds):
@@ -406,17 +375,15 @@ def _solve_family(fam: _Family):
             continue
         weights, caps, k = row
         # A copy, so that no caller holding the problem keeps the matrix.
-        problem = KnapsackSubproblem(profits=fam._rows.profits,
+        problem = KnapsackSubproblem(profits=fam.profits,
                                      weights=weights[k].copy(),
                                      capacity=caps[k])
         value = solve_knapsack_value(
-            problem, floor=None if best_rank is None
-            else best_value + (rank > best_rank))
+            problem, floor=best_value + (rank > best_rank))
         if value > bound:
             raise SolverInvariantError(f"pivot {rank} has value {value} "
                                        f"above its screen bound {bound}")
-        if best_rank is None or value > best_value or (
-                value == best_value and rank < best_rank):
+        if value > best_value or (value == best_value and rank < best_rank):
             best_value, best_rank, best_problem = value, rank, problem
 
     examined = sum(stop - first for first, stop, _ in blocks)

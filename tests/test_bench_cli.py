@@ -192,7 +192,10 @@ def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
                 {**good, "n": True, "profits": [True]},
                 {**good, "means": [True], "capacity": True},
                 {**good, "omega": False}, {**good, "means": [0.1]},
-                {**good, "sigmas": [1.5]}, {**good, "capacity": 3.0}):
+                {**good, "sigmas": [1.5]}, {**good, "capacity": 3.0},
+                # A profit beyond float range, which the bounds' ratios need.
+                {"n": 3, "profits": [10 ** 400, 5, 7], "means": ["3", "4", "5"],
+                 "sigmas": ["0.5", "0.2", "0.1"], "capacity": "8"}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["bounds", "--instance", str(path), "--m", "2",

@@ -1,6 +1,7 @@
 import math
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from statistics import NormalDist
 
 import pytest
 
@@ -106,6 +107,36 @@ def test_min_segments_normal_is_least_valid():
 def test_min_segments_normal_matches_order():
     # the count grows like sqrt(n / delta)
     assert min_segments_normal_order(100, 0.95, 0.01) <= math.ceil(math.sqrt(300))
+
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _gap_normal_decimal(n, m, z):
+    """The normal-case gap in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = 1 - Decimal(n) / (4 * Decimal(m) ** 2)
+        return (z / (2 * _PI_60).sqrt() * (1 - t.sqrt())
+                * (-z * z * t / 2).exp())
+
+
+def test_min_segments_normal_is_least_valid_at_tiny_gaps():
+    z = Decimal(NormalDist().inv_cdf(0.95))
+    found = []
+    for delta in ("1e-12", "1e-14", "1e-16"):
+        target = Decimal(float(delta))
+        lo, hi = 2, 10 ** 9  # the gap is above target at lo, below at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _gap_normal_decimal(10, mid, z) <= target:
+                hi = mid
+            else:
+                lo = mid
+        assert min_segments_normal_order(10, "0.95", delta) == hi
+        found.append(hi)
+    assert found == [460_493, 4_604_930, 46_049_299]
+    assert guarantee_gap_normal(10, 10 ** 9, 0.95) > 0
 
 
 def test_monte_carlo_empty_selection_is_certain():

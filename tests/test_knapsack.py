@@ -148,7 +148,9 @@ def _floor_cases(rng):
 
     Zero-weight and oversized items, equal ratios, negative capacities and
     weights above 2**62 (the big-integer path), cycled over the trials; then
-    problems whose only weights of 2**63 or more carry profit 0.
+    problems whose only weights of 2**63 or more carry profit 0; then
+    problems where every item fits, and problems that mix zero-weight items
+    of positive profit with ordinary ones or hold only such items.
     """
     for trial in range(150):
         kind = trial % 5
@@ -182,6 +184,21 @@ def _floor_cases(rng):
             profits.insert(at, 0)
             weights.insert(at, shift)
         capacity = rng.randint(0, max(1, sum(weights) - max(weights)))
+        yield KnapsackSubproblem(profits=tuple(profits), weights=tuple(weights),
+                                 capacity=capacity)
+    for trial in range(30):
+        n = rng.randint(0, 8)
+        kind = trial % 3
+        if kind == 0:  # every item fits
+            profits = [rng.randint(0, 40) for _ in range(n)]
+            weights = [rng.randint(0, 30) for _ in range(n)]
+            capacity = sum(weights) + rng.randint(0, 5)
+        else:  # zero-weight items of positive profit; kind 2 holds only those
+            weights = [0 if kind == 2 or rng.random() < 0.4
+                       else rng.randint(1, 30) for _ in range(n)]
+            profits = [rng.randint(1, 40) if w == 0 else rng.randint(0, 40)
+                       for w in weights]
+            capacity = rng.randint(0, max(1, sum(weights)))
         yield KnapsackSubproblem(profits=tuple(profits), weights=tuple(weights),
                                  capacity=capacity)
 

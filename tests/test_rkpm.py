@@ -266,7 +266,7 @@ def _exact_lp(profits, weights, capacity):
 def _subproblem(fam, i):
     """Scaled knapsack of the pivot at sorted index i, from its own sums."""
     return knapsack.KnapsackSubproblem(
-        profits=fam._rows.profits,
+        profits=fam.profits,
         weights=fam.weights([i], fam.block_sums(i))[0],
         capacity=fam.capacities([i])[0])
 
@@ -581,18 +581,18 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     for inst, omega, table in cases:
         for delta in _budgets(table, inst.n):
             fam = _Family(inst, table, delta)
-            dtypes.add(fam._rows.dnum.dtype)
+            dtypes.add(fam.dnum.dtype)
             if any(table is case[2] for case in objects):
-                assert fam._rows.dnum.dtype == object
+                assert fam.dnum.dtype == object
             if any(table is case[2] for case in wide_gains):
-                assert fam._rows.dnum.dtype == np.int64
+                assert fam.dnum.dtype == np.int64
             built = set()
             for block in (1, 3, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
                 blocks, skipped = fam.screen()
                 for first, stop, _ in blocks:
                     _, weights, caps = fam.expand(first, stop)
-                    assert weights.dtype == fam._rows.dnum.dtype
+                    assert weights.dtype == fam.dnum.dtype
                     for k, i in enumerate(range(first, stop)):
                         _assert_row_is_exact(fam, i, weights[k], caps[k])
                         built.add(i)
@@ -619,7 +619,7 @@ def test_broken_ratio_order_raises_negative_modified_weight(big):
                           good.js[::-1], good.ks[::-1], good.dnum[::-1],
                           good.f[::-1], good.q, good.item_total_dnum)
     fam = _Family(inst, broken, broken.inner_budget)
-    assert (fam._rows.dnum.dtype == object) == big
+    assert (fam.dnum.dtype == object) == big
     with pytest.raises(rkpm.SolverInvariantError,
                        match="negative modified weight"):
         for i in range(broken.size + 1):
@@ -711,7 +711,7 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
     fam = _Family(inst, table, delta)
     values = [knapsack.solve_knapsack_value(_subproblem(fam, i))
               for i in (rank - 1 for rank in family(table, delta))
-              if not fam.capacity_is_negative(i)]
+              if fam.capacities([i])[0] >= 0]
     for block in (1, 3, rkpm.SCREEN_BLOCK):
         monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
         res = solve_rkpm(inst, omega, 4, delta, scheme=VERTICAL, table=table)
