@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import EXACT_PREC, SockpInstance, _frac_digits, as_omega
+from .model import SockpInstance, _check_bits, as_omega
 
 __all__ = [
     "HORIZONTAL",
@@ -170,7 +170,9 @@ def build_segments(inst: SockpInstance, omega, m: int,
     gains sum to omega * sigma_j exactly.  Vertical scheme (equal subintervals
     of the range [0, omega^2], the comparison baseline): f = 1 and
     d = omega * sigma_j * (sqrt(k/m) - sqrt((k-1)/m)), with the irrational
-    factors quantized at 18 fractional digits.
+    factors quantized at 18 fractional digits.  The gains are integers over
+    q = scale * m (scale * 10^18 for the vertical scheme), with omega *
+    sigma_j and scale from :meth:`SockpInstance.exact_view`.
     """
     if int(m) != m or m < 1:
         raise ValueError(f"segment count must be a positive integer, got {m}")
@@ -179,23 +181,18 @@ def build_segments(inst: SockpInstance, omega, m: int,
     m = int(m)
     omega_d = as_omega(omega)
 
-    e_sigma = max([0] + [_frac_digits(s) for s in inst.sigmas])
-    e_omega = _frac_digits(omega_d)
-    with localcontext() as ctx:
-        ctx.prec = EXACT_PREC
-        omega_int = int(omega_d.scaleb(e_omega))
-        base = np.array([omega_int * int(s.scaleb(e_sigma))
-                         for s in inst.sigmas], dtype=object)
+    _, _, w_ints, scale = inst.exact_view(omega_d)
+    base = np.array(w_ints, dtype=object)
 
     # Entries in (item, segment) order, one row of m per item.
     js = np.repeat(np.arange(inst.n, dtype=np.intp), m)
     ks = np.tile(np.arange(1, m + 1, dtype=np.intp), inst.n)
     if scheme == HORIZONTAL:
-        q = 10 ** (e_omega + e_sigma) * m
+        q = scale * m
         dnum = np.repeat(base, m)
         f = 2 * ks - 1
     else:
-        q = 10 ** (e_omega + e_sigma + _VERTICAL_QUANT)
+        q = scale * 10 ** _VERTICAL_QUANT
         dnum = np.multiply.outer(base, _vertical_steps(m)).ravel()
         f = np.ones(inst.n * m, dtype=np.int64)
     totals = dnum.reshape(inst.n, m).sum(axis=1)
@@ -249,8 +246,7 @@ def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
     dummy element absorbs any remaining budget at zero gain.  This equals the
     LP optimum.
     """
-    if len(x) != table.n:
-        raise ValueError(f"selection vector has length {len(x)}, expected {table.n}")
+    _check_bits(x, table.n)
     delta = Fraction(delta)
     if not table.size:
         return Fraction(0)

@@ -31,16 +31,15 @@ def _ceil_half_isqrt(x: int) -> int:
 def m_star(inst: SockpInstance, omega) -> int:
     """Segment count certifying optimality of the inner-budget solution.
 
-    The data are integer-scaled by 10^s, where s covers the fractional digits
-    of every mean, the capacity, and every product omega * sigma_j; on the
-    scaled coefficients the certificate is ceil(sqrt(n * sum sigma'^2)/2) + 1.
-    Solving the robust problem with the inner budget at any m >= m* yields an
-    SOC-optimal solution.  The squared products come from
-    :meth:`SockpInstance.exact_view`, scaled by 10^(2 dt); the ratio of its
-    two shifts, 10^(2 da) / 10^(2 dt), lifts them to 10^(2 s) when da > dt.
+    The data are integer-scaled by the least power of ten that covers every
+    mean, the capacity and every product omega * sigma_j
+    (:meth:`SockpInstance.exact_view`); on the scaled products W_j the
+    certificate is ceil(sqrt(n * sum W_j^2)/2) + 1.  Solving the robust
+    problem with the inner budget at any m >= m* yields an SOC-optimal
+    solution.
     """
-    _, _, v_ints, lhs_shift, rhs_shift = inst.exact_view(as_omega(omega))
-    total = sum(v_ints) * max(1, rhs_shift // lhs_shift)
+    _, _, w_ints, _ = inst.exact_view(as_omega(omega))
+    total = sum(w * w for w in w_ints)
     return _ceil_half_isqrt(inst.n * total) + 1
 
 

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (EXACT_PREC, SockpInstance, _check_rho, as_decimal,
-                    inverse_normal_cdf)
+from .model import (EXACT_PREC, SockpInstance, _check_bits, _check_rho,
+                    as_decimal, inverse_normal_cdf)
 
 __all__ = [
     "guarantee_gap_dro",
@@ -128,8 +128,7 @@ def monte_carlo_feasibility(x: Sequence[int], inst: SockpInstance,
     samples = int(samples)
     if samples < 1:
         raise ValueError("sample count must be at least 1")
-    if len(x) != inst.n:
-        raise ValueError(f"selection vector has length {len(x)}, expected {inst.n}")
+    _check_bits(x, inst.n)
 
     with localcontext() as ctx:
         ctx.prec = EXACT_PREC

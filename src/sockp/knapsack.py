@@ -66,6 +66,8 @@ STATE_CAP = 10_000_000
 # Cell budget for the suffix rows used by solution reconstruction; beyond it
 # the rows are checkpointed and rebuilt block by block.
 LEX_CELLS = 60_000_000
+# Largest ratio key of an ``object`` row; a float holds it with room to spare.
+_KEY_CAP = 2 ** 1000
 
 
 class SolverInvariantError(RuntimeError):
@@ -91,6 +93,9 @@ class KnapsackSubproblem:
             raise ValueError("profits must be nonnegative")
         if _any_negative(self.weights):
             raise ValueError("weights must be nonnegative")
+        if not isinstance(self.capacity, (int, np.integer)):
+            raise ValueError(f"capacity must be an integer, "
+                             f"got {self.capacity!r}")
 
     @property
     def n(self) -> int:
@@ -102,6 +107,8 @@ def _any_negative(values) -> bool:
         if values.ndim != 1 or values.dtype.kind not in "iuO":
             raise ValueError("profits and weights must be 1-D integer arrays")
         return bool(values.min(initial=0) < 0)
+    if not all(isinstance(v, (int, np.integer)) for v in values):
+        raise ValueError("profits and weights must be integers")
     return min(values, default=0) < 0
 
 
@@ -110,6 +117,21 @@ def _largest(values) -> int:
     if isinstance(values, np.ndarray):
         return int(values.max(initial=0))
     return max(values, default=0)
+
+
+def ratio_keys(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Float keys p / w, inf where w is 0, that order items by ratio.
+
+    ``p`` and ``w`` broadcast together.  On ``object`` arrays a ratio past
+    ``_KEY_CAP`` is clamped to it, so no quotient overflows a float: the
+    keys only pick a break item, and every bound and fixing that uses one
+    holds for any break item.
+    """
+    weighs = w > 0
+    w = np.where(weighs, w, 1)
+    if object in (p.dtype, w.dtype):
+        p = np.minimum(p, w * _KEY_CAP)
+    return np.where(weighs, (p / w).astype(float), np.inf)
 
 
 def exact_dtype(profit_max: int, n: int, weight_max: int, capacity: int):
@@ -177,9 +199,7 @@ def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
     kept = np.flatnonzero((p_all > 0) & (w_all <= capacity))
     p_arr, w_arr = p_all[kept], w_all[kept]
     weighs = w_arr > 0
-    ratios = np.where(weighs, (p_arr / np.where(weighs, w_arr, 1)).astype(float),
-                      np.inf)
-    order = np.argsort(-ratios, kind="stable")
+    order = np.argsort(-ratio_keys(p_arr, w_arr), kind="stable")
     # The break item: first in ratio order that overflows the greedy fill.
     pos = int(np.searchsorted(np.cumsum(w_arr[order]), capacity, side="right"))
     greedy = int(p_arr[order[:pos]].sum())

@@ -323,29 +323,13 @@ class SockpInstance:
             self._caches["float"] = views
         return views
 
-    def integer_view(self):
-        """Means and capacity scaled to integers by one power of ten.
-
-        Returns (A, B, 10^da) with A_j = mean_j * 10^da and
-        B = capacity * 10^da, where da is the largest number of fractional
-        digits among the means and the capacity.
-        """
-        view = self._caches.get("integer")
-        if view is None:
-            da = max([_frac_digits(self.capacity)]
-                     + [_frac_digits(v) for v in self.means])
-            view = ([_scaled_int(v, da) for v in self.means],
-                    _scaled_int(self.capacity, da), 10 ** da)
-            self._caches["integer"] = view
-        return view
-
     def exact_view(self, omega: Decimal):
-        """Integer-scaled view used by the exact feasibility check.
+        """The instance's data as integers over one power of ten.
 
-        Returns (A, B, V, lhs_shift, rhs_shift) with A, B and 10^da from
-        :meth:`integer_view` and V_j = (omega * sigma_j * 10^dt)^2, so that
-        x is feasible iff  B - A.x >= 0  and
-        (B - A.x)^2 * 10^(2dt) >= (sum_j V_j x_j) * 10^(2da).
+        Returns (A, B, W, scale) with A_j = mean_j * scale,
+        B = capacity * scale and W_j = omega * sigma_j * scale, where scale
+        is the least power of ten that makes all of them integers.  x is
+        feasible iff  B - A.x >= 0  and  (B - A.x)^2 >= sum_j W_j^2 x_j.
         """
         key = ("exact", str(omega))
         view = self._caches.get(key)
@@ -353,10 +337,11 @@ class SockpInstance:
             with localcontext() as ctx:
                 ctx.prec = EXACT_PREC
                 terms = [omega * s for s in self.sigmas]
-            dt = max([0] + [_frac_digits(t) for t in terms])
-            a_ints, b_int, pow_da = self.integer_view()
-            v_ints = [_scaled_int(t, dt) ** 2 for t in terms]
-            view = (a_ints, b_int, v_ints, 10 ** (2 * dt), pow_da * pow_da)
+            digits = max(_frac_digits(v)
+                         for v in (self.capacity, *self.means, *terms))
+            view = ([_scaled_int(v, digits) for v in self.means],
+                    _scaled_int(self.capacity, digits),
+                    [_scaled_int(t, digits) for t in terms], 10 ** digits)
             self._caches[key] = view
         return view
 
@@ -383,17 +368,15 @@ def is_soc_feasible(x: Sequence[int], inst: SockpInstance, omega) -> bool:
     """
     _check_bits(x, inst.n)
     omega_d = as_omega(omega)
-    a_ints, b_int, v_ints, lhs_shift, rhs_shift = inst.exact_view(omega_d)
+    a_ints, b_int, w_ints, _ = inst.exact_view(omega_d)
     lin = 0
     var = 0
     for j, bit in enumerate(x):
         if bit:
             lin += a_ints[j]
-            var += v_ints[j]
+            var += w_ints[j] * w_ints[j]
     slack = b_int - lin
-    if slack < 0:
-        return False
-    return slack * slack * lhs_shift >= var * rhs_shift
+    return slack >= 0 and slack * slack >= var
 
 
 def apply_omega_spec(inst: SockpInstance, spec: OmegaSpec):

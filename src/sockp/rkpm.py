@@ -23,15 +23,17 @@ Every pivot has one form: an exact integer knapsack, scaled by the fixed
 factor ``SCALE`` = 10^6 (ceil weights, floor capacity), so returned lower
 bounds are always genuinely SOC-feasible.  The screen bounds it, the family
 pass prunes by it and the DP solves it.  A pivot's weights are
-a_j / 10^da + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the
-item's entries of a strictly larger ratio.  :meth:`_Family.weights` builds
-the rows of pivots at increasing indices as one matrix: the exact per-item
-sums (sd, sf) up to the first prefix end come from ``np.add.at``, every
-later entry is added to the first row whose prefix holds it and a cumsum
-carries it down the rows, and each row is ceil'd by one division by its own
-divisor.  The rows are int64 when a bound check on the family's data allows
-it and ``object`` arrays of Python integers otherwise, through the same
-expressions.
+mean_j + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the item's
+entries of a strictly larger ratio, with the gains and the capacity over one
+denominator q.  SCALE * mean_j is split once into whole_j + part_j / q, so
+a scaled weight is whole_j + ceil((SCALE extra_j + f_i part_j) / (q f_i)).
+:meth:`_Family.weights` builds the rows of pivots at increasing indices as
+one matrix: the exact per-item sums (sd, sf) up to the first prefix end come
+from ``np.add.at``, every later entry is added to the first row whose prefix
+holds it and a cumsum carries it down the rows, and the rows are ceil'd by
+one division.  The rows are int64 when a bound check on the family's data
+allows it and ``object`` arrays of Python integers otherwise, through the
+same expressions.
 
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
@@ -81,7 +83,8 @@ import numpy as np
 
 from .approx import HORIZONTAL, SegmentTable, beta_exact, build_segments
 from .knapsack import (KnapsackSubproblem, SolverInvariantError,
-                       exact_dtype, solve_knapsack, solve_knapsack_value)
+                       exact_dtype, ratio_keys, solve_knapsack,
+                       solve_knapsack_value)
 from .model import SockpInstance, as_omega, is_soc_feasible
 
 __all__ = [
@@ -130,20 +133,6 @@ class BoundResult:
     objective_history: tuple[int, ...] = ()
 
 
-def _ceil_scaled(x, dens, dtype):
-    """ceil(SCALE * x[k] / dens[k]) of each row k of a nonnegative matrix.
-
-    With g = gcd(SCALE, den) this is one ceiling division of x * (SCALE / g)
-    by den / g, so int64 holds it whenever it holds those two (see
-    :class:`_Family`).  The same expressions run on ``object`` arrays
-    of Python integers.
-    """
-    g = [math.gcd(SCALE, den) for den in dens]
-    mult = np.array([SCALE // gk for gk in g], dtype=dtype)[:, None]
-    div = np.array([den // gk for den, gk in zip(dens, g)], dtype=dtype)[:, None]
-    return -(-(x * mult) // div)
-
-
 def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
                        caps) -> list[int]:
     """Integer LP bound of each weight row (see the module docstring).
@@ -160,10 +149,7 @@ def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
     p = profits.astype(dtype, copy=False)
     w = weights.astype(dtype, copy=False)
     c = np.array(caps, dtype=dtype)
-    weighs = w > 0
-    ratios = np.where(weighs, (p / np.where(weighs, w, 1)).astype(float),
-                      np.inf)
-    order = np.argsort(-ratios, axis=1)
+    order = np.argsort(-ratio_keys(p, w), axis=1)
     fill = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
     k = np.count_nonzero(fill <= c[:, None], axis=1)
     r = np.arange(rows)
@@ -178,44 +164,51 @@ def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
 class _Family:
     """Shared exact data for one (instance, table, delta) family.
 
-    ``dnum`` and ``f`` hold the table's gain numerators and budgets with the
-    dummy pivot's 0 and 1 appended, ``a`` the integer means a_j = mean_j *
-    10^da, ``a_part`` SCALE * a / 10^da when 10^da divides ``SCALE`` (else
-    None), and ``profits`` the profits.  They are int64 where a bound allows
-    and ``object`` arrays of Python integers otherwise.  The bound covers
-    every value :meth:`block_sums` and :meth:`weights` form: the per-item
-    sums, the two products of ``extra``, the numerator and divisor of
-    :func:`_ceil_scaled` (g0 = gcd(SCALE, q) divides its g), and the scaled
-    weights.  When 10^da does not divide ``SCALE`` the mean part of a weight
-    is no integer, and the rows are ``object`` arrays.
+    Means and capacity come over the scale of
+    :meth:`SockpInstance.exact_view`, gains over the table's q.  A table
+    built for an instance with fewer mean digits has a q that scale need not
+    divide, so q is lifted by scale / gcd(q, scale), and the gains with it.
+    ``b`` is the capacity over q, ``dnum`` and ``f`` the gain numerators and
+    budgets with the dummy pivot's 0 and 1 appended, and ``profits`` the
+    profits.  SCALE * mean_j = whole_j + part_j / q is split once into
+    ``whole`` and ``part`` = part_j / g0, g0 = gcd(SCALE, q), which divides
+    part_j.  They are int64 where a bound allows and ``object`` arrays of
+    Python integers otherwise.  The bound covers every value
+    :meth:`block_sums` and :meth:`weights` form: the per-item sums, the two
+    products of ``extra``, the two numerator terms and the divisor of the
+    ceiling division, and the scaled weights.
     """
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, delta: Fraction):
         self.inst = inst
         self.table = table
         self.delta = delta
-        self.a_int, self.b_int, self.pow_da = inst.integer_view()
+        a_int, b_int, _, scale = inst.exact_view(table.omega)
+        lift = scale // math.gcd(table.q, scale)
+        self.q = table.q * lift
+        self.b = b_int * (self.q // scale)
         self.dn = delta.numerator
         self.dd = delta.denominator
         # Per pivot index, the dummy last: end of the strict-ratio prefix.
         self.group_start = np.append(table.group_start, table.size)
         self.js = table.js
-        unit, rest = divmod(SCALE, self.pow_da)
-        gain = table.item_total_dnum.max(initial=0)
+        g0 = math.gcd(SCALE, self.q)
+        self.mult, self.div = SCALE // g0, self.q // g0
+        whole = [SCALE * a // scale for a in a_int]
+        gain = table.item_total_dnum.max(initial=0) * lift
         f_max = int(table.f.max(initial=1))
         f_item = int(np.bincount(self.js, weights=table.f, minlength=1).max())
-        g0 = math.gcd(SCALE, table.q)
-        fits = (rest == 0
-                and SCALE // g0 * f_max * gain < 2 ** 62
-                and table.q * f_max // g0 < 2 ** 63
-                and table.dnum.max(initial=0) * f_item < 2 ** 62
-                and unit * max(self.a_int, default=0)
-                + SCALE * (gain // table.q + 1) < 2 ** 62)
+        fits = (self.mult * f_max * gain < 2 ** 62
+                and self.div * f_max < 2 ** 62
+                and table.dnum.max(initial=0) * lift * f_item < 2 ** 62
+                and max(whole, default=0) + SCALE * (gain // self.q + 1)
+                < 2 ** 62)
         dtype = np.int64 if fits else object
-        self.dnum = np.append(table.dnum, 0).astype(dtype)
+        self.dnum = np.append(table.dnum * lift, 0).astype(dtype)
         self.f = np.append(table.f, 1).astype(dtype)
-        self.a = np.array(self.a_int, dtype=dtype)
-        self.a_part = unit * self.a if rest == 0 else None
+        self.whole = np.array(whole, dtype=dtype)
+        self.part = np.array([SCALE * a % scale * (self.q // scale) // g0
+                              for a in a_int], dtype=dtype)
         self.profits = np.array(inst.profits, dtype=np.int64
                                 if max(inst.profits, default=0) < 2 ** 63
                                 else object)
@@ -241,20 +234,20 @@ class _Family:
     def weights(self, idx, sums) -> np.ndarray:
         """Exact conservatively scaled weight rows of the pivots at ``idx``.
 
-        Pivot i's exact weights are a_j / 10^da + extra_j / (q * f_i) with
+        Pivot i's exact weights are mean_j + extra_j / (q * f_i) with
         extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix; they
-        are ceil'd at ``SCALE``.  ``idx`` is increasing and ``sums`` are the
-        :meth:`block_sums` of idx[0] or of an earlier pivot.  The entries
-        between their end and the last prefix end are added once, keyed by
-        the first row whose prefix holds them, and a cumsum down the rows
-        gives every row's sums.  Returns a (len(idx), n) array in the
-        family's dtype.
+        are ceil'd at ``SCALE`` as whole_j + ceil((SCALE * extra_j + f_i *
+        part_j) / (q * f_i)), one division with g0 taken out of both sides.
+        ``idx`` is increasing and ``sums`` are the :meth:`block_sums` of
+        idx[0] or of an earlier pivot.  The entries between their end and
+        the last prefix end are added once, keyed by the first row whose
+        prefix holds them, and a cumsum down the rows gives every row's
+        sums.  Returns a (len(idx), n) array in the family's dtype.
         """
-        dtype = self.dnum.dtype
         end, sd0, sf0 = sums
         ends = self.group_start[idx]
         stop = int(ends[-1])
-        sd = np.zeros((len(ends), self.inst.n), dtype=dtype)
+        sd = np.zeros((len(ends), self.inst.n), dtype=self.dnum.dtype)
         sf = np.zeros_like(sd)
         key = (np.searchsorted(ends, np.arange(end, stop), side="right"),
                self.js[end:stop])
@@ -266,22 +259,17 @@ class _Family:
         if (extra < 0).any():
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
-        qf = [self.table.q * int(f_i) for f_i in f[:, 0]]
-        if self.a_part is not None:
-            return self.a_part + _ceil_scaled(extra, qf, dtype)
-        return _ceil_scaled(self.a * np.array(qf, dtype=object)[:, None]
-                            + self.pow_da * extra,
-                            [self.pow_da * v for v in qf], dtype)
+        return self.whole - (-(self.mult * extra + f * self.part)
+                             // (self.div * f))
 
     def capacities(self, idx) -> list[int]:
-        """Scaled capacities floor(SCALE * (b / 10^da - ratio * delta)) of the
+        """Scaled capacities floor(SCALE * (b / q - ratio * delta)) of the
         pivots at ``idx``, as Python ints."""
         caps = []
         for i in idx:
-            rnum, qf = int(self.dnum[i]), self.table.q * int(self.f[i])
-            caps.append(SCALE * (self.b_int * qf * self.dd
-                                 - rnum * self.dn * self.pow_da)
-                        // (self.pow_da * qf * self.dd))
+            rnum, f_i = int(self.dnum[i]), int(self.f[i])
+            caps.append(SCALE * (self.b * f_i * self.dd - rnum * self.dn)
+                        // (self.q * f_i * self.dd))
         return caps
 
     def screen(self):
@@ -432,10 +420,9 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
 def _validate_result(inst, table, delta, bits, value, kind, omega_d):
     if value != sum(p for p, b in zip(inst.profits, bits) if b):
         raise SolverInvariantError("objective does not match the selection")
-    a_int, b_int, pow_da = inst.integer_view()
+    a_int, b_int, _, scale = inst.exact_view(omega_d)
     used = sum(a for a, b in zip(a_int, bits) if b)
-    if (Fraction(used, pow_da) + beta_exact(bits, table, delta)
-            > Fraction(b_int, pow_da)):
+    if beta_exact(bits, table, delta) > Fraction(b_int - used, scale):
         raise SolverInvariantError(
             "returned solution violates the robust constraint")
     if kind == LOWER and not is_soc_feasible(bits, inst, omega_d):

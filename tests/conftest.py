@@ -34,7 +34,7 @@ def soc_brute_force(inst, omega):
     """Exhaustive SOC-feasible optimum via exact integer arithmetic."""
     from sockp.model import as_omega
 
-    a_ints, b_int, v_ints, lhs_shift, rhs_shift = inst.exact_view(as_omega(omega))
+    a_ints, b_int, w_ints, _ = inst.exact_view(as_omega(omega))
     n = inst.n
     best = 0
     best_bits = (0,) * n
@@ -45,12 +45,12 @@ def soc_brute_force(inst, omega):
         for j in range(n):
             if (mask >> j) & 1:
                 lin += a_ints[j]
-                var += v_ints[j]
+                var += w_ints[j] ** 2
                 value += inst.profits[j]
         if value <= best:
             continue
         slack = b_int - lin
-        if slack >= 0 and slack * slack * lhs_shift >= var * rhs_shift:
+        if slack >= 0 and slack * slack >= var:
             best = value
             best_bits = tuple((mask >> j) & 1 for j in range(n))
     return best, best_bits

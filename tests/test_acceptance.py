@@ -53,9 +53,10 @@ def brute_force_optimum(inst, omega):
     """
     from conftest import soc_brute_force
 
-    a_ints, b_int, v_ints, lhs_shift, rhs_shift = inst.exact_view(as_omega(omega))
+    a_ints, b_int, w_ints, _ = inst.exact_view(as_omega(omega))
+    v_ints = [w * w for w in w_ints]
     widest = max(b_int, sum(a_ints))
-    if widest * widest * lhs_shift >= 2 ** 62 or sum(v_ints) * rhs_shift >= 2 ** 62:
+    if widest * widest >= 2 ** 62 or sum(v_ints) >= 2 ** 62:
         return soc_brute_force(inst, omega)[0]
     bits = _bits_matrix(inst.n)
     a = np.array(a_ints, dtype=np.int64)
@@ -63,7 +64,7 @@ def brute_force_optimum(inst, omega):
     p = np.array(inst.profits, dtype=np.int64)
     slack = b_int - bits @ a
     var = bits @ v
-    feasible = (slack >= 0) & (slack * slack * lhs_shift >= var * rhs_shift)
+    feasible = (slack >= 0) & (slack * slack >= var)
     values = bits @ p
     return int(values[feasible].max(initial=0))
 

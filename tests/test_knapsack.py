@@ -5,7 +5,7 @@ import pytest
 
 from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
                    solve_knapsack)
-from sockp import knapsack
+from sockp import knapsack, rkpm
 from sockp.knapsack import solve_knapsack_value
 
 from conftest import enumerate_knapsack
@@ -265,12 +265,15 @@ def test_array_forms_solve_identically():
     assert solve_knapsack_value(big) == 22
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int64, object, tuple])
 def test_array_invariants_rejected(dtype):
-    def problem(profits, weights):
+    """The array forms and the tuple form refuse the same data."""
+    def problem(profits, weights, capacity=3):
+        if dtype is tuple:
+            return KnapsackSubproblem(tuple(profits), tuple(weights), capacity)
         return KnapsackSubproblem(profits=np.array(profits, dtype=dtype),
                                   weights=np.array(weights, dtype=dtype),
-                                  capacity=3)
+                                  capacity=capacity)
 
     with pytest.raises(ValueError, match="equal length"):
         problem([1, 2], [1])
@@ -278,3 +281,30 @@ def test_array_invariants_rejected(dtype):
         problem([1, 2], [1, -1])
     with pytest.raises(ValueError, match="profits must be nonnegative"):
         problem([-1, 2], [1, 1])
+    with pytest.raises(ValueError, match="capacity must be an integer"):
+        problem([5, 3], [1, 1], 1.5)
+    if dtype is tuple:
+        # Truncated, 1.9 + 1.2 would fit a capacity of 2.
+        with pytest.raises(ValueError, match="must be integers"):
+            problem([5, 3], [1.9, 1.2], 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            problem([1.5, 2], [1, 1], 2)
+    else:
+        with pytest.raises(ValueError, match="integer arrays"):
+            KnapsackSubproblem(profits=np.array([5, 3], dtype=dtype),
+                               weights=np.array([1.9, 1.2]), capacity=2)
+
+
+def test_ratio_past_float_range_picks_a_break_item():
+    """A profit/weight ratio beyond float range is clamped, not raised."""
+    huge = 10 ** 400
+    sol = solve_knapsack(KnapsackSubproblem((huge, 3), (1, 2), 5))
+    assert (sol.selected, sol.value) == ((1, 1), huge + 3)
+    assert solve_knapsack_value(KnapsackSubproblem((huge, 3), (1, 2), 2)) == huge
+    assert rkpm._integer_lp_bounds(np.array([huge, 3], dtype=object),
+                                   np.array([[1, 2]], dtype=object),
+                                   [5]) == [huge + 3]
+    # The break item is the second, whatever the clamped keys say.
+    assert rkpm._integer_lp_bounds(np.array([huge, 3], dtype=object),
+                                   np.array([[1, 2]], dtype=object),
+                                   [2]) == [huge + 1]

@@ -157,6 +157,16 @@ def test_is_soc_feasible_exact_beyond_default_decimal_precision():
     assert not is_soc_feasible((1,), short, 2)
 
 
+def test_exact_view_takes_the_least_common_scale():
+    """One power of ten covers the means, the capacity and omega * sigma_j."""
+    inst = SockpInstance(profits=(1, 2), means=("1.5", "2"),
+                         sigmas=("0.25", "1"), capacity="3")
+    assert inst.exact_view(Decimal("2")) == ([150, 200], 300, [50, 200], 100)
+    finer = SockpInstance(profits=(1,), means=("1.5",), sigmas=("1",),
+                          capacity="2.125")
+    assert finer.exact_view(Decimal("2")) == ([1500], 2125, [2000], 1000)
+
+
 def test_instance_rejects_unbounded_coefficient_length():
     with pytest.raises(ValueError):
         SockpInstance(profits=(1,), means=(Decimal("1." + "1" * 45),),

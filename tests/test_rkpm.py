@@ -64,6 +64,30 @@ def test_mismatched_table_rejected():
             lower_bound(inst, omega_used, 5, table=table)
 
 
+def test_table_of_an_instance_with_fewer_mean_digits_is_reused(rng):
+    """A table built for other means, with the same omega and dispersions.
+
+    Integer means and dispersions and omega = 2 give the table q = m; the
+    solved instance's 7-decimal means need q lifted by 10^7.  Either table
+    gives the same bounds and selections.
+    """
+    omega, m = Decimal(2), 3
+    for _ in range(6):
+        base = random_instance(rng, rng.randint(3, 9), sigma_lo=1,
+                               sigma_hi=30, sigma_digits=0)
+        means = tuple(Decimal(rng.randint(10 ** 7, 10 ** 9)).scaleb(-7)
+                      for _ in range(base.n))
+        inst = SockpInstance(profits=base.profits, means=means,
+                             sigmas=base.sigmas, capacity=base.capacity)
+        other, own = build_segments(base, omega, m), build_segments(
+            inst, omega, m)
+        assert (other.q, own.q) == (m, 10 ** 7 * m)
+        for bound in (upper_bound, lower_bound):
+            results = [bound(inst, omega, m, table=table)
+                       for table in (other, own)]
+            assert len({(r.objective, r.solution) for r in results}) == 1
+
+
 def test_vertical_lower_bound_unsupported():
     with pytest.raises(ValueError):
         lower_bound(_single("7"), Decimal(2), 2, table=build_segments(
@@ -500,14 +524,14 @@ def _assert_row_is_exact(fam, i, weights, capacity):
 def _object_cases(rng):
     """Families whose rows are ``object`` arrays.
 
-    Means with 7 fractional digits (10^7 does not divide SCALE) and
-    dispersions with 20 significant digits (item gains past 2**62), on both
-    schemes.
+    Means or dispersions with 20 significant digits, on both schemes: the
+    means' 18 decimals set the instance's scale, and with it item gains past
+    2**62, as the dispersions' digits do.
     """
     for trial in range(4):
         base = random_instance(rng, rng.randint(3, 8))
         if trial % 2:
-            means = tuple(Decimal(rng.randint(1, 10 ** 9)).scaleb(-7)
+            means = tuple(Decimal(rng.randint(10 ** 19, 10 ** 20)).scaleb(-18)
                           for _ in range(base.n))
             inst = SockpInstance(profits=base.profits, means=means,
                                  sigmas=base.sigmas, capacity=base.capacity)
@@ -522,11 +546,15 @@ def _object_cases(rng):
 
 
 def _decimal_mean_cases(rng):
-    """int64 rows whose means have 3 fractional digits (10^3 divides SCALE)."""
-    for trial in range(2):
+    """int64 rows whose means have 3 or 7 fractional digits.
+
+    10^3 divides SCALE and 10^7 does not: then SCALE * mean_j is no integer,
+    and its fraction goes into the ceiling division.
+    """
+    for digits in (3, 7):
         base = random_instance(rng, rng.randint(3, 8))
-        means = tuple(Decimal(rng.randint(1, 10 ** 5)).scaleb(-3)
-                      for _ in range(base.n))
+        means = tuple(Decimal(rng.randint(1, 10 ** (digits + 2)))
+                      .scaleb(-digits) for _ in range(base.n))
         inst = SockpInstance(profits=base.profits, means=means,
                              sigmas=base.sigmas, capacity=base.capacity)
         yield inst, Decimal("4.358898"), build_segments(
@@ -571,20 +599,16 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     skips for a negative capacity, on int64 and on object rows.
     """
     dtypes = set()
-    objects = list(_object_cases(rng))
-    cases = (list(_screen_cases(rng)) + list(_decimal_mean_cases(rng))
-             + objects)
-    wide_gains = list(_wide_gain_cases(rng))
-    wide_divisors = list(_wide_divisor_cases(rng))
-    objects += wide_divisors
-    cases += wide_gains + wide_divisors
+    objects = list(_object_cases(rng)) + list(_wide_divisor_cases(rng))
+    int64s = list(_decimal_mean_cases(rng)) + list(_wide_gain_cases(rng))
+    cases = list(_screen_cases(rng)) + objects + int64s
     for inst, omega, table in cases:
         for delta in _budgets(table, inst.n):
             fam = _Family(inst, table, delta)
             dtypes.add(fam.dnum.dtype)
             if any(table is case[2] for case in objects):
                 assert fam.dnum.dtype == object
-            if any(table is case[2] for case in wide_gains):
+            if any(table is case[2] for case in int64s):
                 assert fam.dnum.dtype == np.int64
             built = set()
             for block in (1, 3, 64):
