@@ -22,9 +22,11 @@ Before the DP runs, one pass over the profit and weight arrays settles every
 item.  A mask drops the zero-profit and oversized items; the rest are fixed
 by reduced cost against a floor (Martello, Pisinger & Toth, "Dynamic
 programming and strong bounds for the 0-1 knapsack problem", Management
-Science 45(3), 1999).  With lam = p_b / w_b the ratio of the break item of
-the greedy fill, or lam = 0 when the fill takes every item, every selection
-x satisfies
+Science 45(3), 1999).  :func:`lp_rows` finds the break item b of the greedy
+fill and the fill's value for many weight rows at once, together with each
+row's integer LP bound, which :mod:`sockp.rkpm` screens with; a caller that
+has a problem's row passes it to the value solve.  With lam = p_b / w_b, or
+lam = 0 when the fill takes every item, every selection x satisfies
 
     value(x) <= U - sum over items j off their LP side of |p_j - lam w_j|,
     U = lam * cap + sum_j max(0, p_j - lam w_j),
@@ -34,11 +36,11 @@ ratio beats lam, out if it falls short) in every selection worth at least the
 floor.  A zero-weight item has ratio infinity and is fixed in outright, as it
 belongs to every optimum.  The floor is the caller's ``floor`` or the greedy
 value, whichever is larger; the DP then sees only the free items and the
-capacity left by the items fixed in.  All of it is exact integer arithmetic scaled by w_b; the
-float ratio order only picks the break item, so it affects how many items are
-fixed, never whether the fixing is valid.  Every optimum obeys the fixings,
-so the fixed coordinates agree across optima and the lexicographically
-smallest optimum is unchanged.
+capacity left by the items fixed in.  All of it is exact integer arithmetic
+scaled by w_b; the float ratio order only picks the break item, so it
+affects how many items are fixed, never whether the fixing is valid.  Every
+optimum obeys the fixings, so the fixed coordinates agree across optima and
+the lexicographically smallest optimum is unchanged.
 
 All operations are pure functions of their inputs.
 """
@@ -106,7 +108,9 @@ def _any_negative(values) -> bool:
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or values.dtype.kind not in "iuO":
             raise ValueError("profits and weights must be 1-D integer arrays")
-        return bool(values.min(initial=0) < 0)
+        if values.dtype.kind != "O":
+            return bool(values.min(initial=0) < 0)
+        values = values.tolist()
     if not all(isinstance(v, (int, np.integer)) for v in values):
         raise ValueError("profits and weights must be integers")
     return min(values, default=0) < 0
@@ -117,21 +121,6 @@ def _largest(values) -> int:
     if isinstance(values, np.ndarray):
         return int(values.max(initial=0))
     return max(values, default=0)
-
-
-def ratio_keys(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Float keys p / w, inf where w is 0, that order items by ratio.
-
-    ``p`` and ``w`` broadcast together.  On ``object`` arrays a ratio past
-    ``_KEY_CAP`` is clamped to it, so no quotient overflows a float: the
-    keys only pick a break item, and every bound and fixing that uses one
-    holds for any break item.
-    """
-    weighs = w > 0
-    w = np.where(weighs, w, 1)
-    if object in (p.dtype, w.dtype):
-        p = np.minimum(p, w * _KEY_CAP)
-    return np.where(weighs, (p / w).astype(float), np.inf)
 
 
 def exact_dtype(profit_max: int, n: int, weight_max: int, capacity: int):
@@ -180,33 +169,73 @@ class _Reduction(NamedTuple):
     upper: int  # exact bound on the optimum over the free items
 
 
-def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
+def lp_rows(profits: np.ndarray, weights: np.ndarray,
+            caps) -> list[tuple[int, int, int, int]]:
+    """Greedy fill and integer LP bound of each weight row.
+
+    Row k has the shared ``profits``, weights ``weights[k]`` and the
+    nonnegative capacity ``caps[k]``.  Returns (greedy, p_b, w_b, bound) per
+    row as Python ints: b is the first item in ratio order that overflows
+    the greedy fill (p_b, w_b = 0, 1 if none does), greedy the value of the
+    items before it, and bound = floor((p_b c + sum_j max(0, w_b p_j -
+    p_b w_j)) / w_b).  lam = p_b / w_b >= 0 makes lam c + sum_j max(0, p_j -
+    lam w_j) an LP bound, so the bound holds whatever b the float ratio
+    order picks, and is the LP floor when that order is right (Kellerer,
+    Pferschy & Pisinger, *Knapsack Problems*, 2004, 5.1).  The keys p / w
+    are inf at w = 0, and ``object`` ratios are clamped at ``_KEY_CAP``, so
+    no quotient overflows a float.
+    """
+    rows, n = weights.shape
+    if not n:
+        return [(0, 0, 1, 0)] * rows
+    dtype = exact_dtype(int(profits.max(initial=0)), n,
+                        int(weights.max(initial=0)), max(caps, default=0))
+    p = profits.astype(dtype, copy=False)
+    w = weights.astype(dtype, copy=False)
+    c = np.array(caps, dtype=dtype)
+    weighs = w > 0
+    keys = np.minimum(p, w * _KEY_CAP) if dtype is object else p
+    keys = np.where(weighs, (keys / np.where(weighs, w, 1)).astype(float),
+                    np.inf)
+    order = np.argsort(-keys, axis=1, kind="stable")
+    fill = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+    fits = fill <= c[:, None]
+    greedy = np.where(fits, p[order], 0).sum(axis=1)
+    k = np.count_nonzero(fits, axis=1)
+    r = np.arange(rows)
+    b = order[r, np.minimum(k, n - 1)]
+    every = k == n  # lam = 0: every item fits
+    p_b = np.where(every, 0, p[b]).astype(dtype)
+    w_b = np.where(every, 1, w[r, b]).astype(dtype)
+    gains = np.maximum(w_b[:, None] * p - p_b[:, None] * w, 0)
+    bound = (p_b * c + gains.sum(axis=1)) // w_b
+    return list(zip(greedy.tolist(), p_b.tolist(), w_b.tolist(),
+                    bound.tolist()))
+
+
+def _reduce(problem: KnapsackSubproblem, floor, lp=None) -> _Reduction:
     """Settle and fix items against ``floor`` (see the module docstring).
 
     Zero-profit and oversized items are never selected.  The others are
     fixed by reduced cost, and a zero-weight item, of ratio infinity, is
     fixed in: it belongs to every optimum.  When the greedy fill takes every
     item, lam = 0.  ``floor`` counts the whole problem; None means the greedy
-    value.  The free items keep their ascending index order, and every
-    optimum worth at least the floor obeys the fixings.  The capacity must be
-    nonnegative.
+    value.  ``lp`` is the problem's row of :func:`lp_rows`, computed here
+    when not given.  The free items keep their ascending index order, and
+    every optimum worth at least the floor obeys the fixings.  The capacity
+    must be nonnegative.
     """
     capacity = problem.capacity
     exact = exact_dtype(_largest(problem.profits), problem.n,
                         _largest(problem.weights), capacity)
     p_all = np.asarray(problem.profits, dtype=exact)
     w_all = np.asarray(problem.weights, dtype=exact)
+    if lp is None:
+        lp = lp_rows(p_all, w_all[None], [capacity])[0]
+    greedy, p_b, w_b, _ = lp
     kept = np.flatnonzero((p_all > 0) & (w_all <= capacity))
     p_arr, w_arr = p_all[kept], w_all[kept]
     weighs = w_arr > 0
-    order = np.argsort(-ratio_keys(p_arr, w_arr), kind="stable")
-    # The break item: first in ratio order that overflows the greedy fill.
-    pos = int(np.searchsorted(np.cumsum(w_arr[order]), capacity, side="right"))
-    greedy = int(p_arr[order[:pos]].sum())
-    if pos < len(kept):
-        p_b, w_b = int(p_arr[order[pos]]), int(w_arr[order[pos]])
-    else:
-        p_b, w_b = 0, 1  # lam = 0: every item fits
     reduced = w_b * p_arr - p_b * w_arr  # w_b * (p_j - lam * w_j)
     gains = np.maximum(reduced, 0)
     target = greedy if floor is None else max(floor, greedy)
@@ -229,17 +258,20 @@ def _reduce(problem: KnapsackSubproblem, floor) -> _Reduction:
 
 def solve_knapsack_value(problem: KnapsackSubproblem,
                          *,
-                         floor: int | None = None) -> int:
+                         floor: int | None = None,
+                         lp: tuple[int, int, int, int] | None = None) -> int:
     """Optimal objective only (no selection vector); same exactness contract.
 
     With ``floor`` the result is the exact optimum whenever that optimum is
     at least ``floor``; otherwise it is the value of some feasible selection
     and lies below ``floor``.  Higher floors fix more items, so the DP gets
-    narrower.
+    narrower.  ``lp``, if given, must be the problem's row as
+    :func:`lp_rows` returns it; it saves computing that row again, and the
+    result is the same without it.
     """
     if problem.capacity < 0:
         return 0
-    red = _reduce(problem, floor)
+    red = _reduce(problem, floor, lp)
     if red.free is None:
         return red.greedy
     if red.upper + 1 > STATE_CAP:

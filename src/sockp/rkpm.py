@@ -19,43 +19,43 @@ cap - r * delta rises with the index, so the pivots with a negative capacity
 are a prefix of the range; one exact bisection finds where it ends, and those
 pivots are counted as skipped.
 
-Every pivot has one form: an exact integer knapsack, scaled by the fixed
-factor ``SCALE`` = 10^6 (ceil weights, floor capacity), so returned lower
-bounds are always genuinely SOC-feasible.  The screen bounds it, the family
-pass prunes by it and the DP solves it.  A pivot's weights are
+Every pivot has one form: an integer knapsack, its weights and capacity
+times one factor S and rounded.  The screen bounds it, the family pass
+prunes by it and the DP solves it.  S is ``SCALE`` = 10^6 steps per unit of
+the smallest positive mean, refined to a multiple on whose grid every mean
+and the capacity are integers, so only the gains are rounded.  The lower
+bound (the outer budget of the horizontal scheme) rounds inward, weights up
+and capacity down, so its selection is robust- and SOC-feasible.  Every
+other budget rounds outward, weights down and capacity up, so the scaled
+family relaxes the robust problem.  If its winner still breaks the robust
+constraint, by an exact excess e, it came in through the rounding, and the
+family is solved again on a grid S * 10^k with S * 10^k * e >= n + 1, on
+which rounding cannot admit it; a winner that meets the constraint is then
+the exact robust optimum.  A pivot's weights are
 mean_j + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the item's
-entries of a strictly larger ratio, with the gains and the capacity over one
-denominator q.  SCALE * mean_j is split once into whole_j + part_j / q, so
-a scaled weight is whole_j + ceil((SCALE extra_j + f_i part_j) / (q f_i)).
+entries of a strictly larger ratio, with the gains and the capacity over
+one denominator q, so a scaled weight is S mean_j plus S extra_j / (q f_i)
+rounded.
 :meth:`_Family.weights` builds the rows of pivots at increasing indices as
 one matrix: the exact per-item sums (sd, sf) up to the first prefix end come
 from ``np.add.at``, every later entry is added to the first row whose prefix
-holds it and a cumsum carries it down the rows, and the rows are ceil'd by
+holds it and a cumsum carries it down the rows, and the rows are rounded by
 one division.  The rows are int64 when a bound check on the family's data
 allows it and ``object`` arrays of Python integers otherwise, through the
 same expressions.
 
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
-capacity are nondecreasing in the index, and so are their ceilings and
-floors: the scaled knapsack with a block's first weight row and its last
-capacity relaxes every scaled pivot knapsack in the block.  The screen
-bounds blocks of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, a
-chunk of blocks at a time, with every temporary array kept near
-``SCREEN_CHUNK`` elements.
+capacity are nondecreasing in the index, and so are their roundings: the
+scaled knapsack with a block's first weight row and its last capacity
+relaxes every scaled pivot knapsack in the block.  The screen bounds blocks
+of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, a chunk of blocks
+at a time, with every temporary array kept near ``SCREEN_CHUNK`` elements.
 
-Every bound, of a block or of a pivot, is the integer Lagrangian bound
-
-    U = floor((p_b c + sum_j max(0, w_b p_j - p_b w_j)) / w_b)
-
-with b the break item of a greedy fill in float ratio order.  For any item
-with w_b > 0, lam = p_b / w_b >= 0 gives lam c + sum_j max(0, p_j - lam w_j)
->= the LP optimum, and values are integers, so U bounds every selection
-whatever b is: a misordered near-tie only loosens it.  In the right order U
-is the floor of the LP optimum (Kellerer, Pferschy & Pisinger, *Knapsack
-Problems*, 2004, 5.1).  When every item fits, lam = 0 and U is the sum of
-the profits.  The arithmetic is exact, in int64 or ``object`` by the rule of
-:func:`sockp.knapsack.exact_dtype`.
+Every bound, of a block or of a pivot, is the integer LP (Lagrangian) bound
+of :func:`sockp.knapsack.lp_rows`, which holds whatever break item the float
+ratio order picks.  A pivot row's break item and greedy value come from the
+same call and go to its value solve.
 
 The family is solved in one sequential pass over the pivots in (bound desc,
 rank asc) order.  A heap holds the blocks; a block that reaches its top and
@@ -82,9 +82,8 @@ from fractions import Fraction
 import numpy as np
 
 from .approx import HORIZONTAL, SegmentTable, beta_exact, build_segments
-from .knapsack import (KnapsackSubproblem, SolverInvariantError,
-                       exact_dtype, ratio_keys, solve_knapsack,
-                       solve_knapsack_value)
+from .knapsack import (KnapsackSubproblem, SolverInvariantError, lp_rows,
+                       solve_knapsack, solve_knapsack_value)
 from .model import SockpInstance, as_omega, is_soc_feasible
 
 __all__ = [
@@ -133,34 +132,6 @@ class BoundResult:
     objective_history: tuple[int, ...] = ()
 
 
-def _integer_lp_bounds(profits: np.ndarray, weights: np.ndarray,
-                       caps) -> list[int]:
-    """Integer LP bound of each weight row (see the module docstring).
-
-    Row k is a knapsack with the shared ``profits``, weights ``weights[k]``
-    and the nonnegative capacity ``caps[k]``.  The float ratio order only
-    picks the break item b; the bound is exact and valid for any b.
-    """
-    rows, n = weights.shape
-    if not n:
-        return [0] * rows
-    dtype = exact_dtype(int(profits.max(initial=0)), n,
-                        int(weights.max(initial=0)), max(caps, default=0))
-    p = profits.astype(dtype, copy=False)
-    w = weights.astype(dtype, copy=False)
-    c = np.array(caps, dtype=dtype)
-    order = np.argsort(-ratio_keys(p, w), axis=1)
-    fill = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
-    k = np.count_nonzero(fill <= c[:, None], axis=1)
-    r = np.arange(rows)
-    b = order[r, np.minimum(k, n - 1)]
-    fits = k == n  # lam = 0: every item fits
-    p_b = np.where(fits, 0, p[b]).astype(dtype)
-    w_b = np.where(fits, 1, w[r, b]).astype(dtype)
-    gains = np.maximum(w_b[:, None] * p - p_b[:, None] * w, 0)
-    return ((p_b * c + gains.sum(axis=1)) // w_b).tolist()
-
-
 class _Family:
     """Shared exact data for one (instance, table, delta) family.
 
@@ -169,21 +140,31 @@ class _Family:
     built for an instance with fewer mean digits has a q that scale need not
     divide, so q is lifted by scale / gcd(q, scale), and the gains with it.
     ``b`` is the capacity over q, ``dnum`` and ``f`` the gain numerators and
-    budgets with the dummy pivot's 0 and 1 appended, and ``profits`` the
-    profits.  SCALE * mean_j = whole_j + part_j / q is split once into
-    ``whole`` and ``part`` = part_j / g0, g0 = gcd(SCALE, q), which divides
-    part_j.  They are int64 where a bound allows and ``object`` arrays of
-    Python integers otherwise.  The bound covers every value
-    :meth:`block_sums` and :meth:`weights` form: the per-item sums, the two
-    products of ``extra``, the two numerator terms and the divisor of the
-    ceiling division, and the scaled weights.
+    budgets with the dummy pivot's 0 and 1 appended, ``whole`` the scaled
+    means factor * mean_j, and ``profits`` the profits.  ``kind`` is the
+    bound the family gives, which sets the rounding, and ``factor`` the
+    grid S of the module docstring unless one is given.  The arrays are
+    int64 where a bound allows and ``object`` arrays of Python integers
+    otherwise.  The bound covers every value :meth:`block_sums` and
+    :meth:`weights` form: the per-item sums, the two products of ``extra``,
+    the numerator and the divisor of the rounding division, and the scaled
+    weights.
     """
 
-    def __init__(self, inst: SockpInstance, table: SegmentTable, delta: Fraction):
+    def __init__(self, inst: SockpInstance, table: SegmentTable,
+                 delta: Fraction, factor: int | None = None):
         self.inst = inst
         self.table = table
         self.delta = delta
+        self.kind = (LOWER if table.scheme == HORIZONTAL
+                     and delta == table.outer_budget else UPPER)
         a_int, b_int, _, scale = inst.exact_view(table.omega)
+        if factor is None:
+            a_min = min((a for a in a_int if a > 0), default=scale)
+            factor = math.lcm(
+                SCALE * 10 ** max(0, len(str(scale)) - len(str(a_min))),
+                scale // math.gcd(scale, b_int, *a_int))
+        self.factor = factor
         lift = scale // math.gcd(table.q, scale)
         self.q = table.q * lift
         self.b = b_int * (self.q // scale)
@@ -192,23 +173,21 @@ class _Family:
         # Per pivot index, the dummy last: end of the strict-ratio prefix.
         self.group_start = np.append(table.group_start, table.size)
         self.js = table.js
-        g0 = math.gcd(SCALE, self.q)
-        self.mult, self.div = SCALE // g0, self.q // g0
-        whole = [SCALE * a // scale for a in a_int]
+        g0 = math.gcd(self.factor, self.q)
+        self.mult, self.div = self.factor // g0, self.q // g0
+        whole = [self.factor * a // scale for a in a_int]
         gain = table.item_total_dnum.max(initial=0) * lift
         f_max = int(table.f.max(initial=1))
         f_item = int(np.bincount(self.js, weights=table.f, minlength=1).max())
         fits = (self.mult * f_max * gain < 2 ** 62
                 and self.div * f_max < 2 ** 62
                 and table.dnum.max(initial=0) * lift * f_item < 2 ** 62
-                and max(whole, default=0) + SCALE * (gain // self.q + 1)
-                < 2 ** 62)
+                and max(whole, default=0)
+                + self.factor * (gain // self.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
         self.dnum = np.append(table.dnum * lift, 0).astype(dtype)
         self.f = np.append(table.f, 1).astype(dtype)
         self.whole = np.array(whole, dtype=dtype)
-        self.part = np.array([SCALE * a % scale * (self.q // scale) // g0
-                              for a in a_int], dtype=dtype)
         self.profits = np.array(inst.profits, dtype=np.int64
                                 if max(inst.profits, default=0) < 2 ** 63
                                 else object)
@@ -232,12 +211,13 @@ class _Family:
         return end, sd, sf
 
     def weights(self, idx, sums) -> np.ndarray:
-        """Exact conservatively scaled weight rows of the pivots at ``idx``.
+        """Scaled weight rows of the pivots at ``idx``, rounded by ``kind``.
 
         Pivot i's exact weights are mean_j + extra_j / (q * f_i) with
-        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix; they
-        are ceil'd at ``SCALE`` as whole_j + ceil((SCALE * extra_j + f_i *
-        part_j) / (q * f_i)), one division with g0 taken out of both sides.
+        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix; at
+        the factor they are whole_j + factor * extra_j / (q * f_i), rounded
+        up for ``LOWER`` and down otherwise, by one division with
+        g0 = gcd(factor, q) taken out of both sides.
         ``idx`` is increasing and ``sums`` are the :meth:`block_sums` of
         idx[0] or of an earlier pivot.  The entries between their end and
         the last prefix end are added once, keyed by the first row whose
@@ -259,17 +239,20 @@ class _Family:
         if (extra < 0).any():
             raise SolverInvariantError(
                 "negative modified weight; ratio ordering violated")
-        return self.whole - (-(self.mult * extra + f * self.part)
-                             // (self.div * f))
+        num, den = self.mult * extra, self.div * f
+        return self.whole + (-(-num // den) if self.kind == LOWER
+                             else num // den)
 
     def capacities(self, idx) -> list[int]:
-        """Scaled capacities floor(SCALE * (b / q - ratio * delta)) of the
-        pivots at ``idx``, as Python ints."""
+        """Scaled capacities factor * (b / q - ratio * delta) of the pivots
+        at ``idx``, floored for ``LOWER`` and ceiled otherwise, as Python
+        ints."""
         caps = []
         for i in idx:
             rnum, f_i = int(self.dnum[i]), int(self.f[i])
-            caps.append(SCALE * (self.b * f_i * self.dd - rnum * self.dn)
-                        // (self.q * f_i * self.dd))
+            num = self.factor * (self.b * f_i * self.dd - rnum * self.dn)
+            den = self.q * f_i * self.dd
+            caps.append(num // den if self.kind == LOWER else -(-num // den))
         return caps
 
     def screen(self):
@@ -303,23 +286,23 @@ class _Family:
             c1 = min(c0 + rows, int(np.searchsorted(
                 group_start, g0 + SCREEN_CHUNK, side="right")))
             sums = self.block_sums(firsts[c0], sums)
-            bounds += _integer_lp_bounds(
+            bounds += [lp[3] for lp in lp_rows(
                 self.profits, self.weights(firsts[c0:c1], sums),
-                self.capacities(stops[c0:c1] - 1))
+                self.capacities(stops[c0:c1] - 1))]
             c0 = c1
         return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
 
     def expand(self, first: int, stop: int):
         """Rows of the pivots at indices first..stop-1 and their bounds.
 
-        Returns (bounds, weights, capacities): the integer LP bound of each
-        pivot's scaled knapsack, its weight matrix and its capacities.
+        Returns (lps, weights, capacities): the :func:`lp_rows` tuple of each
+        pivot's scaled knapsack, bound last, its weight matrix and its
+        capacities.
         """
         idx = np.arange(first, stop)
         weights = self.weights(idx, self.block_sums(first))
         caps = self.capacities(idx)
-        return (_integer_lp_bounds(self.profits, weights, caps),
-                weights, caps)
+        return lp_rows(self.profits, weights, caps), weights, caps
 
 
 def _solve_family(fam: _Family):
@@ -334,7 +317,8 @@ def _solve_family(fam: _Family):
     the top and passes both rules is replaced by its pivots' rows, each
     with the smaller of its own bound and the block's, so the pivots still
     leave the heap in that order.  Each row entry carries its block's weight
-    matrix, from which its knapsack is taken.  Every value solve gets a
+    matrix, from which its knapsack is taken, and its :func:`lp_rows`
+    tuple, which its value solve reuses.  Every value solve gets a
     floor: the incumbent for a smaller rank, which wins a tie, and the
     incumbent + 1 for a larger one, which must beat it.  A solve is
     exact whenever it reaches its floor, so it is exact whenever its pivot
@@ -356,18 +340,17 @@ def _solve_family(fam: _Family):
         if bound == best_value and rank > best_rank:
             continue
         if row is None:
-            bounds, weights, caps = fam.expand(i, stop)
-            for k, row_bound in enumerate(bounds):
-                heapq.heappush(heap, (-min(row_bound, bound), i + k,
-                                      i + k + 1, (weights, caps, k)))
+            lps, weights, caps = fam.expand(i, stop)
+            for k, lp in enumerate(lps):
+                heapq.heappush(heap, (-min(lp[3], bound), i + k, i + k + 1,
+                                      (weights, k, caps[k], lp)))
             continue
-        weights, caps, k = row
+        weights, k, cap, lp = row
         # A copy, so that no caller holding the problem keeps the matrix.
         problem = KnapsackSubproblem(profits=fam.profits,
-                                     weights=weights[k].copy(),
-                                     capacity=caps[k])
+                                     weights=weights[k].copy(), capacity=cap)
         value = solve_knapsack_value(
-            problem, floor=best_value + (rank > best_rank))
+            problem, floor=best_value + (rank > best_rank), lp=lp)
         if value > bound:
             raise SolverInvariantError(f"pivot {rank} has value {value} "
                                        f"above its screen bound {bound}")
@@ -405,24 +388,41 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
             f"budget {delta} is below the inner budget {table.inner_budget}")
 
     fam = _Family(inst, table, delta)
-    value, bits, examined, skipped = _solve_family(fam)
-
-    kind = (LOWER if table.scheme == HORIZONTAL
-            and delta == table.outer_budget else UPPER)
-
-    _validate_result(inst, table, delta, bits, value, kind, omega_d)
-    return BoundResult(solution=bits, objective=value, kind=kind, m=table.m,
-                       delta=delta, subproblems_solved=examined,
+    examined = skipped = 0
+    while True:
+        value, bits, screened, dropped = _solve_family(fam)
+        examined += screened
+        skipped += dropped
+        excess = _robust_excess(inst, table, delta, bits, omega_d)
+        if excess <= 0 or fam.kind == LOWER:
+            break
+        # The relaxation took a selection past the robust constraint.  At
+        # every pivot its load exceeds the capacity by at least the excess,
+        # and rounding moves that by less than n + 1 grid steps, so a grid
+        # on which the excess spans n + 1 steps leaves the selection out.
+        factor = 10 * fam.factor
+        while factor * excess < inst.n + 1:
+            factor *= 10
+        fam = _Family(inst, table, delta, factor)
+    _validate_result(inst, bits, value, fam.kind, excess, omega_d)
+    return BoundResult(solution=bits, objective=value, kind=fam.kind,
+                       m=table.m, delta=delta, subproblems_solved=examined,
                        subproblems_skipped=skipped,
                        wall_time=time.perf_counter() - start)
 
 
-def _validate_result(inst, table, delta, bits, value, kind, omega_d):
-    if value != sum(p for p, b in zip(inst.profits, bits) if b):
-        raise SolverInvariantError("objective does not match the selection")
+def _robust_excess(inst, table, delta, bits, omega_d) -> Fraction:
+    """Exact amount by which the selection's robust load exceeds the
+    capacity: at most 0 iff it meets the robust constraint."""
     a_int, b_int, _, scale = inst.exact_view(omega_d)
     used = sum(a for a, b in zip(a_int, bits) if b)
-    if beta_exact(bits, table, delta) > Fraction(b_int - used, scale):
+    return beta_exact(bits, table, delta) - Fraction(b_int - used, scale)
+
+
+def _validate_result(inst, bits, value, kind, excess, omega_d):
+    if value != sum(p for p, b in zip(inst.profits, bits) if b):
+        raise SolverInvariantError("objective does not match the selection")
+    if excess > 0:
         raise SolverInvariantError(
             "returned solution violates the robust constraint")
     if kind == LOWER and not is_soc_feasible(bits, inst, omega_d):

@@ -247,9 +247,9 @@ def test_cli_knapsack_reconstruction_failure_exits_3(monkeypatch, capsys):
 def test_cli_unsound_screen_exits_3(monkeypatch, capsys):
     import sockp.rkpm as rkpm
 
-    real = rkpm._integer_lp_bounds
-    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
-                        lambda *args: [b - 10 for b in real(*args)])
+    real = rkpm.lp_rows
+    monkeypatch.setattr(rkpm, "lp_rows", lambda *args: [
+        (*lp[:3], lp[3] - 10) for lp in real(*args)])
     assert main(["bounds", "--family", "SC", "--n", "30", "--m", "5",
                  "--rho", "0.95"]) == 3
     assert "above its screen bound" in capsys.readouterr().err
@@ -265,9 +265,9 @@ def test_cli_screen_understated_by_less_than_half_exits_3(monkeypatch, tmp_path,
     inst_path.write_text('{"n": 3, "profits": [5, 4, 3], '
                          '"means": ["1", "2", "3"], '
                          '"sigmas": ["0.5", "0.5", "0.5"], "capacity": "50"}')
-    real = rkpm._integer_lp_bounds
-    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
-                        lambda *args: [b - 1 for b in real(*args)])
+    real = rkpm.lp_rows
+    monkeypatch.setattr(rkpm, "lp_rows", lambda *args: [
+        (*lp[:3], lp[3] - 1) for lp in real(*args)])
     assert main(["bounds", "--instance", str(inst_path), "--m", "3",
                  "--rho", "0.95"]) == 3
     assert "above its screen bound" in capsys.readouterr().err

@@ -1,7 +1,11 @@
 import math
+import random
 from decimal import Decimal, localcontext
 
-from sockp import SockpInstance, is_soc_feasible, m_star, solve_exact
+import pytest
+
+from sockp import (SockpInstance, is_soc_feasible, lower_bound, m_star,
+                   solve_exact, upper_bound)
 from sockp.exact import _ceil_half_isqrt, initial_segments
 from sockp.model import EXACT_PREC, _frac_digits, as_omega
 
@@ -156,3 +160,58 @@ def test_sigma_zero_reduces_to_plain_knapsack():
     res = solve_exact(inst, Decimal("4.36"))
     assert res.objective == 22
     assert res.solution == (0, 1, 1)
+
+
+def test_means_below_the_capacity_digits_keep_the_optimum():
+    """Means of 5e-7 against a capacity of 1.003e-6: rounded up on a 1e-6
+    grid, 0.0000005 + 0.0000005 overflows the capacity, so an upper bound
+    must round the weights down and its grid must resolve the means."""
+    inst = SockpInstance(profits=(5, 7, 9),
+                         means=(Decimal("0.0000005"), Decimal("0.0000005"),
+                                Decimal(1)),
+                         sigmas=(Decimal("0.000000000001"),) * 3,
+                         capacity=Decimal("0.000001003"))
+    omega = Decimal("4.358898")
+    assert soc_brute_force(inst, omega) == (12, (1, 1, 0))
+    res = solve_exact(inst, omega)
+    assert (res.objective, res.solution) == (12, (1, 1, 0))
+    assert upper_bound(inst, omega, 2).objective == 12
+
+
+def test_capacity_digits_below_the_grid_keep_the_certificate():
+    """Unit means against a capacity of 1.9999999 with no dispersion: on a
+    1e-6 grid, a capacity rounded up for an upper bound would take both
+    items, and the certificate at m* = 1 would fail."""
+    inst = SockpInstance(profits=(1, 1), means=(Decimal(1),) * 2,
+                         sigmas=(Decimal(0),) * 2,
+                         capacity=Decimal("1.9999999"))
+    omega = Decimal("4.358898")
+    assert upper_bound(inst, omega, 1).objective == 1
+    res = solve_exact(inst, omega)
+    assert res.objective == 1
+    assert is_soc_feasible(res.solution, inst, omega)
+
+
+@pytest.mark.parametrize("k", [6, 9])
+def test_bounds_and_optimum_do_not_depend_on_units(k):
+    """Every mean, dispersion and capacity times 10^-k: the instance is the
+    same, so the bounds still sandwich the brute-force optimum, the lower
+    bound stays SOC-feasible and ``solve_exact`` still finds the optimum."""
+    rng = random.Random(5)
+    omega = Decimal("1.645")
+    for _ in range(100):
+        base = random_instance(rng, rng.randint(6, 11))
+        inst = SockpInstance(
+            profits=base.profits,
+            means=tuple(v.scaleb(-k) for v in base.means),
+            sigmas=tuple(v.scaleb(-k) for v in base.sigmas),
+            capacity=base.capacity.scaleb(-k))
+        opt, _ = soc_brute_force(inst, omega)
+        for m in (1, 2, 3):
+            assert upper_bound(inst, omega, m).objective >= opt, (inst, m)
+            lb = lower_bound(inst, omega, m)
+            assert lb.objective <= opt
+            assert is_soc_feasible(lb.solution, inst, omega)
+        res = solve_exact(inst, omega)
+        assert res.objective == opt, inst
+        assert is_soc_feasible(res.solution, inst, omega)

@@ -5,7 +5,7 @@ import pytest
 
 from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
                    solve_knapsack)
-from sockp import knapsack, rkpm
+from sockp import knapsack
 from sockp.knapsack import solve_knapsack_value
 
 from conftest import enumerate_knapsack
@@ -224,6 +224,28 @@ def test_floor_contract_matches_enumeration(monkeypatch):
             assert solve_knapsack(prob).selected == bits
 
 
+def test_a_given_lp_row_changes_no_value():
+    """Passing the problem's :func:`knapsack.lp_rows` tuple only saves
+    recomputing it: zero weights, zero profits, oversized items and big
+    integers, as int64 and ``object`` arrays, at every floor."""
+    for prob in _floor_cases(random.Random(31)):
+        if prob.capacity < 0:
+            continue
+        opt, _ = enumerate_knapsack(prob.profits, prob.weights, prob.capacity)
+        for dtype in (np.int64, object):
+            if dtype is np.int64 and max(prob.weights, default=0) >= 2 ** 63:
+                continue  # no int64 form
+            form = KnapsackSubproblem(
+                profits=np.array(prob.profits, dtype=dtype),
+                weights=np.array(prob.weights, dtype=dtype),
+                capacity=prob.capacity)
+            lp = knapsack.lp_rows(form.profits, form.weights[None],
+                                  [form.capacity])[0]
+            for floor in range(opt + 3):
+                assert (solve_knapsack_value(form, floor=floor, lp=lp)
+                        == solve_knapsack_value(form, floor=floor))
+
+
 def test_floor_above_optimum_fails_reconstruction():
     prob = KnapsackSubproblem(profits=(60, 100, 120), weights=(10, 20, 30),
                               capacity=50)
@@ -283,13 +305,13 @@ def test_array_invariants_rejected(dtype):
         problem([-1, 2], [1, 1])
     with pytest.raises(ValueError, match="capacity must be an integer"):
         problem([5, 3], [1, 1], 1.5)
-    if dtype is tuple:
+    if dtype is not np.int64:  # an int64 array cannot hold 1.9
         # Truncated, 1.9 + 1.2 would fit a capacity of 2.
         with pytest.raises(ValueError, match="must be integers"):
             problem([5, 3], [1.9, 1.2], 2)
         with pytest.raises(ValueError, match="must be integers"):
             problem([1.5, 2], [1, 1], 2)
-    else:
+    if dtype is not tuple:
         with pytest.raises(ValueError, match="integer arrays"):
             KnapsackSubproblem(profits=np.array([5, 3], dtype=dtype),
                                weights=np.array([1.9, 1.2]), capacity=2)
@@ -301,10 +323,10 @@ def test_ratio_past_float_range_picks_a_break_item():
     sol = solve_knapsack(KnapsackSubproblem((huge, 3), (1, 2), 5))
     assert (sol.selected, sol.value) == ((1, 1), huge + 3)
     assert solve_knapsack_value(KnapsackSubproblem((huge, 3), (1, 2), 2)) == huge
-    assert rkpm._integer_lp_bounds(np.array([huge, 3], dtype=object),
-                                   np.array([[1, 2]], dtype=object),
-                                   [5]) == [huge + 3]
+    assert knapsack.lp_rows(np.array([huge, 3], dtype=object),
+                            np.array([[1, 2]], dtype=object),
+                            [5]) == [(huge + 3, 0, 1, huge + 3)]
     # The break item is the second, whatever the clamped keys say.
-    assert rkpm._integer_lp_bounds(np.array([huge, 3], dtype=object),
-                                   np.array([[1, 2]], dtype=object),
-                                   [2]) == [huge + 1]
+    assert knapsack.lp_rows(np.array([huge, 3], dtype=object),
+                            np.array([[1, 2]], dtype=object),
+                            [2]) == [(huge, 3, 2, huge + 1)]

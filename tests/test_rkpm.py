@@ -9,9 +9,11 @@ import pytest
 
 from sockp import (HORIZONTAL, GeneratorSpec, SockpInstance, VERTICAL,
                    beta_exact, build_segments, generate, is_soc_feasible,
-                   knapsack, lower_bound, rkpm, solve_rkpm, upper_bound)
+                   knapsack, lower_bound, rkpm, solve_exact, solve_rkpm,
+                   upper_bound)
 from sockp.approx import SegmentTable
-from sockp.rkpm import _Family, _integer_lp_bounds
+from sockp.knapsack import lp_rows
+from sockp.rkpm import _Family
 
 from conftest import family, random_instance, soc_brute_force, subproblem_exact
 
@@ -295,20 +297,26 @@ def _subproblem(fam, i):
         capacity=fam.capacities([i])[0])
 
 
+def _scaled_reference(fam, rank):
+    """Weights and capacity of ``subproblem_exact`` times the family's
+    factor, rounded inward for a lower bound (ceil weights, floor capacity)
+    and outward for every other budget."""
+    weights, cap = subproblem_exact(fam.inst, fam.table, rank, fam.delta)
+    up, down = ((math.ceil, math.floor) if fam.kind == rkpm.LOWER
+                else (math.floor, math.ceil))
+    return [up(fam.factor * w) for w in weights], down(fam.factor * cap)
+
+
 def _reference_pivots(fam):
     """Scaled Fraction reference of every pivot with a nonnegative capacity.
 
-    Returns ({sorted index: (weights, capacity, optimum)}, skipped): weights
-    ceil(SCALE * w) and capacity floor(SCALE * cap) of ``subproblem_exact``,
-    the optimum of that knapsack, and the number of pivots with a negative
-    capacity.
+    Returns ({sorted index: (weights, capacity, optimum)}, skipped): the
+    :func:`_scaled_reference` row, the optimum of that knapsack, and the
+    number of pivots with a negative capacity.
     """
     refs, skipped = {}, 0
     for rank in family(fam.table, fam.delta):
-        exact_weights, exact_cap = subproblem_exact(fam.inst, fam.table, rank,
-                                                    fam.delta)
-        weights = [math.ceil(rkpm.SCALE * w) for w in exact_weights]
-        cap = math.floor(rkpm.SCALE * exact_cap)
+        weights, cap = _scaled_reference(fam, rank)
         if cap < 0:
             skipped += 1
             continue
@@ -368,8 +376,8 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
                     assert 1 <= stop - first <= block
                     assert bound == math.floor(_exact_lp(
                         inst.profits, refs[first][0], refs[stop - 1][1]))
-                    row_bounds, _, _ = fam.expand(first, stop)
-                    for i, row in zip(range(first, stop), row_bounds):
+                    lps, _, _ = fam.expand(first, stop)
+                    for i, (*_, row) in zip(range(first, stop), lps):
                         weights, cap, optimum = refs[i]
                         assert row == math.floor(_exact_lp(inst.profits,
                                                            weights, cap))
@@ -404,14 +412,14 @@ def test_integer_lp_bounds_are_lp_floors():
     fits = heavy = 0
     for profits, rows, caps in cases:
         want = [math.floor(_exact_lp(profits, w, c)) for w, c in zip(rows, caps)]
-        got = _integer_lp_bounds(np.array(profits, dtype=np.int64),
-                                 np.array(rows, dtype=np.int64), caps)
-        assert got == want
+        got = lp_rows(np.array(profits, dtype=np.int64),
+                      np.array(rows, dtype=np.int64), caps)
+        assert [lp[3] for lp in got] == want
         scale = 10 ** 20  # past the int64 rule: object arithmetic
-        got = _integer_lp_bounds(np.array(profits, dtype=object),
-                                 np.array(rows, dtype=object) * scale,
-                                 [c * scale for c in caps])
-        assert got == want
+        got = lp_rows(np.array(profits, dtype=object),
+                      np.array(rows, dtype=object) * scale,
+                      [c * scale for c in caps])
+        assert [lp[3] for lp in got] == want
         fits += any(sum(w) <= c for w, c in zip(rows, caps))
         heavy += any(max(w) > c for w, c in zip(rows, caps))
     assert knapsack.exact_dtype(60, 9, 60 * 10 ** 20, 0) is object
@@ -483,9 +491,9 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
 
 def _lower_bounds_by(monkeypatch, drop):
     """Make every screen and row bound ``drop`` lower than it is."""
-    real = rkpm._integer_lp_bounds
-    monkeypatch.setattr(rkpm, "_integer_lp_bounds",
-                        lambda *args: [b - drop for b in real(*args)])
+    real = rkpm.lp_rows
+    monkeypatch.setattr(rkpm, "lp_rows", lambda *args: [
+        (*lp[:3], lp[3] - drop) for lp in real(*args)])
 
 
 def test_screen_bound_below_a_solved_value_raises(monkeypatch):
@@ -513,12 +521,8 @@ def _budgets(table, n):
 
 
 def _assert_row_is_exact(fam, i, weights, capacity):
-    """``weights`` and ``capacity`` are ceil(SCALE * w), floor(SCALE * cap)
-    of the reference."""
-    ref_weights, ref_cap = subproblem_exact(fam.inst, fam.table, i + 1,
-                                            fam.delta)
-    assert weights.tolist() == [math.ceil(rkpm.SCALE * w) for w in ref_weights]
-    assert capacity == math.floor(rkpm.SCALE * ref_cap)
+    """``weights`` and ``capacity`` are the :func:`_scaled_reference` row."""
+    assert (weights.tolist(), capacity) == _scaled_reference(fam, i + 1)
 
 
 def _object_cases(rng):
@@ -548,8 +552,8 @@ def _object_cases(rng):
 def _decimal_mean_cases(rng):
     """int64 rows whose means have 3 or 7 fractional digits.
 
-    10^3 divides SCALE and 10^7 does not: then SCALE * mean_j is no integer,
-    and its fraction goes into the ceiling division.
+    10^3 divides SCALE and 10^7 does not: then the family's factor grows
+    until every scaled mean is an integer.
     """
     for digits in (3, 7):
         base = random_instance(rng, rng.randint(3, 8))
@@ -671,8 +675,8 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
                 blocks, _ = fam.screen()
                 for first, stop, bound in blocks:
-                    rows, _, _ = fam.expand(first, stop)
-                    for i, row in zip(range(first, stop), rows):
+                    lps, _, _ = fam.expand(first, stop)
+                    for i, (*_, row) in zip(range(first, stop), lps):
                         assert min(bound, row) >= refs[i][2]
 
 
@@ -740,3 +744,70 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
         monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
         res = solve_rkpm(inst, omega, 4, delta, scheme=VERTICAL, table=table)
         assert res.objective == max(values) == 3
+
+
+def test_ceiling_divisor_past_2_62_takes_object_rows():
+    """The divisor q * f_max / g0 alone sends these rows to ``object``.
+
+    Dispersions near 1e-10 with 12 decimals give q = 1.6e21 at m = 1600,
+    whole means and a capacity of 7.5 keep the factor at 10^6, and
+    q * f_max / g0 = 5,118,400,000,000,000,000 lies between 2**62 and
+    2**64; every other value the rows form fits int64.
+    """
+    inst = SockpInstance(
+        profits=(5, 7, 9),
+        means=(Decimal(3), Decimal(4), Decimal(5)),
+        sigmas=tuple(Decimal(v) for v in ("0.000000000123", "0.000000000456",
+                                          "0.000000000789")),
+        capacity=Decimal("7.5"))
+    omega = Decimal("1.644854")
+    table = build_segments(inst, omega, 1600)
+    fam = _Family(inst, table, table.inner_budget)
+    assert (fam.q, fam.factor) == (16 * 10 ** 20, 10 ** 6)
+    assert fam.div * int(table.f.max()) == 5_118_400_000_000_000_000
+    assert fam.dnum.dtype == object
+    assert soc_brute_force(inst, omega) == (12, (1, 1, 0))
+    assert upper_bound(inst, omega, 1600, table=table).objective == 12
+
+
+def _robust_optimum(inst, table, delta):
+    """Best profit over the selections that meet the robust constraint,
+    by enumeration with ``beta_exact``."""
+    a_int, b_int, _, scale = inst.exact_view(table.omega)
+    best = 0
+    for bits in product((0, 1), repeat=inst.n):
+        used = sum(a for a, b in zip(a_int, bits) if b)
+        if beta_exact(bits, table, delta) <= Fraction(b_int - used, scale):
+            best = max(best, sum(p for p, b in zip(inst.profits, bits) if b))
+    return best
+
+
+@pytest.mark.parametrize("inst, optimum", [
+    # Items 0, 2 and 4 fill the capacity exactly, and their dispersions
+    # add about 1.2e-6, less than the rows' grid step times n + 1.
+    (SockpInstance(profits=(43, 42, 47, 24, 28),
+                   means=tuple(Decimal(v) for v in (71, 82, 75, 31, 7)),
+                   sigmas=tuple(Decimal(v) for v in (
+                       "6.93E-8", "0.00000998", "2.93E-7", "0.00000792",
+                       "6.48E-7")),
+                   capacity=Decimal("153.0000000000")), 99),
+    # Item 1 alone leaves 1e-6 of room for a dispersion of 1.16e-6.
+    (SockpInstance(profits=(13, 43, 24, 11),
+                   means=tuple(Decimal(v) for v in (20, 32, 90, 100)),
+                   sigmas=tuple(Decimal(v) for v in (
+                       "0.0000486", "7.08E-7", "0.000957", "4.05E-8")),
+                   capacity=Decimal("32.000001")), 13),
+])
+def test_upper_bound_is_the_robust_optimum_below_the_grid(inst, optimum):
+    """A selection that breaks the robust constraint by less than the
+    rows' rounding still fits the first relaxation; the bound refines the
+    grid until its winner meets the constraint, so it is the exact robust
+    optimum, and the exact solver certifies the SOC optimum."""
+    omega = Decimal("1.645")
+    for m in (1, 2, 4):
+        table = build_segments(inst, omega, m)
+        res = upper_bound(inst, omega, m, table=table)
+        assert res.objective == _robust_optimum(inst, table,
+                                                table.inner_budget)
+    assert soc_brute_force(inst, omega)[0] == optimum
+    assert solve_exact(inst, omega).objective == optimum
