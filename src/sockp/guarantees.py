@@ -76,9 +76,10 @@ def min_segments_dro(n: int, rho, delta) -> int:
     rho_d = as_decimal(rho)
     _check_rho(rho_d)
     rho_f = Fraction(rho_d)
-    delta_f = Fraction(as_decimal(delta))
-    if delta_f <= 0:
-        raise ValueError(f"target gap must be positive, got {delta}")
+    delta_d = as_decimal(delta)
+    if not delta_d.is_finite() or delta_d <= 0:
+        raise ValueError(f"target gap must be positive and finite, got {delta}")
+    delta_f = Fraction(delta_d)
     inner = (rho_f * (1 - rho_f) / (4 * delta_f) + rho_f / 4) * n
     m = math.isqrt(inner.numerator // inner.denominator)
     while Fraction(m * m) < inner:
@@ -95,8 +96,8 @@ def min_segments_normal_order(n: int, rho, delta) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     delta = float(delta)
-    if delta <= 0:
-        raise ValueError(f"target gap must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"target gap must be positive and finite, got {delta}")
     lo = max(1, math.ceil(math.sqrt(n) / 2))
     while 4 * lo * lo < n:
         lo += 1

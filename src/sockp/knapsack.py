@@ -13,10 +13,11 @@ depth-first branch and bound: one include-first search with Dantzig pruning
 gives the optimum, and the same search, started at a target, tells whether a
 suffix of the items still reaches it.  Among equal-value optima it returns the
 lexicographically smallest selection vector, so results are reproducible
-across runs and platforms.  That selection is read off suffix rows (the row
-over items i, i+1, ...); beyond ``LEX_CELLS`` cells only every stride-th
-suffix row is kept and the others are rebuilt a block at a time, so
-reconstruction memory stays bounded whatever the dtype.
+across runs and platforms.  One walk in index order finds it on both paths:
+it leaves an item out while the suffix after it still reaches the missing
+profit, which the DP reads off suffix rows; beyond ``LEX_CELLS`` cells only
+every stride-th suffix row is kept and the others are rebuilt a block at a
+time, so reconstruction memory stays bounded whatever the dtype.
 
 Before the DP runs, one pass over the profit and weight arrays settles every
 item.  A mask drops the zero-profit and oversized items; the rest are fixed
@@ -24,9 +25,10 @@ by reduced cost against a floor (Martello, Pisinger & Toth, "Dynamic
 programming and strong bounds for the 0-1 knapsack problem", Management
 Science 45(3), 1999).  :func:`lp_rows` finds the break item b of the greedy
 fill and the fill's value for many weight rows at once, together with each
-row's integer LP bound, which :mod:`sockp.rkpm` screens with; a caller that
-has a problem's row passes it to the value solve.  With lam = p_b / w_b, or
-lam = 0 when the fill takes every item, every selection x satisfies
+row's integer LP bound, which :mod:`sockp.rkpm` screens with and
+:func:`dantzig_bound` returns; a caller that has a problem's row passes it
+to the value solve.  With lam = p_b / w_b, or lam = 0 when the fill takes
+every item, every selection x satisfies
 
     value(x) <= U - sum over items j off their LP side of |p_j - lam w_j|,
     U = lam * cap + sum_j max(0, p_j - lam w_j),
@@ -146,15 +148,15 @@ def dantzig_bound(profits: Sequence[int], weights: Sequence[int],
                   capacity: int) -> int:
     """Integer upper bound from the LP relaxation (greedy fractional fill).
 
-    Exact integer arithmetic; items are ordered by profit/weight with exact
-    ratio comparisons, so the bound is valid even for pathological ties.
+    The :func:`lp_rows` bound over the items of positive profit that fit;
+    the floor of the LP optimum when the float ratio order is right.
     """
     if capacity < 0:
         return 0
-    free = sum(p for p, w in zip(profits, weights) if p > 0 and w == 0)
-    kept = [(j, p, w) for j, (p, w) in enumerate(zip(profits, weights))
-            if p > 0 and 0 < w <= capacity]
-    return free + _greedy_bound(kept, _ratio_order(kept), 0, capacity)
+    kept = [(int(p), int(w)) for p, w in zip(profits, weights)
+            if p > 0 and w <= capacity]
+    p, w = np.array(kept, dtype=object).reshape(-1, 2).T
+    return lp_rows(p, w[None], [capacity])[0][3]
 
 
 class _Reduction(NamedTuple):
@@ -361,37 +363,45 @@ def _dp_by_profit(kept, capacity, upper):
     width = upper + 1
     # Suffix rows: rows[i] covers kept[i:].  Every row is kept while the
     # k + 1 of them fit the cell budget; otherwise only every stride-th one
-    # (and the empty row k), about half the budget, and the walk below
-    # rebuilds the rows between two checkpoints when it reaches them.
+    # (and the empty row k), about half the budget, and ``reaches`` rebuilds
+    # the rows between two checkpoints when the walk gets to them.
     budget = max(4, LEX_CELLS // width)
     stride = 1 if k + 1 <= budget else math.ceil((k + 1) / max(2, budget // 2))
     rows = {k: _empty_row(width, capacity)}
     _sweep(rows[k].copy(), kept, k, 0, rows, stride)
-    value = _best_profit(rows[0], capacity)
-
-    # Lexicographically smallest optimum: prefer leaving each item out when
-    # the remaining suffix can still deliver the missing profit in the room.
     block = {}
-    chosen = []
-    target = value
-    room = capacity
-    for i, (j, p, w) in enumerate(kept):
-        after = rows.get(i + 1)
+
+    def reaches(i, target, room):
+        after = rows.get(i)
         if after is None:
-            if i + 1 not in block:
-                below = (i + 1) // stride * stride
+            if i not in block:
+                below = i // stride * stride
                 anchor = min(k, below + stride)
                 block.clear()
                 _sweep(rows[anchor].copy(), kept, anchor, below + 1, block)
-            after = block[i + 1]
-        if after[target] <= room:
+            after = block[i]
+        return after[target] <= room
+
+    value = _best_profit(rows[0], capacity)
+    return value, _lex_walk(kept, value, capacity, reaches)
+
+
+def _lex_walk(kept, target, room, reaches):
+    """Lexicographically smallest selection of ``kept`` worth ``target``.
+
+    Each item is left out when ``reaches(i, target, room)`` says the suffix
+    kept[i:] after it still delivers the missing profit in the room left.
+    """
+    chosen = []
+    for i, (j, p, w) in enumerate(kept):
+        if reaches(i + 1, target, room):
             continue
         chosen.append(j)
         target -= p
         room -= w
     if target != 0:
         raise SolverInvariantError("reconstruction missed the optimal value")
-    return value, chosen
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +456,6 @@ def _bb_value(kept, capacity, target=None):
 
 def _branch_and_bound(kept, capacity):
     best = _bb_value(kept, capacity)
-
-    # Fix bits in index order, keeping the lexicographically smallest vector
-    # that still completes to the optimal value.
-    chosen = []
-    target = best
-    budget = capacity
-    for i, (j, p, w) in enumerate(kept):
-        if _bb_value(kept[i + 1:], budget, target) >= target:
-            continue
-        chosen.append(j)
-        target -= p
-        budget -= w
-    if target != 0:
-        raise SolverInvariantError("reconstruction missed the optimal value")
-    return best, chosen
+    return best, _lex_walk(
+        kept, best, capacity,
+        lambda i, target, room: _bb_value(kept[i:], room, target) >= target)

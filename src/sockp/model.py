@@ -22,8 +22,6 @@ from decimal import Decimal, ROUND_DOWN, localcontext
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "OmegaSpec",
     "SockpInstance",
@@ -254,7 +252,7 @@ def as_omega(omega) -> Decimal:
 # Instance data
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass
 class SockpInstance:
     """Data of one SOC-constrained binary knapsack instance.
 
@@ -302,26 +300,7 @@ class SockpInstance:
     def n(self) -> int:
         return len(self.profits)
 
-    def __eq__(self, other):
-        if not isinstance(other, SockpInstance):
-            return NotImplemented
-        return (self.profits == other.profits
-                and self.means == other.means
-                and self.sigmas == other.sigmas
-                and self.capacity == other.capacity
-                and self.omega == other.omega)
-
-    # -- cached numeric views ------------------------------------------------
-
-    def float_views(self):
-        """(means, sigmas^2, capacity) as float arrays/scalars."""
-        views = self._caches.get("float")
-        if views is None:
-            means = np.array([float(v) for v in self.means])
-            sig_sq = np.array([float(v) ** 2 for v in self.sigmas])
-            views = (means, sig_sq, float(self.capacity))
-            self._caches["float"] = views
-        return views
+    # -- cached exact view ---------------------------------------------------
 
     def exact_view(self, omega: Decimal):
         """The instance's data as integers over one power of ten.
@@ -355,9 +334,10 @@ def soc_lhs(x: Sequence[int], inst: SockpInstance, omega) -> float:
     """Left-hand side mean'x + omega * sqrt(sum sigma^2 x) as a float."""
     _check_bits(x, inst.n)
     omega_d = as_omega(omega)
-    means, sig_sq, _ = inst.float_views()
-    mask = np.asarray(x, dtype=bool)
-    return float(means[mask].sum() + float(omega_d) * math.sqrt(sig_sq[mask].sum()))
+    chosen = [j for j, bit in enumerate(x) if bit]
+    lin = sum(float(inst.means[j]) for j in chosen)
+    var = sum(float(inst.sigmas[j]) ** 2 for j in chosen)
+    return lin + float(omega_d) * math.sqrt(var)
 
 
 def is_soc_feasible(x: Sequence[int], inst: SockpInstance, omega) -> bool:

@@ -30,6 +30,21 @@ def enumerate_knapsack(profits, weights, capacity):
     return best_value, best_bits
 
 
+def exact_lp(profits, weights, capacity):
+    """Exact LP optimum of a knapsack with int or Fraction weights and a
+    capacity >= 0."""
+    value = Fraction(sum(p for p, w in zip(profits, weights) if w == 0))
+    room = capacity
+    for _, p, w in sorted(((Fraction(p) / w, p, w)
+                           for p, w in zip(profits, weights) if w > 0),
+                          key=lambda e: -e[0]):
+        if w > room:
+            return value + Fraction(p) * room / w
+        value += p
+        room -= w
+    return value
+
+
 def soc_brute_force(inst, omega):
     """Exhaustive SOC-feasible optimum via exact integer arithmetic."""
     from sockp.model import as_omega

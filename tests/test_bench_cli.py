@@ -181,6 +181,10 @@ def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["guarantee", "--n", "100", "--rho", "0.95"]) == 2
     capsys.readouterr()
+    for gap in ("Infinity", "NaN"):
+        assert main(["guarantee", "--n", "5", "--rho", "0.95",
+                     "--target-gap", gap]) == 2
+        assert "finite" in capsys.readouterr().err
     # Documents that are no JSON object, or whose fields have a wrong type.
     good = {"n": 1, "profits": [5], "means": ["1"], "sigmas": ["1"],
             "capacity": "3"}

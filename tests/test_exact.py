@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -6,6 +7,7 @@ import pytest
 
 from sockp import (SockpInstance, is_soc_feasible, lower_bound, m_star,
                    solve_exact, upper_bound)
+from sockp import knapsack
 from sockp.exact import _ceil_half_isqrt, initial_segments
 from sockp.model import EXACT_PREC, _frac_digits, as_omega
 
@@ -192,20 +194,26 @@ def test_capacity_digits_below_the_grid_keep_the_certificate():
     assert is_soc_feasible(res.solution, inst, omega)
 
 
-@pytest.mark.parametrize("k", [6, 9])
+def _scaled(inst, k):
+    """The instance with every mean, dispersion and the capacity times 10^-k."""
+    return SockpInstance(profits=inst.profits,
+                         means=tuple(v.scaleb(-k) for v in inst.means),
+                         sigmas=tuple(v.scaleb(-k) for v in inst.sigmas),
+                         capacity=inst.capacity.scaleb(-k))
+
+
+@pytest.mark.parametrize("k", range(10))
 def test_bounds_and_optimum_do_not_depend_on_units(k):
     """Every mean, dispersion and capacity times 10^-k: the instance is the
     same, so the bounds still sandwich the brute-force optimum, the lower
-    bound stays SOC-feasible and ``solve_exact`` still finds the optimum."""
+    bound stays SOC-feasible and ``solve_exact`` still finds the optimum,
+    with the selection it finds in the instance's own units.  k = 6 and 9,
+    where a fixed grid used to lose optima, take the most instances."""
     rng = random.Random(5)
     omega = Decimal("1.645")
-    for _ in range(100):
+    for _ in range(100 if k in (6, 9) else 15):
         base = random_instance(rng, rng.randint(6, 11))
-        inst = SockpInstance(
-            profits=base.profits,
-            means=tuple(v.scaleb(-k) for v in base.means),
-            sigmas=tuple(v.scaleb(-k) for v in base.sigmas),
-            capacity=base.capacity.scaleb(-k))
+        inst = _scaled(base, k)
         opt, _ = soc_brute_force(inst, omega)
         for m in (1, 2, 3):
             assert upper_bound(inst, omega, m).objective >= opt, (inst, m)
@@ -214,4 +222,81 @@ def test_bounds_and_optimum_do_not_depend_on_units(k):
             assert is_soc_feasible(lb.solution, inst, omega)
         res = solve_exact(inst, omega)
         assert res.objective == opt, inst
+        assert res.solution == solve_exact(base, omega).solution, inst
         assert is_soc_feasible(res.solution, inst, omega)
+
+
+def _soc_optima(inst, omega):
+    """(optimum, every SOC-feasible selection of that value), by enumeration."""
+    a_ints, b_int, w_ints, _ = inst.exact_view(omega)
+    best, found = 0, []
+    for bits in itertools.product((0, 1), repeat=inst.n):
+        slack = b_int - sum(a for a, x in zip(a_ints, bits) if x)
+        if slack < 0 or slack * slack < sum(w * w for w, x in zip(w_ints, bits)
+                                            if x):
+            continue
+        value = sum(p for p, x in zip(inst.profits, bits) if x)
+        if value > best:
+            best, found = value, []
+        if value == best:
+            found.append(bits)
+    return best, found
+
+
+def test_permuting_the_items_keeps_the_optimum():
+    """Items in another order: the same optimum, and where only one
+    selection attains it, the selection moves with the items."""
+    rng = random.Random(23)
+    omega = Decimal("1.645")
+    unique = 0
+    for _ in range(40):
+        inst = _scaled(random_instance(rng, rng.randint(6, 11),
+                                       profit_hi=rng.choice([5, 100])),
+                       rng.randint(0, 9))
+        perm = list(range(inst.n))
+        rng.shuffle(perm)
+
+        def moved(values):
+            return tuple(values[j] for j in perm)
+
+        shuffled = SockpInstance(profits=moved(inst.profits),
+                                 means=moved(inst.means),
+                                 sigmas=moved(inst.sigmas),
+                                 capacity=inst.capacity)
+        opt, optima = _soc_optima(inst, omega)
+        res, res_shuffled = solve_exact(inst, omega), solve_exact(shuffled, omega)
+        assert res.objective == res_shuffled.objective == opt, inst
+        if len(optima) == 1:
+            unique += 1
+            assert res_shuffled.solution == moved(res.solution), inst
+    assert unique >= 20
+
+
+@pytest.mark.parametrize("digits", [8, 12, 20, 39])
+def test_long_profits_take_the_branch_and_bound(monkeypatch, digits):
+    """Profits of 8 digits or more put each pivot knapsack's profit range
+    past ``STATE_CAP``, so its value solves and reconstruction run the
+    branch and bound.  The SOC solvers keep their contract on that path."""
+    calls = []
+    real = knapsack._bb_value
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(knapsack, "_bb_value", counted)
+    rng = random.Random(29 + digits)
+    omega = Decimal("1.645")
+    for _ in range(15):
+        inst = random_instance(rng, rng.randint(5, 10),
+                               profit_hi=10 ** digits - 1)
+        opt, _ = soc_brute_force(inst, omega)
+        res = solve_exact(inst, omega)
+        assert res.objective == opt, inst
+        assert is_soc_feasible(res.solution, inst, omega)
+        for m in (1, 2, 4):
+            assert upper_bound(inst, omega, m).objective >= opt, (inst, m)
+            lb = lower_bound(inst, omega, m)
+            assert lb.objective <= opt
+            assert is_soc_feasible(lb.solution, inst, omega)
+    assert calls

@@ -139,6 +139,17 @@ def test_min_segments_normal_is_least_valid_at_tiny_gaps():
     assert guarantee_gap_normal(10, 10 ** 9, 0.95) > 0
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf"),
+                                   Decimal("NaN"), Decimal("Infinity"),
+                                   Decimal("-Infinity"), "NaN", "Infinity"],
+                         ids=lambda d: f"{type(d).__name__}:{d}")
+def test_min_segments_reject_a_gap_that_is_no_finite_number(delta):
+    with pytest.raises(ValueError, match="finite"):
+        min_segments_dro(10, "0.95", delta)
+    with pytest.raises(ValueError, match="finite"):
+        min_segments_normal_order(10, 0.95, delta)
+
+
 def test_monte_carlo_empty_selection_is_certain():
     inst = SockpInstance(profits=(1,), means=(Decimal(3),), sigmas=(Decimal(1),),
                          capacity=Decimal(2))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from sockp import (KnapsackSubproblem, SolverInvariantError, dantzig_bound,
 from sockp import knapsack
 from sockp.knapsack import solve_knapsack_value
 
-from conftest import enumerate_knapsack
+from conftest import enumerate_knapsack, exact_lp
 
 
 def test_textbook_instance():
@@ -87,11 +88,32 @@ def test_optimal_value_invariant_under_permutation():
 
 
 def test_dantzig_bound_dominates_optimum():
+    """The bound is the LP optimum's floor over the items that can count:
+    positive profit and a weight within the capacity.  Random problems, with
+    zero weights and oversized items, equal ratios and 25-digit data."""
     rng = random.Random(13)
-    for _ in range(60):
-        prob = _random_problem(rng, rng.randint(1, 14))
-        assert dantzig_bound(prob.profits, prob.weights, prob.capacity) \
-            >= solve_knapsack(prob).value
+    for trial in range(120):
+        n = rng.randint(1, 14)
+        if trial % 3 == 0:
+            prob = _random_problem(rng, n)
+        elif trial % 3 == 1:
+            ratios = [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
+            pairs = [(rng.choice(ratios), rng.randint(1, 12)) for _ in range(n)]
+            profits = tuple(p * k for (p, _), k in pairs)
+            weights = tuple(w * k for (_, w), k in pairs)
+            prob = KnapsackSubproblem(profits=profits, weights=weights,
+                                      capacity=rng.randint(0, sum(weights)))
+        else:
+            prob = _random_problem(rng, n, profit_hi=10 ** 25,
+                                   weight_hi=10 ** 25)
+        bound = dantzig_bound(prob.profits, prob.weights, prob.capacity)
+        kept = [(p, w) for p, w in zip(prob.profits, prob.weights)
+                if p > 0 and w <= prob.capacity]
+        assert bound == math.floor(exact_lp(*zip(*kept), prob.capacity)
+                                   if kept else 0)
+        if n <= 12:
+            assert bound >= enumerate_knapsack(prob.profits, prob.weights,
+                                               prob.capacity)[0]
 
 
 def test_branch_and_bound_path_agrees_with_dp(monkeypatch):

@@ -15,7 +15,8 @@ from sockp.approx import SegmentTable
 from sockp.knapsack import lp_rows
 from sockp.rkpm import _Family
 
-from conftest import family, random_instance, soc_brute_force, subproblem_exact
+from conftest import (exact_lp, family, random_instance, soc_brute_force,
+                      subproblem_exact)
 
 
 def _single(b):
@@ -275,20 +276,6 @@ def test_lower_bound_solution_satisfies_robust_constraint(rng):
             <= Fraction(inst.capacity)
 
 
-def _exact_lp(profits, weights, capacity):
-    """LP optimum of a knapsack with Fraction weights, capacity >= 0."""
-    value = Fraction(sum(p for p, w in zip(profits, weights) if w == 0))
-    room = capacity
-    for _, p, w in sorted(((Fraction(p) / w, p, w)
-                           for p, w in zip(profits, weights) if w > 0),
-                          key=lambda e: -e[0]):
-        if w > room:
-            return value + p * room / w
-        value += p
-        room -= w
-    return value
-
-
 def _subproblem(fam, i):
     """Scaled knapsack of the pivot at sorted index i, from its own sums."""
     return knapsack.KnapsackSubproblem(
@@ -374,12 +361,12 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
                 assert covered == sorted(refs)
                 for first, stop, bound in got:
                     assert 1 <= stop - first <= block
-                    assert bound == math.floor(_exact_lp(
+                    assert bound == math.floor(exact_lp(
                         inst.profits, refs[first][0], refs[stop - 1][1]))
                     lps, _, _ = fam.expand(first, stop)
                     for i, (*_, row) in zip(range(first, stop), lps):
                         weights, cap, optimum = refs[i]
-                        assert row == math.floor(_exact_lp(inst.profits,
+                        assert row == math.floor(exact_lp(inst.profits,
                                                            weights, cap))
                         assert bound >= row >= optimum
     # Some ratio group crossed a one-row chunk boundary, and some pivots
@@ -411,7 +398,7 @@ def test_integer_lp_bounds_are_lp_floors():
                                       for w in rows]))
     fits = heavy = 0
     for profits, rows, caps in cases:
-        want = [math.floor(_exact_lp(profits, w, c)) for w, c in zip(rows, caps)]
+        want = [math.floor(exact_lp(profits, w, c)) for w, c in zip(rows, caps)]
         got = lp_rows(np.array(profits, dtype=np.int64),
                       np.array(rows, dtype=np.int64), caps)
         assert [lp[3] for lp in got] == want
