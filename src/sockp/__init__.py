@@ -20,8 +20,7 @@ from .knapsack import (KnapsackSolution, KnapsackSubproblem,
 from .model import (OmegaSpec, SockpInstance, instance_from_json,
                     instance_to_json, inverse_normal_cdf, is_soc_feasible,
                     resolve_omega, soc_lhs)
-from .rkpm import (BoundResult, EXACT, LOWER, UPPER, lower_bound, solve_rkpm,
-                   upper_bound)
+from .rkpm import BoundResult, EXACT, LOWER, UPPER, lower_bound, upper_bound
 
 __all__ = [
     "BoundResult", "EXACT", "FAMILIES", "GeneratorSpec", "HORIZONTAL",
@@ -33,7 +32,7 @@ __all__ = [
     "instance_to_json", "inverse_normal_cdf", "is_soc_feasible", "lower_bound",
     "m_star", "min_segments_dro", "min_segments_normal_order",
     "monte_carlo_feasibility", "resolve_omega", "soc_lhs", "solve_exact",
-    "solve_knapsack", "solve_rkpm", "upper_bound",
+    "solve_knapsack", "upper_bound",
 ]
 
 __version__ = "0.1.0"

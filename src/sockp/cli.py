@@ -84,19 +84,12 @@ def _resolve_instance_omega(args, inst):
     if args.omega is not None:
         return inst, args.omega
     if args.rho is not None:
-        if args.ambiguity == "delage-ye":
-            if args.gamma1 is None or args.gamma2 is None:
-                raise ValueError("delage-ye ambiguity requires --gamma1 and --gamma2")
-            spec = OmegaSpec.delage_ye(args.rho, args.gamma1, args.gamma2)
-        elif args.ambiguity == "support":
-            if not args.support_lower or not args.support_upper:
-                raise ValueError("support ambiguity requires --support-lower/--support-upper")
-            spec = OmegaSpec.support_interval(
-                args.rho, _parse_decimal_list(args.support_lower),
-                _parse_decimal_list(args.support_upper), form=args.support_form)
-        else:
-            spec = OmegaSpec(kind=args.ambiguity, rho=args.rho)
-        return apply_omega_spec(inst, spec)
+        lower, upper = (None if text is None else tuple(_parse_decimal_list(text))
+                        for text in (args.support_lower, args.support_upper))
+        return apply_omega_spec(inst, OmegaSpec(
+            kind=args.ambiguity, rho=args.rho, gamma1=args.gamma1,
+            gamma2=args.gamma2, lower=lower, upper=upper,
+            support_form=args.support_form))
     if inst.omega is not None:
         return inst, inst.omega
     raise ValueError("no safety factor: give --omega, or --rho with --ambiguity")

@@ -8,9 +8,11 @@ contributes the feasible set
 
 where "before" means strictly greater d/f ratio, plus a final subproblem with
 weights mean_j + sum_k d_jk and the plain capacity for the zero-ratio dummy
-pivot.  The best solution over the family solves the robust problem exactly;
-budget delta = m^2 yields an upper bound on the SOC optimum and
-delta = m^2 + n/4 a feasible lower bound.
+pivot.  The best solution over the family solves the robust problem exactly.
+A family has one of two kinds, and the kind sets its budget: ``UPPER`` takes
+the inner budget delta = m^2 (m in the vertical scheme) and yields an upper
+bound on the SOC optimum, ``LOWER`` the outer budget delta = m^2 + n/4 of
+the horizontal scheme and yields a feasible lower bound.
 
 The family is one index range over the table sorted by falling ratio: from
 the first pivot (rank lhat) to index ``size``, the dummy, which is handled as
@@ -23,15 +25,14 @@ Every pivot has one form: an integer knapsack, its weights and capacity
 times one factor S and rounded.  The screen bounds it, the family pass
 prunes by it and the DP solves it.  S is ``SCALE`` = 10^6 steps per unit of
 the smallest positive mean, refined to a multiple on whose grid every mean
-and the capacity are integers, so only the gains are rounded.  The lower
-bound (the outer budget of the horizontal scheme) rounds inward, weights up
-and capacity down, so its selection is robust- and SOC-feasible.  Every
-other budget rounds outward, weights down and capacity up, so the scaled
-family relaxes the robust problem.  If its winner still breaks the robust
-constraint, by an exact excess e, it came in through the rounding, and the
-family is solved again on a grid S * 10^k with S * 10^k * e >= n + 1, on
-which rounding cannot admit it; a winner that meets the constraint is then
-the exact robust optimum.  A pivot's weights are
+and the capacity are integers, so only the gains are rounded.  A ``LOWER``
+family rounds inward, weights up and capacity down, so its selection is
+robust- and SOC-feasible.  An ``UPPER`` family rounds outward, weights down
+and capacity up, so the scaled family relaxes the robust problem.  If its
+winner still breaks the robust constraint, by an exact excess e, it came in
+through the rounding, and the family is solved again on a grid S * 10^k
+with S * 10^k * e >= n + 1, on which rounding cannot admit it; a winner that
+meets the constraint is then the exact robust optimum.  A pivot's weights are
 mean_j + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the item's
 entries of a strictly larger ratio, with the gains and the capacity over
 one denominator q, so a scaled weight is S mean_j plus S extra_j / (q f_i)
@@ -93,7 +94,6 @@ __all__ = [
     "LOWER",
     "EXACT",
     "lower_bound",
-    "solve_rkpm",
     "upper_bound",
 ]
 
@@ -133,7 +133,7 @@ class BoundResult:
 
 
 class _Family:
-    """Shared exact data for one (instance, table, delta) family.
+    """Shared exact data for one (instance, table, kind) family.
 
     Means and capacity come over the scale of
     :meth:`SockpInstance.exact_view`, gains over the table's q.  A table
@@ -141,8 +141,9 @@ class _Family:
     divide, so q is lifted by scale / gcd(q, scale), and the gains with it.
     ``b`` is the capacity over q, ``dnum`` and ``f`` the gain numerators and
     budgets with the dummy pivot's 0 and 1 appended, ``whole`` the scaled
-    means factor * mean_j, and ``profits`` the profits.  ``kind`` is the
-    bound the family gives, which sets the rounding, and ``factor`` the
+    means factor * mean_j, and ``profits`` the profits.  ``kind``, ``UPPER``
+    or ``LOWER``, is the bound the family gives: it sets ``delta``, the
+    table's inner or outer budget, and the rounding.  ``factor`` is the
     grid S of the module docstring unless one is given.  The arrays are
     int64 where a bound allows and ``object`` arrays of Python integers
     otherwise.  The bound covers every value :meth:`block_sums` and
@@ -151,13 +152,13 @@ class _Family:
     weights.
     """
 
-    def __init__(self, inst: SockpInstance, table: SegmentTable,
-                 delta: Fraction, factor: int | None = None):
+    def __init__(self, inst: SockpInstance, table: SegmentTable, kind: str,
+                 factor: int | None = None):
         self.inst = inst
         self.table = table
-        self.delta = delta
-        self.kind = (LOWER if table.scheme == HORIZONTAL
-                     and delta == table.outer_budget else UPPER)
+        self.kind = kind
+        self.delta = delta = (table.outer_budget if kind == LOWER
+                              else table.inner_budget)
         a_int, b_int, _, scale = inst.exact_view(table.omega)
         if factor is None:
             a_min = min((a for a in a_int if a > 0), default=scale)
@@ -362,18 +363,14 @@ def _solve_family(fam: _Family):
     return sol.value, sol.selected, examined, skipped
 
 
-def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
-               *,
-               scheme: str = HORIZONTAL,
-               table: SegmentTable | None = None) -> BoundResult:
-    """Solve the robust knapsack over the m-segment approximation exactly.
+def _solve(inst: SockpInstance, omega, m: int, kind: str, scheme: str,
+           table: SegmentTable | None) -> BoundResult:
+    """The bound of ``kind`` over the m-segment approximation, solved exactly.
 
-    ``delta`` is the budget of the support-function knapsack; the outer
-    budget of the horizontal scheme gives a feasible lower bound (kind
-    ``LOWER``) and every other budget, the inner one first, an upper bound
-    on the SOC optimum.  Returns the best solution across the pivot family
+    Returns the best solution across the pivot family of the kind's budget
     together with bookkeeping counts.  A supplied ``table`` must have been
-    built for this m, scheme, omega and the instance's dispersions.
+    built for this m, scheme, omega and the instance's dispersions; without
+    one, the table is built here and timed with the solve.
     """
     start = time.perf_counter()
     omega_d = as_omega(omega)
@@ -382,19 +379,15 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
     elif ((table.m, table.scheme, table.omega, table.sigmas)
           != (m, scheme, omega_d, inst.sigmas)):
         raise ValueError("supplied segment table does not match the arguments")
-    delta = Fraction(delta)
-    if delta < table.inner_budget:
-        raise ValueError(
-            f"budget {delta} is below the inner budget {table.inner_budget}")
 
-    fam = _Family(inst, table, delta)
+    fam = _Family(inst, table, kind)
     examined = skipped = 0
     while True:
         value, bits, screened, dropped = _solve_family(fam)
         examined += screened
         skipped += dropped
-        excess = _robust_excess(inst, table, delta, bits, omega_d)
-        if excess <= 0 or fam.kind == LOWER:
+        excess = _robust_excess(inst, table, fam.delta, bits, omega_d)
+        if excess <= 0 or kind == LOWER:
             break
         # The relaxation took a selection past the robust constraint.  At
         # every pivot its load exceeds the capacity by at least the excess,
@@ -403,10 +396,10 @@ def solve_rkpm(inst: SockpInstance, omega, m: int, delta,
         factor = 10 * fam.factor
         while factor * excess < inst.n + 1:
             factor *= 10
-        fam = _Family(inst, table, delta, factor)
-    _validate_result(inst, bits, value, fam.kind, excess, omega_d)
-    return BoundResult(solution=bits, objective=value, kind=fam.kind,
-                       m=table.m, delta=delta, subproblems_solved=examined,
+        fam = _Family(inst, table, kind, factor)
+    _validate_result(inst, bits, value, kind, excess, omega_d)
+    return BoundResult(solution=bits, objective=value, kind=kind,
+                       m=table.m, delta=fam.delta, subproblems_solved=examined,
                        subproblems_skipped=skipped,
                        wall_time=time.perf_counter() - start)
 
@@ -433,21 +426,23 @@ def _validate_result(inst, bits, value, kind, excess, omega_d):
 def upper_bound(inst: SockpInstance, omega, m: int, *,
                 scheme: str = HORIZONTAL,
                 table: SegmentTable | None = None) -> BoundResult:
-    """Upper bound on the SOC optimum (inner approximation budget)."""
-    if table is None:
-        table = build_segments(inst, as_omega(omega), m, scheme)
-    return solve_rkpm(inst, omega, m, table.inner_budget, scheme=scheme,
-                      table=table)
+    """Upper bound on the SOC optimum: the robust optimum over the inner
+    approximation (budget m^2, or m in the vertical scheme).
+
+    A supplied ``table`` must have been built for this m, scheme, omega and
+    the instance's dispersions; without one, the table is built and timed
+    with the solve.
+    """
+    return _solve(inst, omega, m, UPPER, scheme, table)
 
 
 def lower_bound(inst: SockpInstance, omega, m: int, *,
                 table: SegmentTable | None = None) -> BoundResult:
-    """Feasible lower bound on the SOC optimum (outer approximation budget).
+    """Feasible lower bound on the SOC optimum: the robust optimum over the
+    outer approximation (budget m^2 + n/4, horizontal scheme only).
 
     The returned solution is guaranteed SOC-feasible; this is checked in
-    exact arithmetic before returning.
+    exact arithmetic before returning.  ``table`` is as for
+    :func:`upper_bound`.
     """
-    if table is None:
-        table = build_segments(inst, as_omega(omega), m, HORIZONTAL)
-    return solve_rkpm(inst, omega, m, table.outer_budget, scheme=HORIZONTAL,
-                      table=table)
+    return _solve(inst, omega, m, LOWER, HORIZONTAL, table)

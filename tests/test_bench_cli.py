@@ -213,6 +213,64 @@ def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def _csv_row(capsys):
+    """The one data row of a CSV report on standard output, by column."""
+    header, row = capsys.readouterr().out.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("argv, omega, bound", [
+    # gamma1 / gamma2 > 1 - rho: omega = sqrt(gamma2 / (1 - rho)).
+    (["--family", "SC", "--n", "10", "--ambiguity", "delage-ye",
+      "--gamma1", "0.1", "--gamma2", "1.5"], "5.477225", "294"),
+    # gamma1 / gamma2 <= 1 - rho: the mean-shift regime.
+    (["--family", "SC", "--n", "10", "--ambiguity", "delage-ye",
+      "--gamma1", "0.06", "--gamma2", "1.5"], "5.475627", "294"),
+    (["--family", "SC", "--n", "3", "--ambiguity", "support",
+      "--support-lower", "0,0,0", "--support-upper", "1,2,3"],
+     "1.223873", "82"),
+])
+def test_cli_bounds_csv_under_each_ambiguity(argv, omega, bound, capsys):
+    assert main(["bounds", *argv, "--m", "3", "--rho", "0.95",
+                 "--format", "csv"]) == 0
+    row = _csv_row(capsys)
+    assert list(row) == ["n", "m", "omega", "ub", "ub_time_ms", "ub_solution",
+                         "lb", "lb_time_ms", "lb_solution", "gap_pct"]
+    assert (row["omega"], row["ub"], row["lb"], row["gap_pct"]) == (
+        omega, bound, bound, "0.0")
+
+
+def test_cli_exact_csv_drops_the_history(capsys):
+    argv = ["exact", "--family", "SC", "--n", "3", "--rho", "0.95",
+            "--ambiguity", "support", "--support-lower", "0,0,0",
+            "--support-upper", "1,2,3"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    row = _csv_row(capsys)
+    assert list(row) == [k for k in doc if k != "objective_history"]
+    assert row["omega"] == "1.223873"
+    assert (row["objective"], row["solution"]) == ("82", "110")
+    assert {k: str(v) for k, v in doc.items()
+            if k not in ("objective_history", "time_ms")} == {
+        k: v for k, v in row.items() if k != "time_ms"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "SC", "--n", "10", "--rho", "0.95",
+     "--ambiguity", "delage-ye", "--gamma1", "0.1"],
+    ["--family", "SC", "--n", "3", "--rho", "0.95", "--ambiguity", "support",
+     "--support-lower", "0,0", "--support-upper", "1,2"],
+    ["--family", "SC", "--n", "3", "--rho", "0.95", "--ambiguity", "support",
+     "--support-lower", "0,0,0", "--support-upper", "1,2"],
+    ["--family", "SC", "--n", "3", "--rho", "0.95", "--ambiguity", "support"],
+    ["--family", "SC", "--n", "3"],  # no safety factor at all
+])
+def test_cli_ambiguity_errors_exit_2(argv, capsys):
+    assert main(["bounds", *argv, "--m", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_internal_invariant_failure_exits_3(monkeypatch, tmp_path):
     import sockp.cli as cli
     from sockp import SolverInvariantError

@@ -300,3 +300,69 @@ def test_long_profits_take_the_branch_and_bound(monkeypatch, digits):
             assert lb.objective <= opt
             assert is_soc_feasible(lb.solution, inst, omega)
     assert calls
+
+
+def _soc_tie_cases(rng):
+    """A capacity at an exact SOC tie: with omega = 2 the chosen items'
+    dispersions, such as (3, 4), give omega * sigma = (6, 8) and the root
+    term 10 exactly, and the capacity is their means plus that root.  The
+    chosen items carry profit 100 and the others at most 10, so the tied
+    selection is the unique optimum."""
+    omega = Decimal(2)
+    for tied in ((3, 4), (1, 2, 2), (2, 3, 6), (1, 4, 8), (2, 6, 9)) * 2:
+        base = random_instance(rng, rng.randint(len(tied) + 2, 10),
+                               profit_hi=10)
+        chosen = rng.sample(range(base.n), len(tied))
+        bits = tuple(int(j in chosen) for j in range(base.n))
+        sigmas = list(base.sigmas)
+        for j, sigma in zip(chosen, tied):
+            sigmas[j] = Decimal(sigma)
+        root = math.isqrt(sum(s * s for s in tied))
+        inst = SockpInstance(
+            profits=tuple(100 if b else p for p, b in zip(base.profits, bits)),
+            means=base.means, sigmas=tuple(sigmas),
+            capacity=sum(m for m, b in zip(base.means, bits) if b)
+            + omega * root)
+        a_ints, b_int, w_ints, _ = inst.exact_view(omega)
+        slack = b_int - sum(a for a, b in zip(a_ints, bits) if b)
+        assert slack * slack == sum(w * w for w, b in zip(w_ints, bits) if b)
+        assert soc_brute_force(inst, omega) == (100 * len(tied), bits)
+        yield inst, omega
+
+
+def _twelve_decimal_sigma_cases(rng):
+    """Dispersions of 0.01-20 with 12 decimals, so the instance's scale is
+    10^18."""
+    for trial in range(30):
+        yield (random_instance(rng, rng.randint(5, 10), sigma_lo=10 ** 10,
+                               sigma_hi=2 * 10 ** 13, sigma_digits=12),
+               Decimal("4.358898") if trial % 2 else Decimal("1.644854"))
+
+
+def _far_tail_omega_cases(rng):
+    """The normal quantile at rho = 1 - 1e-12, omega = 7.034486."""
+    for _ in range(30):
+        yield (random_instance(rng, rng.randint(5, 10), sigma_hi=500),
+               Decimal("7.034486"))
+
+
+@pytest.mark.parametrize("cases", [_soc_tie_cases, _twelve_decimal_sigma_cases,
+                                   _far_tail_omega_cases])
+def test_corner_classes_match_brute_force(cases):
+    """The exact solver finds the brute-force optimum and the bounds
+    sandwich it, with a SOC-feasible lower bound, on each corner class of
+    the input space."""
+    rng = random.Random(41)
+    nonzero = 0
+    for inst, omega in cases(rng):
+        opt, _ = soc_brute_force(inst, omega)
+        nonzero += opt > 0
+        res = solve_exact(inst, omega)
+        assert res.objective == opt, inst
+        assert is_soc_feasible(res.solution, inst, omega)
+        for m in (1, 2, 4):
+            assert upper_bound(inst, omega, m).objective >= opt, (inst, m)
+            lb = lower_bound(inst, omega, m)
+            assert lb.objective <= opt
+            assert is_soc_feasible(lb.solution, inst, omega)
+    assert nonzero >= 5

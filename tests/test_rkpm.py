@@ -9,8 +9,7 @@ import pytest
 
 from sockp import (HORIZONTAL, GeneratorSpec, SockpInstance, VERTICAL,
                    beta_exact, build_segments, generate, is_soc_feasible,
-                   knapsack, lower_bound, rkpm, solve_exact, solve_rkpm,
-                   upper_bound)
+                   knapsack, lower_bound, rkpm, solve_exact, upper_bound)
 from sockp.approx import SegmentTable
 from sockp.knapsack import lp_rows
 from sockp.rkpm import _Family
@@ -25,13 +24,13 @@ def _single(b):
 
 
 def test_single_item_at_exact_boundary():
-    res = solve_rkpm(_single("7"), Decimal(2), 1, 1)
+    res = upper_bound(_single("7"), Decimal(2), 1)
     assert res.objective == 1
     assert res.solution == (1,)
 
 
 def test_single_item_just_infeasible():
-    res = solve_rkpm(_single("6.9"), Decimal(2), 1, 1)
+    res = upper_bound(_single("6.9"), Decimal(2), 1)
     assert res.objective == 0
     assert res.solution == (0,)
 
@@ -39,20 +38,24 @@ def test_single_item_just_infeasible():
 def test_all_zero_profits():
     inst = SockpInstance(profits=(0, 0), means=(Decimal(3), Decimal(4)),
                          sigmas=(Decimal(1), Decimal(1)), capacity=Decimal(5))
-    res = solve_rkpm(inst, Decimal(2), 2, 4)
+    res = upper_bound(inst, Decimal(2), 2)
     assert res.objective == 0
 
 
-def test_budget_below_inner_rejected():
-    with pytest.raises(ValueError):
-        solve_rkpm(_single("7"), Decimal(2), 2, 3)
+def test_bounds_take_no_budget():
+    """The bound kind picks the budget: no budget can be passed, so none can
+    fall below the inner one or between the inner and the outer one."""
+    assert not hasattr(rkpm, "solve_rkpm")
+    for bound in (upper_bound, lower_bound):
+        with pytest.raises(TypeError):
+            bound(_single("7"), Decimal(2), 2, delta=3)
 
 
 def test_mismatched_table_rejected():
     inst = _single("7")
     table = build_segments(inst, Decimal(2), 3)
     with pytest.raises(ValueError):
-        solve_rkpm(inst, Decimal(2), 2, 4, table=table)
+        upper_bound(inst, Decimal(2), 2, table=table)
     # A table of another omega or another instance would give an "upper
     # bound" below the SOC optimum (844 < 881 and 816 < 838 here).
     omega = Decimal("4.358898")
@@ -113,13 +116,18 @@ def test_bounds_sandwich_brute_force_optimum(rng):
 
 def test_union_matches_beta_description(rng):
     # the decomposition's union of knapsack feasible sets must equal the
-    # robust feasible set described directly by the support function
+    # robust feasible set described directly by the support function, at the
+    # two bound budgets and between them; the bounds' objectives are the
+    # enumerated optima at theirs
     for _ in range(8):
         n = rng.randint(2, 6)
         inst = random_instance(rng, n)
         omega = Decimal("2.5")
         for m in (1, 2, 3):
             table = build_segments(inst, omega, m)
+            bounds = {res.delta: res.objective for res in (
+                upper_bound(inst, omega, m, table=table),
+                lower_bound(inst, omega, m, table=table))}
             for delta in (table.inner_budget, table.inner_budget + 1,
                           table.outer_budget):
                 subs = [subproblem_exact(inst, table, rank, delta)
@@ -138,8 +146,8 @@ def test_union_matches_beta_description(rng):
                     if in_b:
                         value = sum(p for p, b in zip(inst.profits, bits) if b)
                         enumerated_best = max(enumerated_best, value)
-                res = solve_rkpm(inst, omega, m, delta, table=table)
-                assert res.objective == enumerated_best
+                if delta in bounds:
+                    assert bounds[delta] == enumerated_best
 
 
 def test_union_holds_under_heavy_ratio_ties():
@@ -152,7 +160,8 @@ def test_union_holds_under_heavy_ratio_ties():
     for m in (2, 3):
         table = build_segments(inst, omega, m)
         assert len(set(table.group_start)) < table.size  # real tie groups
-        for delta in (table.inner_budget, table.outer_budget):
+        for bound, delta in ((upper_bound, table.inner_budget),
+                             (lower_bound, table.outer_budget)):
             subs = [subproblem_exact(inst, table, rank, delta)
                     for rank in family(table, delta)]
             cap = Fraction(inst.capacity)
@@ -168,7 +177,7 @@ def test_union_holds_under_heavy_ratio_ties():
                 assert in_b == in_union
                 if in_b:
                     best = max(best, sum(p for p, b in zip(inst.profits, bits) if b))
-            assert solve_rkpm(inst, omega, m, delta, table=table).objective == best
+            assert bound(inst, omega, m, table=table).objective == best
 
 
 def test_exactness_with_mixed_zero_dispersion(rng):
@@ -215,8 +224,8 @@ def test_dummy_pivot_weights_are_means_plus_full_gains():
 def test_deterministic_across_runs(rng):
     inst = random_instance(rng, 12)
     omega = Decimal("4.358898")
-    base = solve_rkpm(inst, omega, 4, 16)
-    again = solve_rkpm(inst, omega, 4, 16)
+    base = upper_bound(inst, omega, 4)
+    again = upper_bound(inst, omega, 4)
     assert again.solution == base.solution
     assert again.objective == base.objective
     assert again.subproblems_solved == base.subproblems_solved
@@ -339,14 +348,11 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
     """
     straddled = skipped_total = 0
     for inst, omega, table in _screen_cases(rng):
-        deltas = [table.inner_budget]
-        if table.scheme == HORIZONTAL:
-            deltas.append(table.outer_budget)
-        for delta in deltas:
-            fam = _Family(inst, table, Fraction(delta))
+        for kind in _kinds(table):
+            fam = _Family(inst, table, kind)
             refs, skipped = _reference_pivots(fam)
             skipped_total += skipped
-            ranks = set(family(table, delta))
+            ranks = set(family(table, fam.delta))
             # Entries i-1 and i share a ratio and both are pivots (ranks i
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(table.group_start[i] < i and i in ranks
@@ -449,13 +455,10 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
         scheme = VERTICAL if trial % 2 else HORIZONTAL
         m = rng.randint(1, 4)
         table = build_segments(inst, omega, m, scheme)
-        # inner + n/4 is the horizontal outer budget; the vertical scheme
-        # has none, but any budget above the inner one is valid.
-        for delta in (table.inner_budget,
-                      table.inner_budget + Fraction(inst.n, 4)):
-            fam = _Family(inst, table, delta)
+        for kind in _kinds(table):
+            fam = _Family(inst, table, kind)
             solved = []
-            for rank in family(table, delta):
+            for rank in family(table, fam.delta):
                 problem = _subproblem(fam, rank - 1)
                 if problem.capacity >= 0:
                     solved.append((rank, knapsack.solve_knapsack(problem)))
@@ -470,8 +473,9 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
                 expected = (0, (0,) * inst.n)
             for block in (1, 3, rkpm.SCREEN_BLOCK):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-                res = solve_rkpm(inst, omega, m, delta, scheme=scheme,
-                                 table=table)
+                res = (upper_bound(inst, omega, m, scheme=scheme, table=table)
+                       if kind == rkpm.UPPER
+                       else lower_bound(inst, omega, m, table=table))
                 assert (res.objective, res.solution) == expected
     assert ties
 
@@ -498,13 +502,10 @@ def test_empty_instance_bounds_are_the_empty_selection(bound):
     assert res.solution == ()
 
 
-def _budgets(table, n):
-    """The inner budget and a larger one: the outer budget when horizontal.
-
-    inner + n/4 is the horizontal outer budget; the vertical scheme has none,
-    but any budget above the inner one is valid.
-    """
-    return table.inner_budget, table.inner_budget + Fraction(n, 4)
+def _kinds(table):
+    """The bound kinds of a table: ``UPPER`` and, when horizontal, ``LOWER``."""
+    return ((rkpm.UPPER, rkpm.LOWER) if table.scheme == HORIZONTAL
+            else (rkpm.UPPER,))
 
 
 def _assert_row_is_exact(fam, i, weights, capacity):
@@ -594,8 +595,8 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     int64s = list(_decimal_mean_cases(rng)) + list(_wide_gain_cases(rng))
     cases = list(_screen_cases(rng)) + objects + int64s
     for inst, omega, table in cases:
-        for delta in _budgets(table, inst.n):
-            fam = _Family(inst, table, delta)
+        for kind in _kinds(table):
+            fam = _Family(inst, table, kind)
             dtypes.add(fam.dnum.dtype)
             if any(table is case[2] for case in objects):
                 assert fam.dnum.dtype == object
@@ -611,7 +612,7 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
                     for k, i in enumerate(range(first, stop)):
                         _assert_row_is_exact(fam, i, weights[k], caps[k])
                         built.add(i)
-            ranks = family(table, delta)
+            ranks = family(table, fam.delta)
             for i in range(ranks[0] - 1, ranks[0] - 1 + skipped):
                 problem = _subproblem(fam, i)
                 assert problem.capacity < 0
@@ -633,7 +634,7 @@ def test_broken_ratio_order_raises_negative_modified_weight(big):
     broken = SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
                           good.js[::-1], good.ks[::-1], good.dnum[::-1],
                           good.f[::-1], good.q, good.item_total_dnum)
-    fam = _Family(inst, broken, broken.inner_budget)
+    fam = _Family(inst, broken, rkpm.UPPER)
     assert (fam.dnum.dtype == object) == big
     with pytest.raises(rkpm.SolverInvariantError,
                        match="negative modified weight"):
@@ -655,8 +656,8 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
                                capacity_ratio=rng.choice((0.1, 0.3, 0.6)))
         scheme = VERTICAL if trial % 2 else HORIZONTAL
         table = build_segments(inst, omega, rng.randint(1, 6), scheme)
-        for delta in _budgets(table, inst.n):
-            fam = _Family(inst, table, delta)
+        for kind in _kinds(table):
+            fam = _Family(inst, table, kind)
             refs, _ = _reference_pivots(fam)
             for block in (1, 2, 3, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
@@ -710,27 +711,28 @@ def test_screen_bound_understated_by_less_than_half_raises(monkeypatch):
 def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
     """Only a bound equal to the incumbent may be skipped.
 
-    Here a pivot worth one more than the incumbent has the bound
-    incumbent + 1 (its LP optimum is below incumbent + 1.5), so a skip rule
-    that also took that bound would lose it.
+    In the upper bound at m = 1 the pivot of rank 2 is solved first and is
+    worth 1.  The later ranks 3-5 are worth 2, one more than that incumbent,
+    with the bound 2 (rank 3's LP optimum is 2.41, below incumbent + 1.5),
+    so a skip rule that also took the bound incumbent + 1 would lose them
+    and return 1.
     """
     inst = SockpInstance(
-        profits=(2, 2, 1, 3, 2),
-        means=tuple(Decimal(v) for v in (66, 96, 50, 57, 4)),
-        sigmas=tuple(Decimal(v) for v in
-                     ("19.37", "12.28", "4.85", "16.20", "17.42")),
-        capacity=Decimal(136))
+        profits=(3, 1, 1, 2),
+        means=tuple(Decimal(v) for v in (95, 30, 26, 67)),
+        sigmas=tuple(Decimal(v) for v in ("10.10", "7.29", "14.98", "0.60")),
+        capacity=Decimal(109))
     omega = Decimal("4.358898")
-    table = build_segments(inst, omega, 4, VERTICAL)
-    delta = table.inner_budget + Fraction(inst.n, 4)
-    fam = _Family(inst, table, delta)
+    table = build_segments(inst, omega, 1)
+    fam = _Family(inst, table, rkpm.UPPER)
     values = [knapsack.solve_knapsack_value(_subproblem(fam, i))
-              for i in (rank - 1 for rank in family(table, delta))
+              for i in (rank - 1 for rank in family(table, fam.delta))
               if fam.capacities([i])[0] >= 0]
+    assert values == [1, 1, 2, 2, 2]
     for block in (1, 3, rkpm.SCREEN_BLOCK):
         monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-        res = solve_rkpm(inst, omega, 4, delta, scheme=VERTICAL, table=table)
-        assert res.objective == max(values) == 3
+        res = upper_bound(inst, omega, 1, table=table)
+        assert res.objective == max(values) == 2
 
 
 def test_ceiling_divisor_past_2_62_takes_object_rows():
@@ -749,7 +751,7 @@ def test_ceiling_divisor_past_2_62_takes_object_rows():
         capacity=Decimal("7.5"))
     omega = Decimal("1.644854")
     table = build_segments(inst, omega, 1600)
-    fam = _Family(inst, table, table.inner_budget)
+    fam = _Family(inst, table, rkpm.UPPER)
     assert (fam.q, fam.factor) == (16 * 10 ** 20, 10 ** 6)
     assert fam.div * int(table.f.max()) == 5_118_400_000_000_000_000
     assert fam.dnum.dtype == object
