@@ -103,22 +103,26 @@ def containment_radii(n: int, m: int, omega):
 class SegmentTable:
     """Sorted (d, f) coefficients of the bounded continuous knapsack.
 
-    Entries are sorted by decreasing d/f, checked with exact cross-multiplied
-    integer comparisons; ties keep (item, segment) order.  ``dnum[i] / q`` is
-    the gain of the entry at rank i+1.  The dummy (nm+1)-th element with
-    d = 0 and f = delta is attached at query time.
+    Entries are sorted by decreasing d/f, ties in (item, segment) order.
+    ``dnum[i] / q`` is the gain of the entry at rank i+1.  The dummy
+    (nm+1)-th element with d = 0 and f = delta is attached at query time.
 
-    Each field is one read-only numpy array in sorted order: ``js`` (item),
-    ``ks`` (segment) and ``group_start`` (first index of the entry's run of
-    equal ratios, where a strict-ratio prefix ends) are intp; ``f`` and its
-    running sum ``prefix_f`` are int64; ``dnum`` and the per-item
-    ``item_total_dnum`` are ``object`` arrays of Python ints, exact for any
-    scheme.  ``omega`` and ``sigmas`` record the data the table was built
-    from.
+    Each field is one read-only numpy array.  In sorted order: ``js`` (item)
+    and ``ks`` (segment) are intp, ``f`` and its running sum ``prefix_f``
+    int64, and ``dnum`` an ``object`` array of Python ints, exact for any
+    scheme.  Per item, ``base`` (an ``object`` array) and, per segment count
+    k = 0..m, ``D`` and ``F`` (int64) give the sums over item j's first k
+    segments: gain numerator base_j * D[k] and budget F[k].  Horizontally
+    D[k] = k and F[k] = k^2; vertically D sums the quantized steps and
+    F[k] = k.  Within an item the ratios fall with k, so the entries of a
+    larger ratio than any given one are, per item, its first :meth:`counts`
+    segments.  The constructor checks the order by exact
+    cross-multiplication.  ``omega`` and ``sigmas`` record the data the
+    table was built from.
     """
 
     def __init__(self, n, m, omega, sigmas, scheme, js, ks, dnum, f, q,
-                 item_total_dnum):
+                 base, D, F):
         self.n = n
         self.m = m
         self.omega = omega
@@ -130,15 +134,36 @@ class SegmentTable:
         self.ks = np.array(ks, dtype=np.intp)
         self.dnum = np.array(dnum, dtype=object)
         self.f = np.array(f, dtype=np.int64)
-        self.item_total_dnum = np.array(item_total_dnum, dtype=object)
+        self.base = np.array(base, dtype=object)
+        self.D = np.array(D, dtype=np.int64)
+        self.F = np.array(F, dtype=np.int64)
         self.prefix_f = np.cumsum(self.f)
-        tie = np.append(False, self.dnum[1:] * self.f[:-1]
-                        == self.dnum[:-1] * self.f[1:])
-        self.group_start = np.maximum.accumulate(
-            np.where(tie, 0, np.arange(self.size)))
-        for arr in (self.js, self.ks, self.dnum, self.f, self.item_total_dnum,
-                    self.prefix_f, self.group_start):
+        if (self.dnum[:-1] * self.f[1:] < self.dnum[1:] * self.f[:-1]).any():
+            raise ValueError("segment entries are not sorted by falling ratio")
+        for arr in (self.js, self.ks, self.dnum, self.f, self.base, self.D,
+                    self.F, self.prefix_f):
             arr.flags.writeable = False
+
+    def counts(self, gain, rnum, f) -> np.ndarray:
+        """Per item, how many of its segments have a ratio above rnum / f.
+
+        ``gain`` is ``base`` and ``rnum`` a gain numerator, both times one
+        common factor, in an int64 or ``object`` dtype; ``rnum`` and ``f``
+        are columns, one row per ratio.  Horizontally segment k of item j
+        outranks the ratio iff gain_j * f > rnum * (2k - 1), vertically iff
+        its step exceeds rnum // gain_j (f = 1); a zero ratio is outranked by
+        every segment of an item with a positive gain.  Returns a
+        (rows, n) intp array.
+        """
+        zero = rnum == 0
+        if self.scheme == HORIZONTAL:
+            k = np.where(zero, self.m,
+                         -(-gain * f // np.where(zero, 1, rnum)) // 2)
+        else:
+            steps = np.diff(self.D)
+            t = np.minimum(rnum // np.maximum(gain, 1), steps[0])
+            k = np.searchsorted(-steps, -t.astype(np.int64))
+        return np.where(gain > 0, np.minimum(k, self.m), 0).astype(np.intp)
 
     @property
     def inner_budget(self) -> Fraction:
@@ -187,21 +212,24 @@ def build_segments(inst: SockpInstance, omega, m: int,
     # Entries in (item, segment) order, one row of m per item.
     js = np.repeat(np.arange(inst.n, dtype=np.intp), m)
     ks = np.tile(np.arange(1, m + 1, dtype=np.intp), inst.n)
+    k = np.arange(m + 1, dtype=np.int64)
     if scheme == HORIZONTAL:
         q = scale * m
         dnum = np.repeat(base, m)
         f = 2 * ks - 1
+        D, F = k, k * k
     else:
         q = scale * 10 ** _VERTICAL_QUANT
-        dnum = np.multiply.outer(base, _vertical_steps(m)).ravel()
+        steps = _vertical_steps(m)
+        dnum = np.multiply.outer(base, steps).ravel()
         f = np.ones(inst.n * m, dtype=np.int64)
-    totals = dnum.reshape(inst.n, m).sum(axis=1)
+        D, F = np.append(0, np.cumsum(steps)), k
 
     order = _ratio_order(js, ks, dnum, f)
     return SegmentTable(
         n=inst.n, m=m, omega=omega_d, sigmas=inst.sigmas, scheme=scheme,
         js=js[order], ks=ks[order], dnum=dnum[order], f=f[order], q=q,
-        item_total_dnum=totals)
+        base=base, D=D, F=F)
 
 
 def _ratio_order(js, ks, dnum, f) -> np.ndarray:

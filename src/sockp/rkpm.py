@@ -25,23 +25,23 @@ Every pivot has one form: an integer knapsack, its weights and capacity
 times one factor S and rounded.  The screen bounds it, the family pass
 prunes by it and the DP solves it.  S is ``SCALE`` = 10^6 steps per unit of
 the smallest positive mean, refined to a multiple on whose grid every mean
-and the capacity are integers, so only the gains are rounded.  A ``LOWER``
-family rounds inward, weights up and capacity down, so its selection is
-robust- and SOC-feasible.  An ``UPPER`` family rounds outward, weights down
-and capacity up, so the scaled family relaxes the robust problem.  If its
-winner still breaks the robust constraint, by an exact excess e, it came in
-through the rounding, and the family is solved again on a grid S * 10^k
-with S * 10^k * e >= n + 1, on which rounding cannot admit it; a winner that
-meets the constraint is then the exact robust optimum.  A pivot's weights are
-mean_j + extra_j / (q f_i), extra_j = f_i sd_j - rnum sf_j over the item's
-entries of a strictly larger ratio, with the gains and the capacity over
-one denominator q, so a scaled weight is S mean_j plus S extra_j / (q f_i)
-rounded.
-:meth:`_Family.weights` builds the rows of pivots at increasing indices as
-one matrix: the exact per-item sums (sd, sf) up to the first prefix end come
-from ``np.add.at``, every later entry is added to the first row whose prefix
-holds it and a cumsum carries it down the rows, and the rows are rounded by
-one division.  The rows are int64 when a bound check on the family's data
+and the capacity are integers, so only the gains are rounded.  Both kinds
+round outward, weights down and capacity up, so the scaled family relaxes
+the robust problem of its budget.  If its winner still breaks the robust
+constraint, by an exact excess e, it came in through the rounding, and the
+family is solved again on a grid S * 10^k with S * 10^k * e >= n + 1, on
+which rounding cannot admit it; a winner that meets the constraint is then
+the exact robust optimum.  So a ``LOWER`` result is the robust optimum over
+the outer approximation, SOC-feasible because that polytope contains the
+ellipsoid.  A pivot's weights are mean_j + extra_j / (q f_i), extra_j =
+f_i sd_j - rnum sf_j over the item's entries of a strictly larger ratio,
+with the gains and the capacity over one denominator q, so a scaled weight
+is S mean_j plus S extra_j / (q f_i) rounded.  Within an item the ratios
+fall with the segment, so those entries are its first k_j segments and
+their sums are closed forms in k_j (see :class:`~sockp.approx.SegmentTable`):
+:meth:`_Family.weights` builds the rows of any pivots as one matrix from
+their counts, with no state carried between rows, and rounds them by one
+division.  The rows are int64 when a bound check on the family's data
 allows it and ``object`` arrays of Python integers otherwise, through the
 same expressions.
 
@@ -143,20 +143,19 @@ class _Family:
     budgets with the dummy pivot's 0 and 1 appended, ``whole`` the scaled
     means factor * mean_j, and ``profits`` the profits.  ``kind``, ``UPPER``
     or ``LOWER``, is the bound the family gives: it sets ``delta``, the
-    table's inner or outer budget, and the rounding.  ``factor`` is the
-    grid S of the module docstring unless one is given.  The arrays are
-    int64 where a bound allows and ``object`` arrays of Python integers
-    otherwise.  The bound covers every value :meth:`block_sums` and
-    :meth:`weights` form: the per-item sums, the two products of ``extra``,
-    the numerator and the divisor of the rounding division, and the scaled
-    weights.
+    table's inner or outer budget.  ``gains`` are the table's ``base``
+    over q.  ``factor`` is the grid S of the module docstring unless one is
+    given.  The arrays are int64 where a bound allows and ``object`` arrays
+    of Python integers otherwise.  The bound covers every value
+    :meth:`weights` forms: the per-item sums, the two products of
+    ``extra``, the numerator and the divisor of the rounding division, and
+    the scaled weights.
     """
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, kind: str,
                  factor: int | None = None):
         self.inst = inst
         self.table = table
-        self.kind = kind
         self.delta = delta = (table.outer_budget if kind == LOWER
                               else table.inner_budget)
         a_int, b_int, _, scale = inst.exact_view(table.omega)
@@ -171,21 +170,18 @@ class _Family:
         self.b = b_int * (self.q // scale)
         self.dn = delta.numerator
         self.dd = delta.denominator
-        # Per pivot index, the dummy last: end of the strict-ratio prefix.
-        self.group_start = np.append(table.group_start, table.size)
-        self.js = table.js
         g0 = math.gcd(self.factor, self.q)
         self.mult, self.div = self.factor // g0, self.q // g0
         whole = [self.factor * a // scale for a in a_int]
-        gain = table.item_total_dnum.max(initial=0) * lift
+        total = table.base.max(initial=0) * int(table.D[-1]) * lift
         f_max = int(table.f.max(initial=1))
-        f_item = int(np.bincount(self.js, weights=table.f, minlength=1).max())
-        fits = (self.mult * f_max * gain < 2 ** 62
+        fits = (self.mult * f_max * total < 2 ** 62
                 and self.div * f_max < 2 ** 62
-                and table.dnum.max(initial=0) * lift * f_item < 2 ** 62
+                and table.dnum.max(initial=0) * lift * int(table.F[-1]) < 2 ** 62
                 and max(whole, default=0)
-                + self.factor * (gain // self.q + 1) < 2 ** 62)
+                + self.factor * (total // self.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
+        self.gains = (table.base * lift).astype(dtype)
         self.dnum = np.append(table.dnum * lift, 0).astype(dtype)
         self.f = np.append(table.f, 1).astype(dtype)
         self.whole = np.array(whole, dtype=dtype)
@@ -193,67 +189,32 @@ class _Family:
                                 if max(inst.profits, default=0) < 2 ** 63
                                 else object)
 
-    def block_sums(self, i: int, sums=None):
-        """Exact per-item (dnum, f) sums over the prefix of the pivot at i.
-
-        Returns (end, sd, sf): the prefix end group_start[i] and two
-        n-vectors in the family's dtype, from which :meth:`weights` builds the
-        row of this pivot or of any later one.  Given the ``sums`` of an
-        earlier prefix, adds the entries in between to their vectors in
-        place, so pass only sums that nothing else holds.
-        """
-        if sums is None:
-            sums = (0, *np.zeros((2, self.inst.n), dtype=self.dnum.dtype))
-        start, sd, sf = sums
-        end = int(self.group_start[i])
-        js = self.js[start:end]
-        np.add.at(sd, js, self.dnum[start:end])
-        np.add.at(sf, js, self.f[start:end])
-        return end, sd, sf
-
-    def weights(self, idx, sums) -> np.ndarray:
-        """Scaled weight rows of the pivots at ``idx``, rounded by ``kind``.
+    def weights(self, idx) -> np.ndarray:
+        """Scaled weight rows of the pivots at ``idx``, rounded down.
 
         Pivot i's exact weights are mean_j + extra_j / (q * f_i) with
-        extra_j = f_i * sd_j - rnum * sf_j over its strict-ratio prefix; at
-        the factor they are whole_j + factor * extra_j / (q * f_i), rounded
-        up for ``LOWER`` and down otherwise, by one division with
-        g0 = gcd(factor, q) taken out of both sides.
-        ``idx`` is increasing and ``sums`` are the :meth:`block_sums` of
-        idx[0] or of an earlier pivot.  The entries between their end and
-        the last prefix end are added once, keyed by the first row whose
-        prefix holds them, and a cumsum down the rows gives every row's
-        sums.  Returns a (len(idx), n) array in the family's dtype.
+        extra_j = f_i * sd_j - rnum * sf_j over the item's entries of a
+        strictly larger ratio: its first k_j segments, of the table's
+        :meth:`~sockp.approx.SegmentTable.counts`, so sd_j = gain_j * D[k_j]
+        and sf_j = F[k_j].  At the factor they are whole_j + factor *
+        extra_j / (q * f_i), floored by one division with g0 = gcd(factor,
+        q) taken out of both sides.  Returns a (len(idx), n) array in the
+        family's dtype.
         """
-        end, sd0, sf0 = sums
-        ends = self.group_start[idx]
-        stop = int(ends[-1])
-        sd = np.zeros((len(ends), self.inst.n), dtype=self.dnum.dtype)
-        sf = np.zeros_like(sd)
-        key = (np.searchsorted(ends, np.arange(end, stop), side="right"),
-               self.js[end:stop])
-        np.add.at(sd, key, self.dnum[end:stop])
-        np.add.at(sf, key, self.f[end:stop])
+        t = self.table
         rnum, f = self.dnum[idx, None], self.f[idx, None]
-        extra = f * (np.cumsum(sd, axis=0) + sd0) - rnum * (
-            np.cumsum(sf, axis=0) + sf0)
-        if (extra < 0).any():
-            raise SolverInvariantError(
-                "negative modified weight; ratio ordering violated")
-        num, den = self.mult * extra, self.div * f
-        return self.whole + (-(-num // den) if self.kind == LOWER
-                             else num // den)
+        k = t.counts(self.gains, rnum, f)
+        extra = f * self.gains * t.D[k] - rnum * t.F[k]
+        return self.whole + self.mult * extra // (self.div * f)
 
     def capacities(self, idx) -> list[int]:
         """Scaled capacities factor * (b / q - ratio * delta) of the pivots
-        at ``idx``, floored for ``LOWER`` and ceiled otherwise, as Python
-        ints."""
+        at ``idx``, rounded up, as Python ints."""
         caps = []
         for i in idx:
             rnum, f_i = int(self.dnum[i]), int(self.f[i])
             num = self.factor * (self.b * f_i * self.dd - rnum * self.dn)
-            den = self.q * f_i * self.dd
-            caps.append(num // den if self.kind == LOWER else -(-num // den))
+            caps.append(-(-num // (self.q * f_i * self.dd)))
         return caps
 
     def screen(self):
@@ -265,8 +226,8 @@ class _Family:
         capacity (see the module docstring).  Blocks hold ``SCREEN_BLOCK``
         pivots, the last one possibly fewer.  The pivots with a negative
         capacity are a prefix of the family, found by an exact bisection and
-        counted as skipped.  The block rows are built a chunk at a time from
-        one running :meth:`block_sums`.
+        counted as skipped.  The block rows are built SCREEN_CHUNK // n at
+        a time.
         """
         t = self.table
         lh = t.lhat(self.delta)
@@ -276,21 +237,12 @@ class _Family:
             key=lambda i: self.capacities([i])[0] >= 0)
         firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
         stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
-        group_start = self.group_start[firsts]
-        bounds = []
         rows = max(1, SCREEN_CHUNK // max(self.inst.n, 1))
-        sums = None  # exact per-item sums, extended chunk by chunk
-        c0 = 0
-        while c0 < len(firsts):
-            # The chunk spans at most `rows` blocks and SCREEN_CHUNK entries.
-            g0 = int(group_start[c0])
-            c1 = min(c0 + rows, int(np.searchsorted(
-                group_start, g0 + SCREEN_CHUNK, side="right")))
-            sums = self.block_sums(firsts[c0], sums)
+        bounds = []
+        for c0 in range(0, len(firsts), rows):
             bounds += [lp[3] for lp in lp_rows(
-                self.profits, self.weights(firsts[c0:c1], sums),
-                self.capacities(stops[c0:c1] - 1))]
-            c0 = c1
+                self.profits, self.weights(firsts[c0:c0 + rows]),
+                self.capacities(stops[c0:c0 + rows] - 1))]
         return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
 
     def expand(self, first: int, stop: int):
@@ -301,7 +253,7 @@ class _Family:
         capacities.
         """
         idx = np.arange(first, stop)
-        weights = self.weights(idx, self.block_sums(first))
+        weights = self.weights(idx)
         caps = self.capacities(idx)
         return lp_rows(self.profits, weights, caps), weights, caps
 
@@ -387,7 +339,7 @@ def _solve(inst: SockpInstance, omega, m: int, kind: str, scheme: str,
         examined += screened
         skipped += dropped
         excess = _robust_excess(inst, table, fam.delta, bits, omega_d)
-        if excess <= 0 or kind == LOWER:
+        if excess <= 0:
             break
         # The relaxation took a selection past the robust constraint.  At
         # every pivot its load exceeds the capacity by at least the excess,

@@ -113,6 +113,22 @@ def prefix_state(table, upto):
     return sd, sf
 
 
+def ratio(table, i):
+    """Ratio d/f of the entry at sorted index i; zero for the dummy, i = size."""
+    return (d_fraction(table, i) / int(table.f[i]) if i < table.size
+            else Fraction(0))
+
+
+def tie_start(table, i):
+    """First sorted index of the run of entries whose ratio equals that of
+    index i (the dummy at i = size included), where the strict-ratio prefix
+    of the pivot at i ends."""
+    r = ratio(table, i)
+    while i and ratio(table, i - 1) == r:
+        i -= 1
+    return i
+
+
 def d_fraction(table, i):
     """Gain of the entry at sorted index i."""
     return Fraction(int(table.dnum[i]), table.q)
@@ -149,22 +165,16 @@ def subproblem_exact(inst, table, rank, delta):
     Fraction reference of the pivot rows: weight_j = mean_j + sum of
     d - ratio * f over item j's entries of a strictly larger ratio, capacity
     = capacity - ratio * delta.  Rank ``size + 1`` denotes the dummy pivot
-    (ratio 0, every entry).
+    (ratio 0, every entry of a positive ratio).
     """
     delta = Fraction(delta)
     if not 1 <= rank <= table.size + 1:
         raise ValueError(f"pivot rank {rank} out of range")
-    if rank == table.size + 1:
-        end, ratio = table.size, Fraction(0)
-    else:
-        ratio = d_fraction(table, rank - 1) / int(table.f[rank - 1])
-        end = rank - 1
-        while end and d_fraction(table, end - 1) / int(table.f[end - 1]) == ratio:
-            end -= 1
-    sd, sf = prefix_state(table, end)
-    weights = [Fraction(mean) + Fraction(d, table.q) - ratio * f
+    r = ratio(table, rank - 1)
+    sd, sf = prefix_state(table, tie_start(table, rank - 1))
+    weights = [Fraction(mean) + Fraction(d, table.q) - r * f
                for mean, d, f in zip(inst.means, sd, sf)]
-    return weights, Fraction(inst.capacity) - ratio * delta
+    return weights, Fraction(inst.capacity) - r * delta
 
 
 def random_instance(rng: random.Random, n, *, sigma_lo=1, sigma_hi=2000,

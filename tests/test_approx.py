@@ -2,18 +2,19 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from sockp import (VERTICAL, SockpInstance, beta, beta_exact,
-                   build_segments, containment_radii, eval_lower_envelope,
-                   eval_upper_envelope)
+from sockp import (HORIZONTAL, VERTICAL, GeneratorSpec, SockpInstance, beta,
+                   beta_exact, build_segments, containment_radii,
+                   eval_lower_envelope, eval_upper_envelope, generate)
 
 from sockp.approx import _ratio_order, _vertical_steps
 
 from conftest import (beta_pair_oracle, entries, family, prefix_state,
-                      random_instance)
+                      random_instance, tie_start)
 
 
 def _one_item(sigma="1"):
@@ -95,8 +96,9 @@ def test_horizontal_gains_sum_to_omega_sigma():
     for m in (1, 3, 7):
         table = build_segments(inst, omega, m)
         for j in range(inst.n):
-            total = Fraction(table.item_total_dnum[j], table.q)
+            total = Fraction(table.base[j] * int(table.D[m]), table.q)
             assert total == Fraction(omega) * Fraction(inst.sigmas[j])
+            assert total == sum(d for _, i, _, d, _ in entries(table) if i == j)
 
 
 def test_ties_keep_item_segment_order():
@@ -106,7 +108,8 @@ def test_ties_keep_item_segment_order():
     # equal sigmas give pairwise-tied ratios; (item, segment) order is kept
     assert list(zip(table.js.tolist(), table.ks.tolist())) == [
         (0, 1), (1, 1), (0, 2), (1, 2)]
-    assert table.group_start.tolist() == [0, 0, 2, 2]
+    # per pivot, the dummy last: the strict-ratio prefix ends at 0, 0, 2, 2, 4
+    assert _counts(table).sum(axis=1).tolist() == [0, 0, 2, 2, 4]
 
 
 def test_vertical_coefficients_one_item():
@@ -150,38 +153,57 @@ def test_ratio_sort_exact_fallback_on_float_collisions():
     assert [(e[0], e[1]) for e in raw] == [(0, 1), (0, 2), (1, 1)]
 
 
+def _counts(table, dtype=object):
+    """Segment counts of every pivot, the dummy (ratio 0) last, taken on
+    gains of ``dtype``."""
+    return table.counts(table.base.astype(dtype),
+                        np.append(table.dnum, 0)[:, None].astype(dtype),
+                        np.append(table.f, 1)[:, None])
+
+
 def _reference_table(inst, omega, m, scheme):
     """Every field of the segment table from exact rationals.
 
     Entries (j, k, d, f) follow the scheme's definition, with the quantized
     vertical steps of ``_vertical_steps``; they are sorted by
-    (-Fraction(d, f), j, k) and grouped by exactly equal ratios.  Returns the
-    built table and the reference fields.
+    (-Fraction(d, f), j, k).  Returns the built table, the reference fields,
+    each item's total gain numerator and, per pivot with the dummy last,
+    where its strict-ratio prefix ends: the first entry of an equal ratio.
     """
     table = build_segments(inst, omega, m, scheme)
+    ks = range(m + 1)
     if scheme == VERTICAL:
         steps = [Fraction(s, 10 ** 18) for s in _vertical_steps(m)]
         raw = [(j, k, Fraction(omega) * Fraction(sigma) * steps[k - 1], 1)
                for j, sigma in enumerate(inst.sigmas) for k in range(1, m + 1)]
+        # D counts omega * sigma in steps of 10^-18
+        unit, F = Fraction(1, 10 ** 18), list(ks)
+        D = [int(sum(steps[:k]) * 10 ** 18) for k in ks]
     else:
         raw = [(j, k, Fraction(omega) * Fraction(sigma) / m, 2 * k - 1)
                for j, sigma in enumerate(inst.sigmas) for k in range(1, m + 1)]
+        # D counts omega * sigma in segments of 1/m
+        unit, D, F = Fraction(1, m), list(ks), [k * k for k in ks]
+    base = [Fraction(omega) * Fraction(sigma) * unit * table.q
+            for sigma in inst.sigmas]
     raw.sort(key=lambda e: (-e[2] / e[3], e[0], e[1]))
     dnum = []
     for _, _, d, _ in raw:
         assert (d * table.q).denominator == 1
         dnum.append(int(d * table.q))
-    group_start, prefix_f, totals = [], [], [0] * inst.n
+    prefix_f, totals, ends = [], [0] * inst.n, []
     for i, (j, _, d, f) in enumerate(raw):
-        same = i and d / f == raw[i - 1][2] / raw[i - 1][3]
-        group_start.append(group_start[-1] if same else i)
         prefix_f.append((prefix_f[-1] if i else 0) + f)
         totals[j] += dnum[i]
+        ends.append(next(h for h in range(i + 1)
+                         if raw[h][2] / raw[h][3] == d / f))
+    # The dummy's strict prefix: every entry of a positive ratio.
+    ends.append(sum(1 for e in raw if e[2]))
+    assert all(b.denominator == 1 for b in base)
     ref = {"js": [e[0] for e in raw], "ks": [e[1] for e in raw],
-           "dnum": dnum, "f": [e[3] for e in raw],
-           "group_start": group_start, "prefix_f": prefix_f,
-           "item_total_dnum": totals}
-    return table, ref
+           "dnum": dnum, "f": [e[3] for e in raw], "prefix_f": prefix_f,
+           "base": [int(b) for b in base], "D": D, "F": F}
+    return table, ref, totals, ends
 
 
 def _table_cases(rng):
@@ -222,7 +244,7 @@ def test_table_matches_exact_reference():
     rng = random.Random(11)
     widths = set()
     for inst, omega, m, scheme in _table_cases(rng):
-        table, ref = _reference_table(inst, omega, m, scheme)
+        table, ref, totals, ends = _reference_table(inst, omega, m, scheme)
         for delta in (table.inner_budget, table.inner_budget + Fraction(7, 3),
                       Fraction(10 ** 30)):
             x = tuple(rng.randint(0, 1) for _ in range(inst.n))
@@ -233,12 +255,54 @@ def test_table_matches_exact_reference():
             arr = getattr(table, name)
             assert not arr.flags.writeable
             assert arr.tolist() == want, name
-        assert table.dnum.dtype == table.item_total_dnum.dtype == object
-        assert table.f.dtype == table.prefix_f.dtype == np.int64
-        assert table.js.dtype == table.ks.dtype == table.group_start.dtype \
-            == np.intp
+        # Each item's gains sum to base * D[m], and the counts of every
+        # pivot, the dummy last, sum to where its strict-ratio prefix ends.
+        assert [b * int(table.D[m]) for b in table.base] == totals
+        counts = _counts(table)
+        assert counts.sum(axis=1).tolist() == ends
+        assert table.dnum.dtype == table.base.dtype == object
+        assert table.f.dtype == table.prefix_f.dtype == table.D.dtype \
+            == table.F.dtype == np.int64
+        assert table.js.dtype == table.ks.dtype == counts.dtype == np.intp
         widths.add(max(table.dnum.tolist()).bit_length() > 63)
     assert widths == {False, True}
+
+
+def test_counts_give_every_pivots_strict_prefix_sums():
+    """Per item, the entries of a larger ratio than a pivot's are its first
+    k_j segments, so their sums are base_j * D[k_j] and F[k_j].
+
+    Every pivot, the dummy included, against the conftest reference up to
+    the start of the pivot's tie run: both schemes, m up to 40, heavy ties
+    (SS dispersions are 0.1 * mean), zero dispersions, and counts taken on
+    ``object`` gains and, where the products fit, on int64 ones.
+    """
+    rng = random.Random(21)
+    omega = Decimal("4.358898")
+    ties = generate(GeneratorSpec(family="SS", n=6, seed=1))
+    base = random_instance(rng, 7)
+    zeros = SockpInstance(
+        profits=base.profits, means=base.means, capacity=base.capacity,
+        sigmas=tuple(Decimal(0) if j % 3 else s
+                     for j, s in enumerate(base.sigmas)))
+    # Dispersions 1-4 at omega 2 keep the gains within int64 in both
+    # schemes (vertically from m = 7).
+    small = random_instance(rng, 5, sigma_lo=1, sigma_hi=4, sigma_digits=0)
+    dtypes, tied = set(), 0
+    for inst, om in ((ties, omega), (zeros, omega), (small, Decimal(2))):
+        for scheme, m in product((HORIZONTAL, VERTICAL), (1, 2, 7, 40)):
+            table = build_segments(inst, om, m, scheme)
+            starts = [tie_start(table, i) for i in range(table.size + 1)]
+            tied += any(start < i for i, start in enumerate(starts))
+            want = [prefix_state(table, start) for start in starts]
+            fits = max(table.dnum.max(), table.base.max() * 2 * m) < 2 ** 62
+            for dtype in (object, np.int64) if fits else (object,):
+                dtypes.add(dtype)
+                got = [([b * int(table.D[c]) for b, c in zip(table.base, row)],
+                        [int(table.F[c]) for c in row])
+                       for row in _counts(table, dtype).tolist()]
+                assert got == want, (scheme, m, dtype)
+    assert dtypes == {np.int64, object} and tied
 
 
 def test_prefix_state_matches_direct_sums():

@@ -15,7 +15,7 @@ from sockp.knapsack import lp_rows
 from sockp.rkpm import _Family
 
 from conftest import (exact_lp, family, random_instance, soc_brute_force,
-                      subproblem_exact)
+                      subproblem_exact, tie_start)
 
 
 def _single(b):
@@ -159,7 +159,8 @@ def test_union_holds_under_heavy_ratio_ties():
     omega = Decimal("4.358898")
     for m in (2, 3):
         table = build_segments(inst, omega, m)
-        assert len(set(table.group_start)) < table.size  # real tie groups
+        assert any(tie_start(table, i) < i  # real tie groups
+                   for i in range(table.size))
         for bound, delta in ((upper_bound, table.inner_budget),
                              (lower_bound, table.outer_budget)):
             subs = [subproblem_exact(inst, table, rank, delta)
@@ -286,21 +287,19 @@ def test_lower_bound_solution_satisfies_robust_constraint(rng):
 
 
 def _subproblem(fam, i):
-    """Scaled knapsack of the pivot at sorted index i, from its own sums."""
+    """Scaled knapsack of the pivot at sorted index i, built alone."""
     return knapsack.KnapsackSubproblem(
         profits=fam.profits,
-        weights=fam.weights([i], fam.block_sums(i))[0],
+        weights=fam.weights([i])[0],
         capacity=fam.capacities([i])[0])
 
 
 def _scaled_reference(fam, rank):
     """Weights and capacity of ``subproblem_exact`` times the family's
-    factor, rounded inward for a lower bound (ceil weights, floor capacity)
-    and outward for every other budget."""
+    factor, rounded outward for both kinds: weights down, capacity up."""
     weights, cap = subproblem_exact(fam.inst, fam.table, rank, fam.delta)
-    up, down = ((math.ceil, math.floor) if fam.kind == rkpm.LOWER
-                else (math.floor, math.ceil))
-    return [up(fam.factor * w) for w in weights], down(fam.factor * cap)
+    return ([math.floor(fam.factor * w) for w in weights],
+            math.ceil(fam.factor * cap))
 
 
 def _reference_pivots(fam):
@@ -355,7 +354,7 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             ranks = set(family(table, fam.delta))
             # Entries i-1 and i share a ratio and both are pivots (ranks i
             # and i+1; the real ranks of a family are contiguous).
-            straddled += any(table.group_start[i] < i and i in ranks
+            straddled += any(tie_start(table, i) < i and i in ranks
                              for i in range(1, table.size))
             for block, rows in product((1, 2, 3, 64), (1, 2, 3, 1000)):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
@@ -564,7 +563,7 @@ def _wide_gain_cases(rng):
                                sigma_hi=2 * 10 ** 9, sigma_digits=4,
                                capacity_ratio=rng.choice((2000, 8000)))
         table = build_segments(inst, Decimal("4.358898"), rng.randint(2, 4))
-        assert 2 ** 53 < table.item_total_dnum.max() < 2 ** 62
+        assert 2 ** 53 < table.base.max() * int(table.D[-1]) < 2 ** 62
         yield inst, Decimal("4.358898"), table
 
 
@@ -585,7 +584,7 @@ def _wide_divisor_cases(rng):
 
 
 def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
-    """Every pivot's scaled knapsack, built from its block's exact sums.
+    """Every pivot's scaled knapsack, built with its block.
 
     Rows of expanded blocks (any block length) and the rows the screen
     skips for a negative capacity, on int64 and on object rows.
@@ -623,23 +622,21 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("big", [False, True])
-def test_broken_ratio_order_raises_negative_modified_weight(big):
-    """A table sorted by rising ratio gives pivots negative extra weights."""
+def test_broken_ratio_order_raises_value_error(big):
+    """A table sorted by rising ratio would break the screen's monotone
+    block relaxation: the constructor refuses it, on int64 and on object
+    rows alike."""
     sigmas = (Decimal("1.5"), Decimal("0.5"), Decimal("2.5"))
     if big:  # 20 significant digits: object rows
         sigmas = tuple(s + Decimal("1e-19") for s in sigmas)
     inst = SockpInstance(profits=(5, 2, 4), means=(Decimal(1),) * 3,
                          sigmas=sigmas, capacity=Decimal(30))
     good = build_segments(inst, Decimal(2), 3)
-    broken = SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
-                          good.js[::-1], good.ks[::-1], good.dnum[::-1],
-                          good.f[::-1], good.q, good.item_total_dnum)
-    fam = _Family(inst, broken, rkpm.UPPER)
-    assert (fam.dnum.dtype == object) == big
-    with pytest.raises(rkpm.SolverInvariantError,
-                       match="negative modified weight"):
-        for i in range(broken.size + 1):
-            _subproblem(fam, i)
+    assert (_Family(inst, good, rkpm.UPPER).dnum.dtype == object) == big
+    with pytest.raises(ValueError, match="not sorted by falling ratio"):
+        SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
+                     good.js[::-1], good.ks[::-1], good.dnum[::-1],
+                     good.f[::-1], good.q, good.base, good.D, good.F)
 
 
 def test_integral_pruning_bounds_hold(rng, monkeypatch):
@@ -789,14 +786,62 @@ def _robust_optimum(inst, table, delta):
 ])
 def test_upper_bound_is_the_robust_optimum_below_the_grid(inst, optimum):
     """A selection that breaks the robust constraint by less than the
-    rows' rounding still fits the first relaxation; the bound refines the
+    rows' rounding still fits the first relaxation; each bound refines the
     grid until its winner meets the constraint, so it is the exact robust
-    optimum, and the exact solver certifies the SOC optimum."""
+    optimum of its budget, and the exact solver certifies the SOC optimum."""
     omega = Decimal("1.645")
     for m in (1, 2, 4):
         table = build_segments(inst, omega, m)
-        res = upper_bound(inst, omega, m, table=table)
-        assert res.objective == _robust_optimum(inst, table,
-                                                table.inner_budget)
+        for bound, delta in ((upper_bound, table.inner_budget),
+                             (lower_bound, table.outer_budget)):
+            res = bound(inst, omega, m, table=table)
+            assert res.objective == _robust_optimum(inst, table, delta)
     assert soc_brute_force(inst, omega)[0] == optimum
     assert solve_exact(inst, omega).objective == optimum
+
+
+def test_lower_bound_is_the_outer_robust_optimum():
+    """A selection whose outer robust load lies within a few grid steps of
+    the capacity stays in the lower bound's family.
+
+    Items 1-4 meet the outer robust constraint at m = 2 with less room
+    than the rows' rounding, so weights rounded up and a capacity rounded
+    down lost them (155, items 0 and 2-4); the lower bound is the outer
+    robust optimum 160, also the SOC optimum.
+    """
+    inst = SockpInstance(
+        profits=(9, 14, 91, 40, 15),
+        means=tuple(Decimal(v) for v in (58, 66, 99, 87, 62)),
+        sigmas=tuple(Decimal(v) for v in ("0.83", "3.33", "12.73", "17.75",
+                                          "8.46")),
+        capacity=Decimal("356.97768125000"))
+    omega = Decimal("1.645")
+    table = build_segments(inst, omega, 2)
+    res = lower_bound(inst, omega, 2, table=table)
+    assert (res.objective, res.solution) == (160, (0, 1, 1, 1, 1))
+    assert _robust_optimum(inst, table, table.outer_budget) == 160
+    assert soc_brute_force(inst, omega)[0] == 160
+
+
+def test_lower_bounds_reach_the_outer_optimum_at_tight_capacities():
+    """Capacities at a random selection's exact outer robust load, rounded
+    up at 9-12 decimals, put that selection within a grid step of the
+    capacity; every lower bound is still the enumerated outer optimum."""
+    rng = random.Random(11)
+    omega = Decimal("1.645")
+    for _ in range(149):
+        base = random_instance(rng, rng.randint(5, 9))
+        m = rng.randint(1, 3)
+        bits = tuple(rng.randint(0, 1) for _ in range(base.n))
+        digits = rng.randint(9, 12)
+        load = sum((Fraction(a) for a, b in zip(base.means, bits) if b),
+                   Fraction(0)) + beta_exact(
+            bits, build_segments(base, omega, m),
+            Fraction(m * m) + Fraction(base.n, 4))
+        inst = SockpInstance(
+            profits=base.profits, means=base.means, sigmas=base.sigmas,
+            capacity=Decimal(math.ceil(load * 10 ** digits)).scaleb(-digits))
+        table = build_segments(inst, omega, m)
+        res = lower_bound(inst, omega, m, table=table)
+        assert res.objective == _robust_optimum(inst, table,
+                                                table.outer_budget)
