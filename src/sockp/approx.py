@@ -103,43 +103,53 @@ def containment_radii(n: int, m: int, omega):
 class SegmentTable:
     """Sorted (d, f) coefficients of the bounded continuous knapsack.
 
-    Entries are sorted by decreasing d/f, ties in (item, segment) order.
-    ``dnum[i] / q`` is the gain of the entry at rank i+1.  The dummy
-    (nm+1)-th element with d = 0 and f = delta is attached at query time.
-
-    Each field is one read-only numpy array.  In sorted order: ``js`` (item)
-    and ``ks`` (segment) are intp, ``f`` and its running sum ``prefix_f``
-    int64, and ``dnum`` an ``object`` array of Python ints, exact for any
-    scheme.  Per item, ``base`` (an ``object`` array) and, per segment count
-    k = 0..m, ``D`` and ``F`` (int64) give the sums over item j's first k
-    segments: gain numerator base_j * D[k] and budget F[k].  Horizontally
+    The table is built from its source data alone: per item, ``base`` (an
+    ``object`` array of Python ints) and, per segment count k = 0..m, ``D``
+    and ``F`` (int64), the sums over item j's first k segments of the gain
+    numerator, base_j * D[k], and of the budget, F[k].  Horizontally
     D[k] = k and F[k] = k^2; vertically D sums the quantized steps and
-    F[k] = k.  Within an item the ratios fall with k, so the entries of a
-    larger ratio than any given one are, per item, its first :meth:`counts`
-    segments.  The constructor checks the order by exact
-    cross-multiplication.  ``omega`` and ``sigmas`` record the data the
+    F[k] = k.  Entry (j, k) thus has gain numerator base_j * (D[k] - D[k-1])
+    over the common denominator ``q`` and budget F[k] - F[k-1].  Within an
+    item those ratios must not rise with k, so the entries of a larger ratio
+    than any given one are, per item, its first :meth:`counts` segments; the
+    constructor checks that on the steps and raises ``ValueError``
+    otherwise.
+
+    The constructor sorts the entries by decreasing d/f, ties in (item,
+    segment) order, and keeps each field as one read-only numpy array.  In
+    sorted order: ``js`` (item) and ``ks`` (segment) are intp, ``f`` and its
+    running sum ``prefix_f`` int64, and ``dnum`` an ``object`` array of
+    Python ints, exact for any scheme; ``dnum[i] / q`` is the gain of the
+    entry at rank i+1.  The dummy (nm+1)-th element with d = 0 and f = delta
+    is attached at query time.  ``omega`` and ``sigmas`` record the data the
     table was built from.
     """
 
-    def __init__(self, n, m, omega, sigmas, scheme, js, ks, dnum, f, q,
-                 base, D, F):
+    def __init__(self, n, m, omega, sigmas, scheme, q, base, D, F):
         self.n = n
         self.m = m
         self.omega = omega
         self.sigmas = sigmas
         self.scheme = scheme
         self.q = q
-        self.size = len(js)
-        self.js = np.array(js, dtype=np.intp)
-        self.ks = np.array(ks, dtype=np.intp)
-        self.dnum = np.array(dnum, dtype=object)
-        self.f = np.array(f, dtype=np.int64)
+        self.size = n * m
         self.base = np.array(base, dtype=object)
         self.D = np.array(D, dtype=np.int64)
         self.F = np.array(F, dtype=np.int64)
+        steps, f = np.diff(self.D), np.diff(self.F)
+        if (steps[:-1] * f[1:] < steps[1:] * f[:-1]).any():
+            raise ValueError("segment ratios rise within an item")
+        # Entries in (item, segment) order.  Steps of 1 keep each item's
+        # gain object, so the horizontal gains hold n ints, not n * m.
+        js = np.repeat(np.arange(n, dtype=np.intp), m)
+        ks = np.tile(np.arange(1, m + 1, dtype=np.intp), n)
+        dnum = (np.repeat(self.base, m) if (steps == 1).all() else
+                np.multiply.outer(self.base, steps.astype(object)).ravel())
+        f = np.tile(f, n)
+        order = _ratio_order(js, ks, dnum, f)
+        self.js, self.ks = js[order], ks[order]
+        self.dnum, self.f = dnum[order], f[order]
         self.prefix_f = np.cumsum(self.f)
-        if (self.dnum[:-1] * self.f[1:] < self.dnum[1:] * self.f[:-1]).any():
-            raise ValueError("segment entries are not sorted by falling ratio")
         for arr in (self.js, self.ks, self.dnum, self.f, self.base, self.D,
                     self.F, self.prefix_f):
             arr.flags.writeable = False
@@ -188,16 +198,18 @@ class SegmentTable:
 
 def build_segments(inst: SockpInstance, omega, m: int,
                    scheme: str = HORIZONTAL) -> SegmentTable:
-    """Build the sorted segment table for an instance.
+    """Build the segment table of an instance: its q, D and F per scheme.
 
     Horizontal scheme (equal subintervals of the domain [0, omega]):
     d = omega * sigma_j / m on every segment and f = 2k - 1, so the per-item
-    gains sum to omega * sigma_j exactly.  Vertical scheme (equal subintervals
-    of the range [0, omega^2], the comparison baseline): f = 1 and
+    gains sum to omega * sigma_j exactly; q = scale * m, D[k] = k and
+    F[k] = k^2.  Vertical scheme (equal subintervals of the range
+    [0, omega^2], the comparison baseline): f = 1 and
     d = omega * sigma_j * (sqrt(k/m) - sqrt((k-1)/m)), with the irrational
-    factors quantized at 18 fractional digits.  The gains are integers over
-    q = scale * m (scale * 10^18 for the vertical scheme), with omega *
-    sigma_j and scale from :meth:`SockpInstance.exact_view`.
+    factors quantized at 18 fractional digits; q = scale * 10^18, D sums
+    those steps and F[k] = k.  ``base`` is omega * sigma_j over scale, both
+    from :meth:`SockpInstance.exact_view`.  Half-even quantization is
+    monotone, so the vertical steps never rise.
     """
     if int(m) != m or m < 1:
         raise ValueError(f"segment count must be a positive integer, got {m}")
@@ -207,29 +219,14 @@ def build_segments(inst: SockpInstance, omega, m: int,
     omega_d = as_omega(omega)
 
     _, _, w_ints, scale = inst.exact_view(omega_d)
-    base = np.array(w_ints, dtype=object)
-
-    # Entries in (item, segment) order, one row of m per item.
-    js = np.repeat(np.arange(inst.n, dtype=np.intp), m)
-    ks = np.tile(np.arange(1, m + 1, dtype=np.intp), inst.n)
     k = np.arange(m + 1, dtype=np.int64)
     if scheme == HORIZONTAL:
-        q = scale * m
-        dnum = np.repeat(base, m)
-        f = 2 * ks - 1
-        D, F = k, k * k
+        q, D, F = scale * m, k, k * k
     else:
         q = scale * 10 ** _VERTICAL_QUANT
-        steps = _vertical_steps(m)
-        dnum = np.multiply.outer(base, steps).ravel()
-        f = np.ones(inst.n * m, dtype=np.int64)
-        D, F = np.append(0, np.cumsum(steps)), k
-
-    order = _ratio_order(js, ks, dnum, f)
-    return SegmentTable(
-        n=inst.n, m=m, omega=omega_d, sigmas=inst.sigmas, scheme=scheme,
-        js=js[order], ks=ks[order], dnum=dnum[order], f=f[order], q=q,
-        base=base, D=D, F=F)
+        D, F = np.append(0, np.cumsum(_vertical_steps(m))), k
+    return SegmentTable(n=inst.n, m=m, omega=omega_d, sigmas=inst.sigmas,
+                        scheme=scheme, q=q, base=w_ints, D=D, F=F)
 
 
 def _ratio_order(js, ks, dnum, f) -> np.ndarray:

@@ -98,12 +98,7 @@ def min_segments_normal_order(n: int, rho, delta) -> int:
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise ValueError(f"target gap must be positive and finite, got {delta}")
-    lo = max(1, math.ceil(math.sqrt(n) / 2))
-    while 4 * lo * lo < n:
-        lo += 1
-    if guarantee_gap_normal(n, lo, rho) <= delta:
-        return lo
-    hi = lo
+    lo = hi = (math.isqrt(n - 1) + 2) // 2  # the least m with 4 m^2 >= n
     while guarantee_gap_normal(n, hi, rho) > delta:
         hi *= 2
     while hi - lo > 1:

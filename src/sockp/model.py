@@ -198,8 +198,6 @@ def resolve_omega(spec: OmegaSpec) -> OmegaSpec:
             if g1 < 0 or g2 < 1:
                 raise ValueError("delage-ye requires gamma1 >= 0 and gamma2 >= 1")
             if g1 / g2 <= 1 - rho:
-                if g2 < g1:
-                    raise ValueError("delage-ye requires gamma2 >= gamma1")
                 omega = g1.sqrt() + ((g2 - g1) * rho / (1 - rho)).sqrt()
             else:
                 omega = (g2 / (1 - rho)).sqrt()

@@ -344,12 +344,17 @@ def _solve(inst: SockpInstance, omega, m: int, kind: str, scheme: str,
         # The relaxation took a selection past the robust constraint.  At
         # every pivot its load exceeds the capacity by at least the excess,
         # and rounding moves that by less than n + 1 grid steps, so a grid
-        # on which the excess spans n + 1 steps leaves the selection out.
+        # on which the excess spans n + 1 steps leaves the selection out;
+        # correct rows never return it on such a grid.
+        if fam.factor * excess >= inst.n + 1:
+            raise SolverInvariantError(
+                f"the winner breaks the robust constraint by {excess}, "
+                "more than the grid's rounding allows")
         factor = 10 * fam.factor
         while factor * excess < inst.n + 1:
             factor *= 10
         fam = _Family(inst, table, kind, factor)
-    _validate_result(inst, bits, value, kind, excess, omega_d)
+    _validate_result(inst, bits, value, kind, omega_d)
     return BoundResult(solution=bits, objective=value, kind=kind,
                        m=table.m, delta=fam.delta, subproblems_solved=examined,
                        subproblems_skipped=skipped,
@@ -364,12 +369,9 @@ def _robust_excess(inst, table, delta, bits, omega_d) -> Fraction:
     return beta_exact(bits, table, delta) - Fraction(b_int - used, scale)
 
 
-def _validate_result(inst, bits, value, kind, excess, omega_d):
+def _validate_result(inst, bits, value, kind, omega_d):
     if value != sum(p for p, b in zip(inst.profits, bits) if b):
         raise SolverInvariantError("objective does not match the selection")
-    if excess > 0:
-        raise SolverInvariantError(
-            "returned solution violates the robust constraint")
     if kind == LOWER and not is_soc_feasible(bits, inst, omega_d):
         raise SolverInvariantError(
             f"{kind} result is not SOC-feasible")

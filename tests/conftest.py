@@ -1,14 +1,17 @@
 """Shared oracles and instance builders for the test suite.
 
 The oracles here are deliberately independent of the library's solver paths:
-plain subset enumeration with exact integer arithmetic, so they can vouch for
-the optimized implementations.
+plain subset enumeration with exact integer arithmetic, and past its sizes a
+DP over (mean load, profit), so they can vouch for the optimized
+implementations.
 """
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sockp import SockpInstance
@@ -69,6 +72,48 @@ def soc_brute_force(inst, omega):
             best = value
             best_bits = tuple((mask >> j) & 1 for j in range(n))
     return best, best_bits
+
+
+def soc_dp_optimum(inst, omega):
+    """SOC optimum by a DP over (mean load, profit), past brute force's n.
+
+    For integer means and sigmas of at most 4 decimals: cell [a, p] holds
+    the least sum of (10^4 sigma_j)^2 over the selections of mean load a
+    and profit p, an exact int64.  Loads stop at floor(capacity), profits
+    at the greedy LP bound of the means-only knapsack, taken in Fractions
+    here.  The optimum is the largest p with some a such that
+    omega^2 * cell[a, p] * 10^-8 <= (capacity - a)^2, checked exactly.
+    """
+    from sockp.model import as_omega
+
+    assert all(mean == mean.to_integral_value() for mean in inst.means)
+    assert all(s.scaleb(4) == s.scaleb(4).to_integral_value()
+               for s in inst.sigmas)
+    cap = Fraction(inst.capacity)
+    top = math.floor(cap)
+    items = [(int(mean), p, int(s.scaleb(4)) ** 2)
+             for mean, p, s in zip(inst.means, inst.profits, inst.sigmas)]
+    lp, room = Fraction(0), cap
+    for a, p, _ in sorted(items, key=lambda it: (it[0] > 0,
+                                                 -Fraction(it[1], it[0] or 1))):
+        take = min(Fraction(1), room / a) if a else 1
+        lp, room = lp + p * take, room - a * take
+    width = math.floor(lp) + 1
+    unreached = np.iinfo(np.int64).max // 2
+    cells = np.full((top + 1, width), unreached, dtype=np.int64)
+    cells[0, 0] = 0
+    for a, p, v in items:
+        if a <= top and p < width:
+            cells[a:, p:] = np.minimum(cells[a:, p:],
+                                       cells[:top + 1 - a, :width - p] + v)
+    w2 = Fraction(as_omega(omega)) ** 2
+    lhs, rhs = w2.numerator * cap.denominator ** 2, w2.denominator * 10 ** 8
+    for p in range(width - 1, -1, -1):
+        (loads,) = np.nonzero(cells[:, p] < unreached)
+        slack = cap.numerator - loads.astype(object) * cap.denominator
+        if (lhs * cells[loads, p].astype(object) <= rhs * slack * slack).any():
+            return p
+    raise AssertionError("the empty selection is always feasible")
 
 
 def beta_pair_oracle(x, table, delta):

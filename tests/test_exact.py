@@ -5,13 +5,14 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from sockp import (SockpInstance, is_soc_feasible, lower_bound, m_star,
-                   solve_exact, upper_bound)
+from sockp import (VERTICAL, GeneratorSpec, SockpInstance, generate,
+                   is_soc_feasible, lower_bound, m_star, solve_exact,
+                   upper_bound)
 from sockp import knapsack
 from sockp.exact import _ceil_half_isqrt, initial_segments
 from sockp.model import EXACT_PREC, _frac_digits, as_omega
 
-from conftest import random_instance, soc_brute_force
+from conftest import random_instance, soc_brute_force, soc_dp_optimum
 
 
 def test_m_star_integer_example():
@@ -366,3 +367,31 @@ def test_corner_classes_match_brute_force(cases):
             assert lb.objective <= opt
             assert is_soc_feasible(lb.solution, inst, omega)
     assert nonzero >= 5
+
+
+_ORACLE_CORPUS = [(family, n, rho, kind)
+                  for kind, rho, sizes in (("chebyshev", "0.95", (20, 30, 40)),
+                                           ("normal", "0.9", (20, 30)))
+                  for family in ("SC", "IC", "SS", "SCR", "ICR")
+                  for n in sizes]
+
+
+@pytest.mark.parametrize("family, n, rho, kind", _ORACLE_CORPUS,
+                         ids=lambda v: str(v))
+def test_matches_the_dp_oracle_past_brute_force(family, n, rho, kind):
+    """At sizes brute force cannot reach, the exact solver equals an
+    independent DP over (mean load, profit), with a SOC-feasible selection,
+    and the bounds sandwich that optimum."""
+    inst = generate(GeneratorSpec(family=family, n=n, seed=n,
+                                  rho=Decimal(rho), omega_kind=kind))
+    omega = inst.omega
+    opt = soc_dp_optimum(inst, omega)
+    res = solve_exact(inst, omega)
+    assert res.objective == opt
+    assert sum(p for p, b in zip(inst.profits, res.solution) if b) == opt
+    assert is_soc_feasible(res.solution, inst, omega)
+    for m in (1, 2, 3, 5, 8):
+        assert upper_bound(inst, omega, m).objective >= opt, m
+        assert lower_bound(inst, omega, m).objective <= opt, m
+    for m in (1, 4, 16):
+        assert upper_bound(inst, omega, m, scheme=VERTICAL).objective >= opt, m

@@ -104,6 +104,13 @@ def test_min_segments_normal_is_least_valid():
         assert m <= math.ceil(math.sqrt(3 * n)) or delta < 0.01
 
 
+@pytest.mark.parametrize("big_m", [1, 2, 10 ** 6])
+def test_min_segments_normal_starts_at_the_least_valid_count(big_m):
+    """A gap the start already meets returns the least m with 4 m^2 >= n."""
+    assert min_segments_normal_order(4 * big_m ** 2, 0.95, 1) == big_m
+    assert min_segments_normal_order(4 * big_m ** 2 + 1, 0.95, 1) == big_m + 1
+
+
 def test_min_segments_normal_matches_order():
     # the count grows like sqrt(n / delta)
     assert min_segments_normal_order(100, 0.95, 0.01) <= math.ceil(math.sqrt(300))

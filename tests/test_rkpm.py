@@ -622,10 +622,10 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("big", [False, True])
-def test_broken_ratio_order_raises_value_error(big):
-    """A table sorted by rising ratio would break the screen's monotone
-    block relaxation: the constructor refuses it, on int64 and on object
-    rows alike."""
+def test_rising_segment_ratios_raise_value_error(big):
+    """Budget steps that fall make an item's ratios rise with the segment,
+    which breaks the per-item counts the pivot rows are built from: the
+    constructor refuses them, on int64 and on object rows alike."""
     sigmas = (Decimal("1.5"), Decimal("0.5"), Decimal("2.5"))
     if big:  # 20 significant digits: object rows
         sigmas = tuple(s + Decimal("1e-19") for s in sigmas)
@@ -633,10 +633,42 @@ def test_broken_ratio_order_raises_value_error(big):
                          sigmas=sigmas, capacity=Decimal(30))
     good = build_segments(inst, Decimal(2), 3)
     assert (_Family(inst, good, rkpm.UPPER).dnum.dtype == object) == big
-    with pytest.raises(ValueError, match="not sorted by falling ratio"):
+    with pytest.raises(ValueError, match="segment ratios rise within an item"):
         SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
-                     good.js[::-1], good.ks[::-1], good.dnum[::-1],
-                     good.f[::-1], good.q, good.base, good.D, good.F)
+                     good.q, good.base, good.D, good.F[-1] - good.F[::-1])
+
+
+def test_wrong_rows_raise_on_the_first_grid(monkeypatch):
+    """Rows one segment short let a robust-infeasible winner through on
+    every grid.  The excess loop raises on the first grid, on which correct
+    rows could not admit it, instead of refining the grid forever; the CLI
+    exits 3."""
+    from sockp.cli import main
+
+    counts = SegmentTable.counts
+    monkeypatch.setattr(SegmentTable, "counts", lambda self, *args: np.maximum(
+        counts(self, *args) - 1, 0))
+    grids = []
+    init = _Family.__init__
+
+    def counted_init(self, *args, **kwargs):
+        grids.append(args)
+        assert len(grids) <= 3, "the excess loop kept refining the grid"
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Family, "__init__", counted_init)
+    omega = Decimal("4.358898")
+    for family, n in (("SC", 20), ("IC", 30)):
+        inst = generate(GeneratorSpec(family=family, n=n, seed=0))
+        for solve in (upper_bound, lower_bound):
+            grids.clear()
+            with pytest.raises(rkpm.SolverInvariantError,
+                               match="breaks the robust constraint"):
+                solve(inst, omega, 3)
+            assert len(grids) == 1
+    grids.clear()
+    assert main(["bounds", "--family", "SC", "--n", "20", "--m", "3",
+                 "--omega", str(omega)]) == 3
 
 
 def test_integral_pruning_bounds_hold(rng, monkeypatch):
