@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .knapsack import ratio_order
 from .model import SockpInstance, _check_bits, as_omega
 
 __all__ = [
@@ -115,14 +116,15 @@ class SegmentTable:
     constructor checks that on the steps and raises ``ValueError``
     otherwise.
 
-    The constructor sorts the entries by decreasing d/f, ties in (item,
-    segment) order, and keeps each field as one read-only numpy array.  In
-    sorted order: ``js`` (item) and ``ks`` (segment) are intp, ``f`` and its
-    running sum ``prefix_f`` int64, and ``dnum`` an ``object`` array of
-    Python ints, exact for any scheme; ``dnum[i] / q`` is the gain of the
-    entry at rank i+1.  The dummy (nm+1)-th element with d = 0 and f = delta
-    is attached at query time.  ``omega`` and ``sigmas`` record the data the
-    table was built from.
+    The constructor sorts the entries by decreasing d/f with
+    :func:`~sockp.knapsack.ratio_order`, ties in (item, segment) order, and
+    keeps three arrays of them in sorted order: ``js`` (item) intp, ``f``
+    int64 and ``dnum`` an ``object`` array of Python ints, exact for any
+    scheme; ``dnum[i] / q`` is the gain of the entry at rank i+1.  An
+    entry's segment is its place among its item's entries.  These arrays,
+    ``base``, ``D`` and ``F`` are read-only.  The dummy (nm+1)-th element
+    with d = 0 and f = delta is attached at query time.  ``omega`` and
+    ``sigmas`` record the data the table was built from.
     """
 
     def __init__(self, n, m, omega, sigmas, scheme, q, base, D, F):
@@ -139,19 +141,15 @@ class SegmentTable:
         steps, f = np.diff(self.D), np.diff(self.F)
         if (steps[:-1] * f[1:] < steps[1:] * f[:-1]).any():
             raise ValueError("segment ratios rise within an item")
-        # Entries in (item, segment) order.  Steps of 1 keep each item's
-        # gain object, so the horizontal gains hold n ints, not n * m.
-        js = np.repeat(np.arange(n, dtype=np.intp), m)
-        ks = np.tile(np.arange(1, m + 1, dtype=np.intp), n)
+        # Entries in (item, segment) order, so that a tie in index is a tie
+        # in (item, segment).  Steps of 1 keep each item's gain object, so
+        # the horizontal gains hold n ints, not n * m.
         dnum = (np.repeat(self.base, m) if (steps == 1).all() else
                 np.multiply.outer(self.base, steps.astype(object)).ravel())
         f = np.tile(f, n)
-        order = _ratio_order(js, ks, dnum, f)
-        self.js, self.ks = js[order], ks[order]
-        self.dnum, self.f = dnum[order], f[order]
-        self.prefix_f = np.cumsum(self.f)
-        for arr in (self.js, self.ks, self.dnum, self.f, self.base, self.D,
-                    self.F, self.prefix_f):
+        order = ratio_order(dnum, f)
+        self.js, self.dnum, self.f = order // m, dnum[order], f[order]
+        for arr in (self.js, self.dnum, self.f, self.base, self.D, self.F):
             arr.flags.writeable = False
 
     def counts(self, gain, rnum, f) -> np.ndarray:
@@ -189,9 +187,9 @@ class SegmentTable:
 
     def lhat(self, delta) -> int | None:
         """Smallest rank whose cumulative f reaches the budget, if any."""
-        # Prefix sums lie in [1, total]: clipping keeps the threshold's place.
-        total = int(self.prefix_f[-1]) if self.size else 0
-        pos = int(np.searchsorted(self.prefix_f, min(
+        # Prefix sums lie in [1, n F[m]]: clipping keeps the threshold's place.
+        total = self.n * int(self.F[-1])
+        pos = int(np.searchsorted(np.cumsum(self.f), min(
             max(math.ceil(Fraction(delta)), 0), total + 1)))
         return pos + 1 if pos < self.size else None
 
@@ -227,24 +225,6 @@ def build_segments(inst: SockpInstance, omega, m: int,
         D, F = np.append(0, np.cumsum(_vertical_steps(m))), k
     return SegmentTable(n=inst.n, m=m, omega=omega_d, sigmas=inst.sigmas,
                         scheme=scheme, q=q, base=w_ints, D=D, F=F)
-
-
-def _ratio_order(js, ks, dnum, f) -> np.ndarray:
-    """Permutation sorting entries by d/f descending, ties by (j, k).
-
-    ``dnum`` is an ``object`` array of Python ints.  Float keys do the heavy
-    lifting; one exact cross-multiplication pass over adjacent entries then
-    verifies the order and falls back to exact rational keys in the rare case
-    a float collision misplaced anything.
-    """
-    order = np.lexsort((ks, js, -(dnum / f).astype(float)))
-    d, fs, j, k = dnum[order], f[order], js[order], ks[order]
-    lhs, rhs = d[:-1] * fs[1:], d[1:] * fs[:-1]
-    later = (j[:-1] > j[1:]) | ((j[:-1] == j[1:]) & (k[:-1] > k[1:]))
-    if ((lhs < rhs) | ((lhs == rhs) & later)).any():
-        order = np.array(sorted(range(len(js)), key=lambda i: (
-            -Fraction(dnum[i], int(f[i])), js[i], ks[i])), dtype=np.intp)
-    return order
 
 
 def _vertical_steps(m: int) -> np.ndarray:
@@ -283,7 +263,7 @@ def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
     # Entries taken whole: the budgets f are integers, so a running sum fits
     # delta exactly when it fits floor(delta); clipping keeps the position.
     full = int(np.searchsorted(
-        used, min(math.floor(delta), int(table.prefix_f[-1])), side="right"))
+        used, min(math.floor(delta), table.n * int(table.F[-1])), side="right"))
     value = Fraction(int(dnum[:full].sum()), table.q)
     if full < len(f):
         left = delta - (int(used[full - 1]) if full else 0)

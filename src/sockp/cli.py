@@ -19,8 +19,8 @@ from .guarantees import (guarantee_gap_dro, guarantee_gap_normal,
                          min_segments_dro, min_segments_normal_order,
                          monte_carlo_feasibility)
 from .instances import FAMILIES, GeneratorSpec, generate
-from .model import (OmegaSpec, apply_omega_spec, instance_from_json,
-                    instance_to_json)
+from .model import (OmegaSpec, _check_rho, apply_omega_spec, as_decimal,
+                    instance_from_json, instance_to_json)
 from .rkpm import SolverInvariantError, lower_bound, upper_bound
 
 AMBIGUITIES = ("normal", "chebyshev", "delage-ye", "support")
@@ -42,8 +42,19 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
-def _parse_decimal_list(text: str) -> list[Decimal]:
-    return [Decimal(part.strip()) for part in text.split(",") if part.strip()]
+def _decimal(text: str) -> Decimal:
+    """A decimal flag value.  argparse reports a malformed one with the
+    flag's name and exit code 2; NaN and infinities parse, and the library
+    refuses them as the field they are."""
+    try:
+        return as_decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _decimal_list(text: str) -> list[Decimal]:
+    """Comma list of decimals, each as for :func:`_decimal`."""
+    return [_decimal(part) for part in text.split(",") if part.strip()]
 
 
 def _add_generator_args(parser, required=False):
@@ -54,15 +65,17 @@ def _add_generator_args(parser, required=False):
 
 def _add_solver_args(parser):
     parser.add_argument("--instance", help="instance JSON file (overrides generator flags)")
-    parser.add_argument("--rho", type=Decimal)
+    parser.add_argument("--rho", type=_decimal)
     parser.add_argument("--ambiguity", choices=AMBIGUITIES, default="chebyshev")
-    parser.add_argument("--gamma1", type=Decimal, help="delage-ye mean-shift budget")
-    parser.add_argument("--gamma2", type=Decimal, help="delage-ye covariance factor")
-    parser.add_argument("--support-lower", help="comma list of interval lower bounds")
-    parser.add_argument("--support-upper", help="comma list of interval upper bounds")
+    parser.add_argument("--gamma1", type=_decimal, help="delage-ye mean-shift budget")
+    parser.add_argument("--gamma2", type=_decimal, help="delage-ye covariance factor")
+    parser.add_argument("--support-lower", type=_decimal_list,
+                        help="comma list of interval lower bounds")
+    parser.add_argument("--support-upper", type=_decimal_list,
+                        help="comma list of interval upper bounds")
     parser.add_argument("--support-form", choices=("squares", "hoeffding"),
                         default="squares")
-    parser.add_argument("--omega", type=Decimal, help="explicit safety factor")
+    parser.add_argument("--omega", type=_decimal, help="explicit safety factor")
 
 
 def _add_output_args(parser):
@@ -84,8 +97,8 @@ def _resolve_instance_omega(args, inst):
     if args.omega is not None:
         return inst, args.omega
     if args.rho is not None:
-        lower, upper = (None if text is None else tuple(_parse_decimal_list(text))
-                        for text in (args.support_lower, args.support_upper))
+        lower, upper = (None if bounds is None else tuple(bounds)
+                        for bounds in (args.support_lower, args.support_upper))
         return apply_omega_spec(inst, OmegaSpec(
             kind=args.ambiguity, rho=args.rho, gamma1=args.gamma1,
             gamma2=args.gamma2, lower=lower, upper=upper,
@@ -156,6 +169,7 @@ def _cmd_exact(args):
 
 
 def _cmd_guarantee(args):
+    _check_rho(args.rho)  # exactly, and before float() meets a signaling NaN
     rho = float(args.rho)
     row = {"n": args.n, "rho": rho}
     if args.m is not None:
@@ -193,16 +207,15 @@ def _cmd_validate(args):
 def _cmd_bench(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     sizes = _parse_int_list(args.sizes)
-    rhos = _parse_decimal_list(args.rhos)
     seeds = _parse_int_list(args.seeds)
     if args.mode == "bounds":
         m_grid = _parse_int_list(args.m_grid) if args.m_grid else []
-        rows = bench.run_bounds_bench(families, sizes, rhos, m_grid, seeds,
+        rows = bench.run_bounds_bench(families, sizes, args.rhos, m_grid, seeds,
                                       ambiguity=args.ambiguity)
         text = bench.write_report(rows, bench.BOUNDS_FIELDS, args.format,
                                   summary=bench.summarize_bounds(rows))
     else:
-        rows = bench.run_exact_bench(families, sizes, rhos, seeds,
+        rows = bench.run_exact_bench(families, sizes, args.rhos, seeds,
                                      ambiguity=args.ambiguity)
         text = bench.write_report(rows, bench.EXACT_FIELDS, args.format,
                                   summary=bench.summarize_exact(rows))
@@ -215,7 +228,7 @@ def _cmd_bench(args):
 def _cmd_compare_schemes(args):
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = bench.run_scheme_comparison(
-        families, _parse_int_list(args.sizes), _parse_decimal_list(args.rhos),
+        families, _parse_int_list(args.sizes), args.rhos,
         _parse_int_list(args.seeds),
         m_horizontal=_parse_int_list(args.m_horizontal),
         m_vertical=_parse_int_list(args.m_vertical),
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a benchmark instance as JSON")
     _add_generator_args(p, required=True)
-    p.add_argument("--rho", type=Decimal, help="stamp a safety factor for this level")
+    p.add_argument("--rho", type=_decimal, help="stamp a safety factor for this level")
     p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
     p.add_argument("--out")
 
@@ -252,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guarantee", help="closed-form probability guarantees")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=Decimal, required=True)
+    p.add_argument("--rho", type=_decimal, required=True)
     p.add_argument("--m", type=int)
-    p.add_argument("--target-gap", type=Decimal)
+    p.add_argument("--target-gap", type=_decimal)
     p.add_argument("--out")
 
     p = sub.add_parser("validate", help="Monte-Carlo check of a lower-bound solution")
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("bounds", "exact"), default="bounds")
     p.add_argument("--families", default="SC")
     p.add_argument("--sizes", default="100")
-    p.add_argument("--rhos", default="0.95")
+    p.add_argument("--rhos", type=_decimal_list, default="0.95")
     p.add_argument("--seeds", default="0:10")
     p.add_argument("--m-grid", help="segment grid for bounds mode, e.g. 5,10,20")
     p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="horizontal vs vertical upper bounds on shared instances")
     p.add_argument("--families", default="SC")
     p.add_argument("--sizes", default="400")
-    p.add_argument("--rhos", default="0.95")
+    p.add_argument("--rhos", type=_decimal_list, default="0.95")
     p.add_argument("--seeds", default="0:5")
     p.add_argument("--m-horizontal", default="10")
     p.add_argument("--m-vertical", default="100")

@@ -10,22 +10,14 @@ doubling, so termination never depends on floating-point behaviour.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 
-from .model import SockpInstance, as_omega, is_soc_feasible
+from .model import (SockpInstance, _ceil_half_isqrt, as_omega,
+                    is_soc_feasible)
 from .rkpm import BoundResult, EXACT, SolverInvariantError, upper_bound
 
 __all__ = ["m_star", "solve_exact"]
-
-
-def _ceil_half_isqrt(x: int) -> int:
-    """ceil(sqrt(x) / 2) in exact integer arithmetic."""
-    r = math.isqrt(x)
-    if r * r == x:
-        return (r + 1) // 2
-    return r // 2 + 1
 
 
 def m_star(inst: SockpInstance, omega) -> int:

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (EXACT_PREC, SockpInstance, _check_bits, _check_rho,
-                    as_decimal, inverse_normal_cdf)
+from .model import (EXACT_PREC, SockpInstance, _ceil_half_isqrt, _check_bits,
+                    _check_rho, as_decimal, inverse_normal_cdf)
 
 __all__ = [
     "guarantee_gap_dro",
@@ -98,7 +98,7 @@ def min_segments_normal_order(n: int, rho, delta) -> int:
     delta = float(delta)
     if not 0 < delta < math.inf:
         raise ValueError(f"target gap must be positive and finite, got {delta}")
-    lo = hi = (math.isqrt(n - 1) + 2) // 2  # the least m with 4 m^2 >= n
+    lo = hi = _ceil_half_isqrt(n)
     while guarantee_gap_normal(n, hi, rho) > delta:
         hi *= 2
     while hi - lo > 1:

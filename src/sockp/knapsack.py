@@ -125,6 +125,27 @@ def _largest(values) -> int:
     return max(values, default=0)
 
 
+def ratio_order(num, den) -> np.ndarray:
+    """Permutation sorting num / den in falling order, ties by index.
+
+    ``num`` holds nonnegative and ``den`` positive integers, as sequences or
+    int64 or ``object`` arrays.  One stable sort of float keys, the
+    numerators clamped at ``_KEY_CAP`` so that no quotient overflows, places
+    the entries; one exact cross-multiplication pass over adjacent entries
+    then confirms the order, and falls back to exact rational keys in the
+    rare case that colliding float keys misplaced anything.
+    """
+    num, den = np.asarray(num, dtype=object), np.asarray(den)
+    order = np.argsort(-(np.minimum(num, _KEY_CAP) / den).astype(float),
+                       kind="stable")
+    a, b = num[order], den[order]
+    lhs, rhs = a[:-1] * b[1:], a[1:] * b[:-1]
+    if ((lhs < rhs) | ((lhs == rhs) & (order[:-1] > order[1:]))).any():
+        order = np.array(sorted(range(len(num)), key=lambda i: (
+            -Fraction(num[i], int(den[i])), i)), dtype=np.intp)
+    return order
+
+
 def exact_dtype(profit_max: int, n: int, weight_max: int, capacity: int):
     """int64 if it holds a Dantzig bound's exact arithmetic, else ``object``.
 
@@ -408,11 +429,6 @@ def _lex_walk(kept, target, room, reaches):
 # Depth-first branch and bound (profit range too large for the DP).
 # ---------------------------------------------------------------------------
 
-def _ratio_order(kept):
-    return sorted(range(len(kept)),
-                  key=lambda i: (-Fraction(kept[i][1], kept[i][2]), i))
-
-
 def _greedy_bound(kept, order, start, capacity):
     total = 0
     room = capacity
@@ -434,7 +450,8 @@ def _bb_value(kept, capacity, target=None):
     at the first value above it, so the result reaches ``target`` exactly
     when some selection does.
     """
-    order = _ratio_order(kept)
+    order = ratio_order([p for _, p, _ in kept],
+                        [w for _, _, w in kept]).tolist()
     best = 0 if target is None else target - 1
     stack = [(0, 0, capacity)]
     while stack:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, ROUND_DOWN, localcontext
+from decimal import Decimal, InvalidOperation, ROUND_DOWN, localcontext
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -58,7 +58,10 @@ def as_decimal(value) -> Decimal:
             raise ValueError(f"non-finite value {value!r}")
         return Decimal(repr(value))
     if isinstance(value, str):
-        return Decimal(value)
+        try:
+            return Decimal(value)
+        except InvalidOperation:
+            raise ValueError(f"{value!r} is not a decimal") from None
     raise TypeError(f"cannot interpret {value!r} as a decimal")
 
 
@@ -81,6 +84,11 @@ def _check_coeff(d: Decimal, label: str) -> None:
     if len(d.as_tuple().digits) > MAX_COEFF_DIGITS:
         raise ValueError(
             f"{label} {d} has more than {MAX_COEFF_DIGITS} significant digits")
+
+
+def _ceil_half_isqrt(x: int) -> int:
+    """The least m >= 0 with 4 m^2 >= x: ceil(sqrt(x) / 2), exactly."""
+    return (math.isqrt(x - 1) + 2) // 2 if x > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +159,9 @@ class OmegaSpec:
 
 
 def _check_rho(rho) -> None:
-    """Reject rho outside [0.5, 1), exactly for Decimal, float or Fraction."""
-    if not 0.5 <= rho < 1:
+    """Reject rho outside [0.5, 1) and NaN, exactly for Decimal, float or
+    Fraction."""
+    if (isinstance(rho, Decimal) and rho.is_nan()) or not 0.5 <= rho < 1:
         raise ValueError(f"confidence level must lie in [0.5, 1), got {rho}")
 
 
@@ -175,9 +184,9 @@ def resolve_omega(spec: OmegaSpec) -> OmegaSpec:
         raise ValueError(f"unknown ambiguity kind {spec.kind!r}")
 
     if spec.kind == "explicit":
-        if spec.resolved_omega is None or spec.resolved_omega <= 0:
+        if spec.resolved_omega is None:
             raise ValueError("explicit safety factor must be positive")
-        return replace(spec, resolved_omega=spec.resolved_omega)
+        return replace(spec, resolved_omega=as_omega(spec.resolved_omega))
 
     if spec.rho is None:
         raise ValueError(f"{spec.kind} ambiguity requires a confidence level")
@@ -195,8 +204,9 @@ def resolve_omega(spec: OmegaSpec) -> OmegaSpec:
             g1, g2 = spec.gamma1, spec.gamma2
             if g1 is None or g2 is None:
                 raise ValueError("delage-ye ambiguity requires gamma1 and gamma2")
-            if g1 < 0 or g2 < 1:
-                raise ValueError("delage-ye requires gamma1 >= 0 and gamma2 >= 1")
+            if not (g1.is_finite() and g2.is_finite()) or g1 < 0 or g2 < 1:
+                raise ValueError("delage-ye requires finite gamma1 >= 0 and "
+                                 "gamma2 >= 1")
             if g1 / g2 <= 1 - rho:
                 omega = g1.sqrt() + ((g2 - g1) * rho / (1 - rho)).sqrt()
             else:
@@ -206,6 +216,8 @@ def resolve_omega(spec: OmegaSpec) -> OmegaSpec:
                 raise ValueError("support ambiguity requires interval bounds")
             if len(spec.lower) != len(spec.upper):
                 raise ValueError("support bounds must have equal length")
+            if not all(v.is_finite() for v in spec.lower + spec.upper):
+                raise ValueError("support bounds must be finite")
             for lo, hi in zip(spec.lower, spec.upper):
                 if lo > hi:
                     raise ValueError(f"support interval [{lo}, {hi}] is empty")
@@ -240,8 +252,9 @@ def as_omega(omega) -> Decimal:
         value = omega.resolved_omega
     else:
         value = as_decimal(omega)
-    if value <= 0 or not value.is_finite():
-        raise ValueError(f"safety factor must be positive, got {value}")
+    if not value.is_finite() or value <= 0:
+        raise ValueError(f"safety factor omega must be positive and finite, "
+                         f"got {value}")
     _check_coeff(value, "safety factor")
     return value
 
@@ -280,11 +293,11 @@ class SockpInstance:
             raise ValueError("profits, means and sigmas must have equal length")
         if any(p < 0 for p in self.profits):
             raise ValueError("profits must be nonnegative")
-        if any(v < 0 or not v.is_finite() for v in self.means):
+        if any(not v.is_finite() or v < 0 for v in self.means):
             raise ValueError("means must be nonnegative finite decimals")
-        if any(v < 0 or not v.is_finite() for v in self.sigmas):
+        if any(not v.is_finite() or v < 0 for v in self.sigmas):
             raise ValueError("sigmas must be nonnegative finite decimals")
-        if self.capacity < 0 or not self.capacity.is_finite():
+        if not self.capacity.is_finite() or self.capacity < 0:
             raise ValueError("capacity must be a nonnegative finite decimal")
         for p in self.profits:
             _check_coeff(Decimal(p), "profit")
@@ -406,7 +419,10 @@ def _json_decimal(value, label: str) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"{label} must be a JSON string or integer, "
                          f"got {value!r}")
-    return Decimal(value)
+    try:
+        return as_decimal(value)
+    except ValueError:
+        raise ValueError(f"{label} must be a decimal, got {value!r}") from None
 
 
 def _json_list(doc: dict, key: str) -> list:

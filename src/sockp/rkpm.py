@@ -50,8 +50,9 @@ entries of ratio above r, so every item's pivot weight and the pivot
 capacity are nondecreasing in the index, and so are their roundings: the
 scaled knapsack with a block's first weight row and its last capacity
 relaxes every scaled pivot knapsack in the block.  The screen bounds blocks
-of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, a chunk of blocks
-at a time, with every temporary array kept near ``SCREEN_CHUNK`` elements.
+of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, ``SCREEN_BLOCK``
+blocks at a time, so every weight matrix the family builds, in the screen
+or in :meth:`_Family.expand`, has at most ``SCREEN_BLOCK`` rows.
 
 Every bound, of a block or of a pivot, is the integer LP (Lagrangian) bound
 of :func:`sockp.knapsack.lp_rows`, which holds whatever break item the float
@@ -104,9 +105,6 @@ EXACT = "exact"
 # Integer scale of every pivot knapsack's weights and capacity, a power of ten.
 SCALE = 10 ** 6
 
-# Elements per temporary array of the matrix screen.
-SCREEN_CHUNK = 25_000
-
 # Consecutive pivots bounded together by the screen.
 SCREEN_BLOCK = 64
 
@@ -149,7 +147,9 @@ class _Family:
     of Python integers otherwise.  The bound covers every value
     :meth:`weights` forms: the per-item sums, the two products of
     ``extra``, the numerator and the divisor of the rounding division, and
-    the scaled weights.
+    the scaled weights.  It also covers the lift of the table's ``dnum``, so
+    that is cast to the family's dtype first and an int64 family forms no
+    Python int per entry.
     """
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, kind: str,
@@ -177,12 +177,12 @@ class _Family:
         f_max = int(table.f.max(initial=1))
         fits = (self.mult * f_max * total < 2 ** 62
                 and self.div * f_max < 2 ** 62
-                and table.dnum.max(initial=0) * lift * int(table.F[-1]) < 2 ** 62
+                and table.dnum.max(initial=1) * lift * int(table.F[-1]) < 2 ** 62
                 and max(whole, default=0)
                 + self.factor * (total // self.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
         self.gains = (table.base * lift).astype(dtype)
-        self.dnum = np.append(table.dnum * lift, 0).astype(dtype)
+        self.dnum = np.append(table.dnum, 0).astype(dtype) * lift
         self.f = np.append(table.f, 1).astype(dtype)
         self.whole = np.array(whole, dtype=dtype)
         self.profits = np.array(inst.profits, dtype=np.int64
@@ -226,8 +226,8 @@ class _Family:
         capacity (see the module docstring).  Blocks hold ``SCREEN_BLOCK``
         pivots, the last one possibly fewer.  The pivots with a negative
         capacity are a prefix of the family, found by an exact bisection and
-        counted as skipped.  The block rows are built SCREEN_CHUNK // n at
-        a time.
+        counted as skipped.  The block rows are built SCREEN_BLOCK at a
+        time.
         """
         t = self.table
         lh = t.lhat(self.delta)
@@ -237,12 +237,12 @@ class _Family:
             key=lambda i: self.capacities([i])[0] >= 0)
         firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
         stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
-        rows = max(1, SCREEN_CHUNK // max(self.inst.n, 1))
         bounds = []
-        for c0 in range(0, len(firsts), rows):
+        for c0 in range(0, len(firsts), SCREEN_BLOCK):
+            rows = slice(c0, c0 + SCREEN_BLOCK)
             bounds += [lp[3] for lp in lp_rows(
-                self.profits, self.weights(firsts[c0:c0 + rows]),
-                self.capacities(stops[c0:c0 + rows] - 1))]
+                self.profits, self.weights(firsts[rows]),
+                self.capacities(stops[rows] - 1))]
         return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
 
     def expand(self, first: int, stop: int):

@@ -77,21 +77,26 @@ def soc_brute_force(inst, omega):
 def soc_dp_optimum(inst, omega):
     """SOC optimum by a DP over (mean load, profit), past brute force's n.
 
-    For integer means and sigmas of at most 4 decimals: cell [a, p] holds
-    the least sum of (10^4 sigma_j)^2 over the selections of mean load a
-    and profit p, an exact int64.  Loads stop at floor(capacity), profits
-    at the greedy LP bound of the means-only knapsack, taken in Fractions
-    here.  The optimum is the largest p with some a such that
-    omega^2 * cell[a, p] * 10^-8 <= (capacity - a)^2, checked exactly.
+    For means of at most one decimal and sigmas of at most 4: loads count
+    units of 1/unit, unit = 10 if some mean has a decimal and 1 otherwise,
+    and cell [a, p] holds the least sum of (10^4 sigma_j)^2 over the
+    selections of mean load a / unit and profit p, an exact int64.  Loads
+    stop at floor(unit * capacity), profits at the greedy LP bound of the
+    means-only knapsack, taken in Fractions here.  The optimum is the
+    largest p with some a such that
+    omega^2 * cell[a, p] * 10^-8 <= (capacity - a / unit)^2, checked exactly.
     """
     from sockp.model import as_omega
 
-    assert all(mean == mean.to_integral_value() for mean in inst.means)
+    unit = 1 if all(mean == mean.to_integral_value()
+                    for mean in inst.means) else 10
+    assert all(mean * unit == (mean * unit).to_integral_value()
+               for mean in inst.means)
     assert all(s.scaleb(4) == s.scaleb(4).to_integral_value()
                for s in inst.sigmas)
-    cap = Fraction(inst.capacity)
+    cap = Fraction(inst.capacity) * unit
     top = math.floor(cap)
-    items = [(int(mean), p, int(s.scaleb(4)) ** 2)
+    items = [(int(mean * unit), p, int(s.scaleb(4)) ** 2)
              for mean, p, s in zip(inst.means, inst.profits, inst.sigmas)]
     lp, room = Fraction(0), cap
     for a, p, _ in sorted(items, key=lambda it: (it[0] > 0,
@@ -106,8 +111,10 @@ def soc_dp_optimum(inst, omega):
         if a <= top and p < width:
             cells[a:, p:] = np.minimum(cells[a:, p:],
                                        cells[:top + 1 - a, :width - p] + v)
+    # omega^2 v 10^-8 <= ((cap - a) / unit)^2, over cap's denominator.
     w2 = Fraction(as_omega(omega)) ** 2
-    lhs, rhs = w2.numerator * cap.denominator ** 2, w2.denominator * 10 ** 8
+    lhs = w2.numerator * (cap.denominator * unit) ** 2
+    rhs = w2.denominator * 10 ** 8
     for p in range(width - 1, -1, -1):
         (loads,) = np.nonzero(cells[:, p] < unreached)
         slack = cap.numerator - loads.astype(object) * cap.denominator
@@ -180,10 +187,15 @@ def d_fraction(table, i):
 
 
 def entries(table):
-    """Yield (rank, item, segment, d as Fraction, f) in sorted order."""
+    """Yield (rank, item, segment, d as Fraction, f) in sorted order.
+
+    An item's segments come in order, so an entry's segment is the running
+    count of its item's entries."""
+    seen = [0] * table.n
     for i in range(table.size):
-        yield (i + 1, int(table.js[i]), int(table.ks[i]), d_fraction(table, i),
-               int(table.f[i]))
+        j = int(table.js[i])
+        seen[j] += 1
+        yield i + 1, j, seen[j], d_fraction(table, i), int(table.f[i])
 
 
 def family(table, delta):

@@ -11,7 +11,8 @@ from sockp import (HORIZONTAL, VERTICAL, GeneratorSpec, SockpInstance, beta,
                    beta_exact, build_segments, containment_radii,
                    eval_lower_envelope, eval_upper_envelope, generate)
 
-from sockp.approx import _ratio_order, _vertical_steps
+from sockp.approx import _vertical_steps
+from sockp.knapsack import ratio_order
 
 from conftest import (beta_pair_oracle, entries, family, prefix_state,
                       random_instance, tie_start)
@@ -106,7 +107,7 @@ def test_ties_keep_item_segment_order():
                          sigmas=(Decimal(2), Decimal(2)), capacity=Decimal(10))
     table = build_segments(inst, Decimal(3), 2)
     # equal sigmas give pairwise-tied ratios; (item, segment) order is kept
-    assert list(zip(table.js.tolist(), table.ks.tolist())) == [
+    assert [(j, k) for _, j, k, _, _ in entries(table)] == [
         (0, 1), (1, 1), (0, 2), (1, 2)]
     # per pivot, the dummy last: the strict-ratio prefix ends at 0, 0, 2, 2, 4
     assert _counts(table).sum(axis=1).tolist() == [0, 0, 2, 2, 4]
@@ -130,27 +131,20 @@ def test_build_rejects_bad_arguments():
         build_segments(_one_item(), Decimal(10), 2, scheme="diagonal")
 
 
-def _sorted_by_ratio(raw):
-    """(j, k, dnum, f) tuples in the order of ``approx._ratio_order``."""
-    js, ks, dnum, f = zip(*raw)
-    order = _ratio_order(np.array(js, dtype=np.intp),
-                         np.array(ks, dtype=np.intp),
-                         np.array(dnum, dtype=object),
-                         np.array(f, dtype=np.int64))
-    return [raw[i] for i in order.tolist()]
-
-
 def test_ratio_sort_exact_fallback_on_float_collisions():
     # gains beyond 2^53 collide as float keys; the exact pass must restore
     # the true descending-ratio order
     big = 1 << 60
-    raw = [(0, 1, big - 1, 1), (1, 1, big + 1, 1), (2, 1, big, 1)]
-    raw = _sorted_by_ratio(raw)
-    assert [e[2] for e in raw] == [big + 1, big, big - 1]
-    # exact ties among colliding keys keep (item, segment) order
-    raw = [(1, 1, big, 1), (0, 2, big, 1), (0, 1, big, 1)]
-    raw = _sorted_by_ratio(raw)
-    assert [(e[0], e[1]) for e in raw] == [(0, 1), (0, 2), (1, 1)]
+    assert ratio_order(np.array([big - 1, big + 1, big], dtype=object),
+                       np.ones(3, dtype=np.int64)).tolist() == [1, 2, 0]
+    # exact ties among colliding keys keep index order
+    num = np.array([big + 1, 2 * big, big, 3 * big], dtype=object)
+    assert ratio_order(num, np.array([1, 2, 1, 3])).tolist() == [0, 1, 2, 3]
+    # ratios past float range get clamped keys; the exact pass sorts them,
+    # ties still in index order
+    huge = 10 ** 400
+    assert ratio_order([huge, 3 * huge, 2 * huge, huge],
+                       [1, 2, 1, 1]).tolist() == [2, 1, 0, 3]
 
 
 def _counts(table, dtype=object):
@@ -167,8 +161,9 @@ def _reference_table(inst, omega, m, scheme):
     Entries (j, k, d, f) follow the scheme's definition, with the quantized
     vertical steps of ``_vertical_steps``; they are sorted by
     (-Fraction(d, f), j, k).  Returns the built table, the reference fields,
-    each item's total gain numerator and, per pivot with the dummy last,
-    where its strict-ratio prefix ends: the first entry of an equal ratio.
+    the sorted entries' segments and running budgets, each item's total gain
+    numerator and, per pivot with the dummy last, where its strict-ratio
+    prefix ends: the first entry of an equal ratio.
     """
     table = build_segments(inst, omega, m, scheme)
     ks = range(m + 1)
@@ -200,10 +195,9 @@ def _reference_table(inst, omega, m, scheme):
     # The dummy's strict prefix: every entry of a positive ratio.
     ends.append(sum(1 for e in raw if e[2]))
     assert all(b.denominator == 1 for b in base)
-    ref = {"js": [e[0] for e in raw], "ks": [e[1] for e in raw],
-           "dnum": dnum, "f": [e[3] for e in raw], "prefix_f": prefix_f,
+    ref = {"js": [e[0] for e in raw], "dnum": dnum, "f": [e[3] for e in raw],
            "base": [int(b) for b in base], "D": D, "F": F}
-    return table, ref, totals, ends
+    return table, ref, [e[1] for e in raw], prefix_f, totals, ends
 
 
 def _table_cases(rng):
@@ -239,12 +233,14 @@ def _greedy_beta(x, ref, q, delta):
 
 
 def test_table_matches_exact_reference():
-    """Every field equals an independent Fraction-sorted reference, and
-    beta_exact equals the greedy fill over the reference entries."""
+    """Every field equals an independent Fraction-sorted reference, and so
+    do the segments and running budgets the fields imply; beta_exact equals
+    the greedy fill over the reference entries."""
     rng = random.Random(11)
     widths = set()
     for inst, omega, m, scheme in _table_cases(rng):
-        table, ref, totals, ends = _reference_table(inst, omega, m, scheme)
+        table, ref, ks, prefix_f, totals, ends = _reference_table(
+            inst, omega, m, scheme)
         for delta in (table.inner_budget, table.inner_budget + Fraction(7, 3),
                       Fraction(10 ** 30)):
             x = tuple(rng.randint(0, 1) for _ in range(inst.n))
@@ -255,15 +251,16 @@ def test_table_matches_exact_reference():
             arr = getattr(table, name)
             assert not arr.flags.writeable
             assert arr.tolist() == want, name
+        assert [k for _, _, k, _, _ in entries(table)] == ks
+        assert np.cumsum(table.f).tolist() == prefix_f
         # Each item's gains sum to base * D[m], and the counts of every
         # pivot, the dummy last, sum to where its strict-ratio prefix ends.
         assert [b * int(table.D[m]) for b in table.base] == totals
         counts = _counts(table)
         assert counts.sum(axis=1).tolist() == ends
         assert table.dnum.dtype == table.base.dtype == object
-        assert table.f.dtype == table.prefix_f.dtype == table.D.dtype \
-            == table.F.dtype == np.int64
-        assert table.js.dtype == table.ks.dtype == counts.dtype == np.intp
+        assert table.f.dtype == table.D.dtype == table.F.dtype == np.int64
+        assert table.js.dtype == counts.dtype == np.intp
         widths.add(max(table.dnum.tolist()).bit_length() > 63)
     assert widths == {False, True}
 

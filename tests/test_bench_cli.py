@@ -357,3 +357,84 @@ def test_cli_removed_flags_are_usage_errors(command, flag, capsys):
         main(command + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every decimal flag of every subcommand, with the rest of a valid command.
+_SOLVE = ["--family", "SC", "--n", "3"]
+_DECIMAL_FLAGS = [
+    (["gen", "--family", "SC", "--n", "3"], "--rho"),
+    *((command, flag)
+      for command in (["bounds", *_SOLVE, "--m", "2"], ["exact", *_SOLVE],
+                      ["validate", *_SOLVE, "--m", "2", "--samples", "10"])
+      for flag in ("--rho", "--gamma1", "--gamma2", "--omega",
+                   "--support-lower", "--support-upper")),
+    (["guarantee", "--n", "5", "--m", "3"], "--rho"),
+    (["guarantee", "--n", "5", "--rho", "0.95"], "--target-gap"),
+    (["bench", "--sizes", "5", "--seeds", "0:1", "--m-grid", "2"], "--rhos"),
+    (["compare-schemes", "--sizes", "5", "--seeds", "0:1"], "--rhos"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _DECIMAL_FLAGS,
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("value", ["abc", "0.9,x", "1.2.3"])
+def test_cli_malformed_decimal_flags_are_usage_errors(command, flag, value,
+                                                      capsys):
+    """A malformed decimal is bad input: exit 2, naming the flag, and no
+    traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "is not a decimal" in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity"])
+@pytest.mark.parametrize("argv, field", [
+    (["bounds", *_SOLVE, "--m", "2", "--omega"], "omega"),
+    (["exact", *_SOLVE, "--rho"], "confidence level"),
+    (["gen", "--family", "SC", "--n", "3", "--rho"], "confidence level"),
+    (["guarantee", "--n", "5", "--m", "3", "--rho"], "confidence level"),
+    (["guarantee", "--n", "5", "--rho", "0.95", "--target-gap"],
+     "target gap"),
+    (["bench", "--sizes", "5", "--seeds", "0:1", "--m-grid", "2", "--rhos"],
+     "confidence level"),
+    (["bounds", *_SOLVE, "--m", "2", "--rho", "0.95", "--ambiguity",
+      "delage-ye", "--gamma2", "1.5", "--gamma1"], "gamma1"),
+    (["bounds", *_SOLVE, "--m", "2", "--rho", "0.95", "--ambiguity",
+      "delage-ye", "--gamma1", "0.1", "--gamma2"], "gamma2"),
+    (["validate", *_SOLVE, "--m", "2", "--rho", "0.95", "--ambiguity",
+      "support", "--support-upper", "1,2,3", "--support-lower"],
+     "support bounds"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_cli_decimal_flags_that_are_no_finite_number_exit_2(argv, field,
+                                                           value, capsys):
+    """NaN, a signaling NaN and infinity parse as decimals; the library
+    refuses them by the field's name, and the CLI exits 2."""
+    if field == "support bounds":
+        value = f"0,{value},0"
+    assert main(argv + [value]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "InvalidOperation" not in err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("means", ["abc", "2"], "a mean"),
+    ("means", ["NaN", "2"], "means"),
+    ("sigmas", ["1", "sNaN"], "sigmas"),
+    ("sigmas", ["1", "1.2.3"], "a sigma"),
+    ("capacity", "NaN", "capacity"),
+    ("capacity", "x1", "capacity"),
+    ("omega", "NaN", "omega"),
+    ("omega", "sNaN", "omega"),
+    ("omega", "zz", "omega"),
+])
+def test_cli_json_decimals_that_are_no_finite_number_exit_2(
+        tmp_path, capsys, field, value, named):
+    doc = {"n": 2, "profits": [5, 6], "means": ["1", "2"],
+           "sigmas": ["1", "1"], "capacity": "3", field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", "--instance", str(path), "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "InvalidOperation" not in err

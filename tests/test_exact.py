@@ -5,12 +5,13 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from sockp import (VERTICAL, GeneratorSpec, SockpInstance, generate,
+from sockp import (VERTICAL, GeneratorSpec, OmegaSpec, SockpInstance, generate,
                    is_soc_feasible, lower_bound, m_star, solve_exact,
                    upper_bound)
 from sockp import knapsack
-from sockp.exact import _ceil_half_isqrt, initial_segments
-from sockp.model import EXACT_PREC, _frac_digits, as_omega
+from sockp.exact import initial_segments
+from sockp.guarantees import min_segments_normal_order
+from sockp.model import EXACT_PREC, _ceil_half_isqrt, _frac_digits, as_omega
 
 from conftest import random_instance, soc_brute_force, soc_dp_optimum
 
@@ -82,6 +83,21 @@ def test_initial_segments():
     assert initial_segments(4) == 1
     assert initial_segments(100) == 5
     assert initial_segments(101) == 6
+
+
+def test_ceil_half_isqrt_is_the_least_m_with_4m2_reaching_x():
+    """One helper serves m*, the doubling start and the normal-case segment
+    count: the least m with 4 m^2 >= x, and 0 at x = 0."""
+    xs = [0, 1, 2, 4, 5, 100, 101, 4 * 10 ** 12, 4 * 10 ** 12 + 1]
+    assert [_ceil_half_isqrt(x) for x in xs] == [
+        0, 1, 1, 1, 2, 5, 6, 10 ** 6, 10 ** 6 + 1]
+    for x in range(1, 5000):
+        m = _ceil_half_isqrt(x)
+        assert 4 * (m - 1) ** 2 < x <= 4 * m * m
+    # Every valid m meets a target gap of 1, so the normal-case count is
+    # the helper's value.
+    assert [min_segments_normal_order(n, 0.95, 1) for n in xs[1:6]] == [
+        _ceil_half_isqrt(n) for n in xs[1:6]]
 
 
 def test_all_ones_feasible_returns_immediately():
@@ -369,28 +385,46 @@ def test_corner_classes_match_brute_force(cases):
     assert nonzero >= 5
 
 
-_ORACLE_CORPUS = [(family, n, rho, kind)
+_ORACLE_CORPUS = [(family, n, rho, kind, False)
                   for kind, rho, sizes in (("chebyshev", "0.95", (20, 30, 40)),
-                                           ("normal", "0.9", (20, 30)))
+                                           ("normal", "0.9", (20, 30)),
+                                           ("normal", "0.99", (20,)),
+                                           ("normal", "0.999999999999", (20,)),
+                                           ("delage-ye", "0.9", (20,)))
                   for family in ("SC", "IC", "SS", "SCR", "ICR")
-                  for n in sizes]
+                  for n in sizes] + [(family, 20, "0.95", "chebyshev", True)
+                                     for family in ("SC", "IC")]
 
 
-@pytest.mark.parametrize("family, n, rho, kind", _ORACLE_CORPUS,
-                         ids=lambda v: str(v))
-def test_matches_the_dp_oracle_past_brute_force(family, n, rho, kind):
+@pytest.mark.parametrize("family, n, rho, kind, tenths", _ORACLE_CORPUS,
+                         ids=["-".join(map(str, case[:4])) + "-tenths" * case[4]
+                              for case in _ORACLE_CORPUS])
+def test_matches_the_dp_oracle_past_brute_force(family, n, rho, kind, tenths):
     """At sizes brute force cannot reach, the exact solver equals an
     independent DP over (mean load, profit), with a SOC-feasible selection,
-    and the bounds sandwich that optimum."""
-    inst = generate(GeneratorSpec(family=family, n=n, seed=n,
-                                  rho=Decimal(rho), omega_kind=kind))
-    omega = inst.omega
+    and the bounds sandwich that optimum.  The delage-ye omega takes gamma1
+    0.1 and gamma2 1.5, the mean-shift regime at rho 0.9; with ``tenths``
+    every mean and the capacity get a random tenth (seed n)."""
+    if kind == "delage-ye":
+        inst = generate(GeneratorSpec(family=family, n=n, seed=n))
+        omega = as_omega(OmegaSpec.delage_ye(rho, "0.1", "1.5"))
+    else:
+        inst = generate(GeneratorSpec(family=family, n=n, seed=n,
+                                      rho=Decimal(rho), omega_kind=kind))
+        omega = inst.omega
+    if tenths:
+        rng = random.Random(n)
+        inst = SockpInstance(
+            profits=inst.profits, sigmas=inst.sigmas,
+            means=tuple(mean + Decimal(rng.randint(1, 9)) / 10
+                        for mean in inst.means),
+            capacity=inst.capacity + Decimal(rng.randint(1, 9)) / 10)
     opt = soc_dp_optimum(inst, omega)
     res = solve_exact(inst, omega)
     assert res.objective == opt
     assert sum(p for p, b in zip(inst.profits, res.solution) if b) == opt
     assert is_soc_feasible(res.solution, inst, omega)
-    for m in (1, 2, 3, 5, 8):
+    for m in (1, 2, 3, 5, 8, 13):
         assert upper_bound(inst, omega, m).objective >= opt, m
         assert lower_bound(inst, omega, m).objective <= opt, m
     for m in (1, 4, 16):

@@ -8,7 +8,7 @@ from sockp import (GeneratorSpec, OmegaSpec, SockpInstance, generate,
                    instance_from_json, instance_to_json, inverse_normal_cdf,
                    is_soc_feasible, lower_bound, resolve_omega, soc_lhs,
                    solve_exact, upper_bound)
-from sockp.model import apply_omega_spec, as_omega
+from sockp.model import _check_rho, apply_omega_spec, as_omega
 
 from conftest import random_instance
 
@@ -209,6 +209,78 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         SockpInstance(profits=(1,), means=(Decimal(1),), sigmas=(Decimal(1),),
                       capacity=Decimal(-3))
+
+
+# Values that are no finite decimal, as strings and as Decimals: NaN and
+# signaling NaN, whose order comparisons raise decimal.InvalidOperation,
+# infinities and a malformed string.
+_NOT_FINITE = ["NaN", "sNaN", "Infinity", "-Infinity", "abc",
+               Decimal("NaN"), Decimal("sNaN"), Decimal("-Infinity")]
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE, ids=repr)
+@pytest.mark.parametrize("field", ["means", "sigmas", "capacity"])
+def test_instance_rejects_a_decimal_that_is_no_finite_number(field, value):
+    data = dict(profits=(1, 2), means=(Decimal(1), Decimal(2)),
+                sigmas=(Decimal(1), Decimal(1)), capacity=Decimal(3))
+    data[field] = value if field == "capacity" else (Decimal(1), value)
+    with pytest.raises(ValueError, match=f"{field}|is not a decimal"):
+        SockpInstance(**data)
+
+
+@pytest.mark.parametrize("value", _NOT_FINITE + [float("nan"), "0", "-2"],
+                         ids=repr)
+def test_as_omega_rejects_what_is_no_positive_finite_number(value):
+    with pytest.raises(ValueError, match="omega|is not a decimal|non-finite"):
+        as_omega(value)
+
+
+@pytest.mark.parametrize("rho", [Decimal("NaN"), Decimal("sNaN"),
+                                 Decimal("Infinity"), float("nan"),
+                                 float("inf"), Decimal(1), Decimal("0.4")],
+                         ids=repr)
+def test_check_rho_rejects_nan_and_out_of_range(rho):
+    with pytest.raises(ValueError, match="confidence level"):
+        _check_rho(rho)
+
+
+@pytest.mark.parametrize("spec, match", [
+    (OmegaSpec.explicit("NaN"), "omega"),
+    (OmegaSpec.explicit("sNaN"), "omega"),
+    (OmegaSpec.explicit("Infinity"), "omega"),
+    (OmegaSpec.normal("NaN"), "confidence level"),
+    (OmegaSpec.chebyshev("sNaN"), "confidence level"),
+    (OmegaSpec.delage_ye("0.9", "NaN", "1.5"), "gamma1"),
+    (OmegaSpec.delage_ye("0.9", "Infinity", "1.5"), "gamma1"),
+    (OmegaSpec.delage_ye("0.9", "0.1", "sNaN"), "gamma2"),
+    (OmegaSpec.delage_ye("0.9", "0.1", "Infinity"), "gamma2"),
+    (OmegaSpec.support_interval("0.9", ["NaN"], ["1"]), "support bounds"),
+    (OmegaSpec.support_interval("0.9", ["0"], ["sNaN"]), "support bounds"),
+    (OmegaSpec.support_interval("0.9", ["0"], ["Infinity"]), "support bounds"),
+], ids=repr)
+def test_resolve_omega_rejects_parameters_that_are_no_finite_numbers(spec,
+                                                                     match):
+    with pytest.raises(ValueError, match=match):
+        resolve_omega(spec)
+
+
+@pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity", "abc", "1.2.3"])
+@pytest.mark.parametrize("field", ["means", "sigmas", "capacity", "omega"])
+def test_json_rejects_a_decimal_that_is_no_finite_number(field, value):
+    """A JSON decimal field that is malformed, or no finite number, is
+    refused by name; omega is only recorded, so a non-finite one is refused
+    where it is used."""
+    doc = {"n": 2, "profits": [5, 6], "means": ["1", "2"],
+           "sigmas": ["1", "1"], "capacity": "3"}
+    doc[field] = [value, "1"] if field in ("means", "sigmas") else value
+    label = {"means": "mean", "sigmas": "sigma"}.get(field, field)
+    text = json.dumps(doc)
+    if field == "omega" and value not in ("abc", "1.2.3"):
+        with pytest.raises(ValueError, match="omega"):
+            as_omega(instance_from_json(text).omega)
+    else:
+        with pytest.raises(ValueError, match=label):
+            instance_from_json(text)
 
 
 def test_json_round_trip_is_field_exact():

@@ -343,7 +343,8 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
     A block is bounded by the knapsack of its first pivot's weights and its
     last pivot's capacity, and each expanded row by its own knapsack: both
     equal the floor of the exact LP optimum of the reference, at every block
-    and chunk length, and no bound falls below a pivot's scaled optimum.
+    length (the screen builds that many block rows at a time), and no bound
+    falls below a pivot's scaled optimum.
     """
     straddled = skipped_total = 0
     for inst, omega, table in _screen_cases(rng):
@@ -356,9 +357,8 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(tie_start(table, i) < i and i in ranks
                              for i in range(1, table.size))
-            for block, rows in product((1, 2, 3, 64), (1, 2, 3, 1000)):
+            for block in (1, 2, 3, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-                monkeypatch.setattr(rkpm, "SCREEN_CHUNK", rows * inst.n)
                 got, got_skipped = fam.screen()
                 assert got_skipped == skipped
                 covered = [i for first, stop, _ in got
@@ -374,8 +374,8 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
                         assert row == math.floor(exact_lp(inst.profits,
                                                            weights, cap))
                         assert bound >= row >= optimum
-    # Some ratio group crossed a one-row chunk boundary, and some pivots
-    # were dropped for a negative capacity.
+    # Some ratio group crossed a boundary of one-pivot blocks, built one row
+    # at a time, and some pivots were dropped for a negative capacity.
     assert straddled and skipped_total
 
 
