@@ -45,7 +45,7 @@ def guarantee_gap_normal(n: int, m: int, rho: float) -> float:
     if 4 * m * m < n:
         raise ValueError(f"the bound requires m >= sqrt(n)/2, got m = {m}, n = {n}")
     z = inverse_normal_cdf(rho)
-    x = n / (4.0 * m * m)
+    x = n / (4 * m * m)  # at most 1, correctly rounded however large n and m
     # 1 - sqrt(1 - x) without the cancellation that loses it at small x.
     return (z / math.sqrt(2.0 * math.pi) * x / (1.0 + math.sqrt(1.0 - x))
             * math.exp(-0.5 * z * z * (1.0 - x)))
@@ -54,15 +54,19 @@ def guarantee_gap_normal(n: int, m: int, rho: float) -> float:
 def guarantee_gap_dro(n: int, m: int, rho: float) -> float:
     """Worst-case confidence shortfall under moment ambiguity.
 
-    Valid whenever 4 m^2 / n > rho; the bound is rho (1 - rho) / (4m^2/n - rho).
+    Valid whenever 4 m^2 / n > rho; the bound is rho (1 - rho) / (4m^2/n - rho),
+    taken exactly and rounded once (infinite past the float range).
     """
     rho = float(rho)
     _check_rho(rho)
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if 4.0 * m * m / n <= rho:
+    rho_f = Fraction(rho)
+    slack = 4 * m * m - rho_f * n
+    if slack <= 0:
         raise ValueError(f"the bound requires 4m^2/n > rho, got m = {m}, n = {n}")
-    return rho * (1.0 - rho) / (4.0 * m * m / n - rho)
+    gap = rho_f * (1 - rho_f) * n / slack
+    return float(gap) if gap < 2 ** 1023 else math.inf
 
 
 def min_segments_dro(n: int, rho, delta) -> int:

@@ -19,10 +19,10 @@ the first pivot (rank lhat) to index ``size``, the dummy, which is handled as
 one more pivot with ratio zero and the full prefix.  The pivot capacity
 cap - r * delta rises with the index, so the pivots with a negative capacity
 are a prefix of the range; one exact bisection finds where it ends, and those
-pivots are counted as skipped.
+pivots are counted as skipped.  The rest are the pivots screened.
 
 Every pivot has one form: an integer knapsack, its weights and capacity
-times one factor S and rounded.  The screen bounds it, the family pass
+times one factor S and rounded.  The range tree bounds it, the family pass
 prunes by it and the DP solves it.  S is ``SCALE`` = 10^6 steps per unit of
 the smallest positive mean, refined to a multiple on whose grid every mean
 and the capacity are integers, so only the gains are rounded.  Both kinds
@@ -48,28 +48,31 @@ same expressions.
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
 capacity are nondecreasing in the index, and so are their roundings: the
-scaled knapsack with a block's first weight row and its last capacity
-relaxes every scaled pivot knapsack in the block.  The screen bounds blocks
-of ``SCREEN_BLOCK`` consecutive pivots by that knapsack, ``SCREEN_BLOCK``
-blocks at a time, so every weight matrix the family builds, in the screen
-or in :meth:`_Family.expand`, has at most ``SCREEN_BLOCK`` rows.
+scaled knapsack with a range's first weight row and its last capacity
+relaxes every scaled pivot knapsack in the range.  :meth:`_Family.split`
+cuts a range into at most ``SCREEN_BLOCK`` parts and bounds each that way,
+with one weight matrix, so the screened pivots form a tree of ranges whose
+bottom ranges are blocks of ``SCREEN_BLOCK`` pivots and whose leaves are
+the pivots.
 
-Every bound, of a block or of a pivot, is the integer LP (Lagrangian) bound
+Every bound, of a range or of a pivot, is the integer LP (Lagrangian) bound
 of :func:`sockp.knapsack.lp_rows`, which holds whatever break item the float
 ratio order picks.  A pivot row's break item and greedy value come from the
 same call and go to its value solve.
 
 The family is solved in one sequential pass over the pivots in (bound desc,
-rank asc) order.  A heap holds the blocks; a block that reaches its top and
-could still hold the winner is expanded: its rows are built once as one
-matrix, and each goes back on the heap with the smaller of its own bound and
-the block's.  A bound below the incumbent ends the pass, and one equal to it
-can at most tie, so it is skipped for a larger rank.  Each exact value solve
-passes the incumbent as its floor (plus one when a tie would not win), so
-the knapsack fixes items by reduced cost against it (Martello, Pisinger &
-Toth, Management Science 45(3), 1999; see :mod:`sockp.knapsack`) and its DP
-sees only the few items that could still change a winning selection.  Only
-the winning pivot's selection is reconstructed, once, at the end.
+rank asc) order.  A heap holds disjoint ranges, from the split of the whole
+family; a range that reaches its top and could still hold the winner is
+replaced by its split, each child with the smaller of its own bound and its
+parent's, so ranges under a pruned one are never bounded, and a pivot that
+reaches the top is value-solved.  A bound below the incumbent ends the
+pass, and one equal to it can at most tie, so it is skipped for a larger
+rank.  Each exact value solve passes the incumbent as its floor (plus one
+when a tie would not win), so the knapsack fixes items by reduced cost
+against it (Martello, Pisinger & Toth, Management Science 45(3), 1999; see
+:mod:`sockp.knapsack`) and its DP sees only the few items that could still
+change a winning selection.  Only the winning pivot's selection is
+reconstructed, once, at the end.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ EXACT = "exact"
 # Integer scale of every pivot knapsack's weights and capacity, a power of ten.
 SCALE = 10 ** 6
 
-# Consecutive pivots bounded together by the screen.
+# Fan-out of the range tree, and the most rows of any weight matrix.
 SCREEN_BLOCK = 64
 
 
@@ -217,45 +220,38 @@ class _Family:
             caps.append(-(-num // (self.q * f_i * self.dd)))
         return caps
 
-    def screen(self):
-        """Integer LP bounds of blocks of consecutive pivots.
-
-        Returns ([(first, stop, bound)], skipped): block indices first..stop-1
-        in family order, with an integer bound on the scaled knapsack of
-        every pivot in the block, from its first weight row and its last
-        capacity (see the module docstring).  Blocks hold ``SCREEN_BLOCK``
-        pivots, the last one possibly fewer.  The pivots with a negative
-        capacity are a prefix of the family, found by an exact bisection and
-        counted as skipped.  The block rows are built SCREEN_BLOCK at a
-        time.
-        """
+    def start(self) -> tuple[int, int]:
+        """(Index of the first pivot with a nonnegative capacity, count of
+        the family's pivots before it), by one exact bisection."""
         t = self.table
         lh = t.lhat(self.delta)
         first = t.size if lh is None else lh - 1  # first real pivot index
         start = bisect.bisect_left(
             range(t.size + 1), True, lo=first,
             key=lambda i: self.capacities([i])[0] >= 0)
-        firsts = np.arange(start, t.size + 1, SCREEN_BLOCK)
-        stops = np.minimum(firsts + SCREEN_BLOCK, t.size + 1)
-        bounds = []
-        for c0 in range(0, len(firsts), SCREEN_BLOCK):
-            rows = slice(c0, c0 + SCREEN_BLOCK)
-            bounds += [lp[3] for lp in lp_rows(
-                self.profits, self.weights(firsts[rows]),
-                self.capacities(stops[rows] - 1))]
-        return list(zip(firsts.tolist(), stops.tolist(), bounds)), start - first
+        return start, start - first
 
-    def expand(self, first: int, stop: int):
-        """Rows of the pivots at indices first..stop-1 and their bounds.
+    def split(self, first: int, stop: int):
+        """Integer LP bounds of the ranges that cut pivots first..stop-1.
 
-        Returns (lps, weights, capacities): the :func:`lp_rows` tuple of each
-        pivot's scaled knapsack, bound last, its weight matrix and its
-        capacities.
+        At most ``SCREEN_BLOCK`` ranges, aligned at ``first``, each span the
+        largest power of ``SCREEN_BLOCK`` below stop - first, the last
+        possibly fewer.  Returns [(first, stop, lp, row)]: the
+        :func:`lp_rows` tuple, bound last, of the range's first weight row
+        and last capacity (see the module docstring), and for one pivot its
+        (weights, capacity), else ``None``.
         """
-        idx = np.arange(first, stop)
-        weights = self.weights(idx)
-        caps = self.capacities(idx)
-        return lp_rows(self.profits, weights, caps), weights, caps
+        span = 1
+        while span * SCREEN_BLOCK < stop - first:
+            span *= SCREEN_BLOCK
+        firsts = np.arange(first, stop, span)
+        stops = np.minimum(firsts + span, stop)
+        weights = self.weights(firsts)
+        caps = self.capacities(stops - 1)
+        return [(i, j, lp, (weights[k], caps[k]) if j - i == 1 else None)
+                for k, (i, j, lp) in enumerate(zip(
+                    firsts.tolist(), stops.tolist(),
+                    lp_rows(self.profits, weights, caps)))]
 
 
 def _solve_family(fam: _Family):
@@ -266,42 +262,41 @@ def _solve_family(fam: _Family):
     integers and every value is at most its integer bound, so the pass stops
     at the first bound below the incumbent and skips a bound equal to it,
     which can at most tie, when its rank is larger.  A heap keyed
-    (-bound, first index) holds the screen's blocks; a block that reaches
-    the top and passes both rules is replaced by its pivots' rows, each
-    with the smaller of its own bound and the block's, so the pivots still
-    leave the heap in that order.  Each row entry carries its block's weight
-    matrix, from which its knapsack is taken, and its :func:`lp_rows`
-    tuple, which its value solve reuses.  Every value solve gets a
-    floor: the incumbent for a smaller rank, which wins a tie, and the
-    incumbent + 1 for a larger one, which must beat it.  A solve is
-    exact whenever it reaches its floor, so it is exact whenever its pivot
-    would win; only the winner is reconstructed.
+    (-bound, first index) holds disjoint ranges, from the split of the
+    family; a range of several pivots that reaches the top and passes both
+    rules is replaced by its split, each part with the smaller of its own
+    bound and the range's, so the pivots still leave the heap in that
+    order.  A pivot's value solve reuses its row and :func:`lp_rows` tuple.
+    Every value solve gets a floor: the incumbent for a smaller rank, which
+    wins a tie, and the incumbent + 1 for a larger one, which must beat it.
+    A solve is exact whenever it reaches its floor, so it is exact whenever
+    its pivot would win; only the winner is reconstructed.
     """
-    blocks, skipped = fam.screen()
-    heap = [(-bound, first, stop, None) for first, stop, bound in blocks]
+    start, skipped = fam.start()
+    heap = [(-lp[3], first, stop, lp, row)
+            for first, stop, lp, row in fam.split(start, fam.table.size + 1)]
     heapq.heapify(heap)
 
     # No pivot yet: value -1 is below every value and rank 0 below every
     # rank, so the first row solved gets floor 0 and wins.
     best_value, best_rank, best_problem = -1, 0, None
     while heap:
-        # (-bound, index) is unique on the heap: the rows are never compared.
-        neg_bound, i, stop, row = heapq.heappop(heap)
+        # Ranges are disjoint: (-bound, index) is unique, rows never compared.
+        neg_bound, i, stop, lp, row = heapq.heappop(heap)
         bound, rank = -neg_bound, i + 1
         if bound < best_value:
             break
         if bound == best_value and rank > best_rank:
             continue
-        if row is None:
-            lps, weights, caps = fam.expand(i, stop)
-            for k, lp in enumerate(lps):
-                heapq.heappush(heap, (-min(lp[3], bound), i + k, i + k + 1,
-                                      (weights, k, caps[k], lp)))
+        if stop - i > 1:
+            for first, end, child_lp, child in fam.split(i, stop):
+                heapq.heappush(heap, (-min(child_lp[3], bound), first, end,
+                                      child_lp, child))
             continue
-        weights, k, cap, lp = row
+        weights, cap = row
         # A copy, so that no caller holding the problem keeps the matrix.
         problem = KnapsackSubproblem(profits=fam.profits,
-                                     weights=weights[k].copy(), capacity=cap)
+                                     weights=weights.copy(), capacity=cap)
         value = solve_knapsack_value(
             problem, floor=best_value + (rank > best_rank), lp=lp)
         if value > bound:
@@ -310,9 +305,8 @@ def _solve_family(fam: _Family):
         if value > best_value or (value == best_value and rank < best_rank):
             best_value, best_rank, best_problem = value, rank, problem
 
-    examined = sum(stop - first for first, stop, _ in blocks)
     sol = solve_knapsack(best_problem, floor=best_value)
-    return sol.value, sol.selected, examined, skipped
+    return sol.value, sol.selected, fam.table.size + 1 - start, skipped
 
 
 def _solve(inst: SockpInstance, omega, m: int, kind: str, scheme: str,

@@ -1,6 +1,7 @@
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from statistics import NormalDist
 
 import pytest
@@ -155,6 +156,31 @@ def test_min_segments_reject_a_gap_that_is_no_finite_number(delta):
         min_segments_dro(10, "0.95", delta)
     with pytest.raises(ValueError, match="finite"):
         min_segments_normal_order(10, 0.95, delta)
+
+
+_HUGE = 10 ** 400
+# 4 m^2 / n exceeds rho = 0.95 by less than rho / n at m = 10^200.
+_AT_THE_EDGE = int(4 * 10 ** 400 / Fraction(0.95))
+
+
+@pytest.mark.parametrize("call, args, expected", [
+    (guarantee_gap_normal, (5, _HUGE, 0.95), 0.0),
+    (guarantee_gap_dro, (5, _HUGE, 0.95), 0.0),
+    (guarantee_gap_dro, (_HUGE, 10 ** 200, 0.95),
+     pytest.approx(0.0475 / 3.05, rel=1e-12)),
+    (guarantee_gap_dro, (_AT_THE_EDGE, 10 ** 200, 0.95), math.inf),
+    (min_segments_normal_order, (_HUGE, 0.95, 0.1), None),
+], ids=["normal-m", "dro-m", "dro-n-m", "dro-past-float", "normal-order-n"])
+def test_integers_past_the_float_range(call, args, expected):
+    """n and m past the float range are valid input and do not overflow;
+    the segment count is the least m whose normal gap is within 0.1."""
+    got = call(*args)
+    if expected is None:
+        n, rho, delta = args
+        assert (guarantee_gap_normal(n, got, rho) <= delta
+                < guarantee_gap_normal(n, got - 1, rho))
+    else:
+        assert got == expected
 
 
 def test_monte_carlo_empty_selection_is_certain():

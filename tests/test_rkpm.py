@@ -15,7 +15,7 @@ from sockp.knapsack import lp_rows
 from sockp.rkpm import _Family
 
 from conftest import (exact_lp, family, random_instance, soc_brute_force,
-                      subproblem_exact, tie_start)
+                      soc_dp_optimum, subproblem_exact, tie_start)
 
 
 def _single(b):
@@ -321,6 +321,37 @@ def _reference_pivots(fam):
     return refs, skipped
 
 
+def _tree(fam):
+    """Every range of the family's range tree, from its start down to the
+    single pivots, and the skipped count.
+
+    Returns ([(first, stop, key, lp, row)], skipped): each range as
+    :meth:`_Family.split` gives it, with ``key`` its bound capped by its
+    ancestors', as the family pass keys it.  Checks on the way that each
+    split cuts its range into at most ``SCREEN_BLOCK`` contiguous parts of
+    the largest power of ``SCREEN_BLOCK`` below its length, the last
+    possibly shorter, and that only a single pivot carries a row.
+    """
+    start, skipped = fam.start()
+    ranges, todo = [], [(start, fam.table.size + 1, math.inf)]
+    while todo:
+        first, stop, key = todo.pop()
+        parts = fam.split(first, stop)
+        span = parts[0][1] - parts[0][0]
+        assert span < stop - first or span == 1
+        assert span * rkpm.SCREEN_BLOCK >= stop - first
+        assert len(parts) <= rkpm.SCREEN_BLOCK
+        assert [i for i, _, _, _ in parts] == list(range(first, stop, span))
+        assert [j for _, j, _, _ in parts] == [min(i + span, stop)
+                                               for i, _, _, _ in parts]
+        for i, j, lp, row in parts:
+            assert (row is None) == (j - i > 1)
+            ranges.append((i, j, min(lp[3], key), lp, row))
+            if j - i > 1:
+                todo.append((i, j, min(lp[3], key)))
+    return ranges, skipped
+
+
 def _screen_cases(rng):
     # Ties (items 0 and 2) and two pivots with capacity exactly zero, which
     # only the exact sign test can place.
@@ -338,13 +369,14 @@ def _screen_cases(rng):
 
 
 def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
-    """Block and row bounds are the LP floors of the scaled reference rows.
+    """Range and pivot bounds are the LP floors of the scaled reference rows.
 
-    A block is bounded by the knapsack of its first pivot's weights and its
-    last pivot's capacity, and each expanded row by its own knapsack: both
-    equal the floor of the exact LP optimum of the reference, at every block
-    length (the screen builds that many block rows at a time), and no bound
-    falls below a pivot's scaled optimum.
+    Every range of the tree, from the family's start down to the single
+    pivots, is bounded by the knapsack of its first pivot's weights and its
+    last pivot's capacity (a pivot by its own): that bound equals the floor
+    of the exact LP optimum of the reference at fan-outs 2, 3 and 64, is at
+    most the bound of every range holding it, and is no lower than any of
+    its pivots' scaled optima.
     """
     straddled = skipped_total = 0
     for inst, omega, table in _screen_cases(rng):
@@ -357,25 +389,19 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(tie_start(table, i) < i and i in ranks
                              for i in range(1, table.size))
-            for block in (1, 2, 3, 64):
-                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-                got, got_skipped = fam.screen()
+            for fan_out in (2, 3, 64):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
+                ranges, got_skipped = _tree(fam)
                 assert got_skipped == skipped
-                covered = [i for first, stop, _ in got
-                           for i in range(first, stop)]
-                assert covered == sorted(refs)
-                for first, stop, bound in got:
-                    assert 1 <= stop - first <= block
-                    assert bound == math.floor(exact_lp(
+                leaves = [first for first, stop, *_ in ranges
+                          if stop - first == 1]
+                assert sorted(leaves) == sorted(refs)
+                for first, stop, key, (*_, bound), _ in ranges:
+                    assert bound == key == math.floor(exact_lp(
                         inst.profits, refs[first][0], refs[stop - 1][1]))
-                    lps, _, _ = fam.expand(first, stop)
-                    for i, (*_, row) in zip(range(first, stop), lps):
-                        weights, cap, optimum = refs[i]
-                        assert row == math.floor(exact_lp(inst.profits,
-                                                           weights, cap))
-                        assert bound >= row >= optimum
-    # Some ratio group crossed a boundary of one-pivot blocks, built one row
-    # at a time, and some pivots were dropped for a negative capacity.
+                    assert bound >= max(refs[i][2] for i in range(first, stop))
+    # Some ratio group crossed a boundary between two pivots, bounded apart,
+    # and some pivots were dropped for a negative capacity.
     assert straddled and skipped_total
 
 
@@ -445,7 +471,7 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
     """The family result is (max value, min rank) over unfloored pivot solves.
 
     A small profit alphabet makes equal objectives across pivots common, so
-    the smallest-rank tie-break is exercised, at several screen block lengths.
+    the smallest-rank tie-break is exercised, at several fan-outs.
     """
     omega = Decimal("4.358898")
     ties = 0
@@ -470,8 +496,8 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
                 expected = (sol.value, sol.selected)
             else:
                 expected = (0, (0,) * inst.n)
-            for block in (1, 3, rkpm.SCREEN_BLOCK):
-                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
                 res = (upper_bound(inst, omega, m, scheme=scheme, table=table)
                        if kind == rkpm.UPPER
                        else lower_bound(inst, omega, m, table=table))
@@ -584,10 +610,10 @@ def _wide_divisor_cases(rng):
 
 
 def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
-    """Every pivot's scaled knapsack, built with its block.
+    """Every pivot's scaled knapsack, built with its siblings.
 
-    Rows of expanded blocks (any block length) and the rows the screen
-    skips for a negative capacity, on int64 and on object rows.
+    Rows of the single pivots of the range tree (fan-outs 2, 3 and 64) and
+    the rows skipped for a negative capacity, on int64 and on object rows.
     """
     dtypes = set()
     objects = list(_object_cases(rng)) + list(_wide_divisor_cases(rng))
@@ -602,14 +628,13 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
             if any(table is case[2] for case in int64s):
                 assert fam.dnum.dtype == np.int64
             built = set()
-            for block in (1, 3, 64):
-                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-                blocks, skipped = fam.screen()
-                for first, stop, _ in blocks:
-                    _, weights, caps = fam.expand(first, stop)
-                    assert weights.dtype == fam.dnum.dtype
-                    for k, i in enumerate(range(first, stop)):
-                        _assert_row_is_exact(fam, i, weights[k], caps[k])
+            for fan_out in (2, 3, 64):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
+                ranges, skipped = _tree(fam)
+                for i, _, _, _, row in ranges:
+                    if row is not None:
+                        assert row[0].dtype == fam.dnum.dtype
+                        _assert_row_is_exact(fam, i, *row)
                         built.add(i)
             ranks = family(table, fam.delta)
             for i in range(ranks[0] - 1, ranks[0] - 1 + skipped):
@@ -675,9 +700,9 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
     """No bound is below a scaled optimum it may prune.
 
     The pass stops at a bound below the incumbent and skips one equal to it,
-    so every block bound and every row bound must be at least the optimum of
-    each of its pivots' scaled knapsacks, here from the Fraction reference,
-    at every block length and on both schemes.
+    so every range's key, its bound capped by its ancestors', must be at
+    least the optimum of each of its pivots' scaled knapsacks, here from the
+    Fraction reference, at fan-outs 2, 3 and 64 and on both schemes.
     """
     omega = Decimal("4.358898")
     for trial in range(30):
@@ -688,13 +713,11 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
         for kind in _kinds(table):
             fam = _Family(inst, table, kind)
             refs, _ = _reference_pivots(fam)
-            for block in (1, 2, 3, 64):
-                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
-                blocks, _ = fam.screen()
-                for first, stop, bound in blocks:
-                    lps, _, _ = fam.expand(first, stop)
-                    for i, (*_, row) in zip(range(first, stop), lps):
-                        assert min(bound, row) >= refs[i][2]
+            for fan_out in (2, 3, 64):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
+                ranges, _ = _tree(fam)
+                for first, stop, key, _, _ in ranges:
+                    assert key >= max(refs[i][2] for i in range(first, stop))
 
 
 def test_tolerance_is_infinite_when_a_weight_is_lost_in_rounding(monkeypatch):
@@ -758,10 +781,42 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
               for i in (rank - 1 for rank in family(table, fam.delta))
               if fam.capacities([i])[0] >= 0]
     assert values == [1, 1, 2, 2, 2]
-    for block in (1, 3, rkpm.SCREEN_BLOCK):
-        monkeypatch.setattr(rkpm, "SCREEN_BLOCK", block)
+    for fan_out in (2, 3, rkpm.SCREEN_BLOCK):
+        monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
         res = upper_bound(inst, omega, 1, table=table)
         assert res.objective == max(values) == 2
+
+
+def test_range_trees_at_the_real_fan_out(monkeypatch):
+    """Bounds on families of thousands of pivots keep their values.
+
+    The IC n=20 bound pair at m=250 screens 4,038 of its 5,000 pivots, in
+    the 64 blocks of the family's first split.  The vertical SC n=15 upper
+    bound at m=400 screens 5,602, more than SCREEN_BLOCK**2, so its family
+    first splits into ranges of 4,096 pivots.  Every bound keeps its value
+    and selection, and the bounds sandwich the SOC optimum.
+    """
+    spans = []
+    split = _Family.split
+    monkeypatch.setattr(_Family, "split", lambda self, first, stop: (
+        spans.append(stop - first) or split(self, first, stop)))
+    omega = Decimal("4.358898")
+    inst = generate(GeneratorSpec(family="IC", n=20, seed=0))
+    table = build_segments(inst, omega, 250)
+    bits = tuple(int(c) for c in "00100101101010000000")
+    ub = upper_bound(inst, omega, 250, table=table)
+    lb = lower_bound(inst, omega, 250, table=table)
+    assert max(spans) == 4038
+    assert (ub.objective, ub.solution) == (lb.objective, lb.solution) == (
+        444, bits)
+    assert ub.objective >= soc_dp_optimum(inst, omega) >= lb.objective
+    spans.clear()
+    inst = generate(GeneratorSpec(family="SC", n=15, seed=0))
+    ub = upper_bound(inst, omega, 400, scheme=VERTICAL)
+    assert max(spans) == ub.subproblems_solved == 5602
+    assert (ub.objective, ub.solution) == (
+        465, tuple(int(c) for c in "111011000011011"))
+    assert ub.objective >= soc_dp_optimum(inst, omega)
 
 
 def test_ceiling_divisor_past_2_62_takes_object_rows():
