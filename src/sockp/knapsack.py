@@ -133,11 +133,18 @@ def ratio_order(num, den) -> np.ndarray:
     numerators clamped at ``_KEY_CAP`` so that no quotient overflows, places
     the entries; one exact cross-multiplication pass over adjacent entries
     then confirms the order, and falls back to exact rational keys in the
-    rare case that colliding float keys misplaced anything.
+    rare case that colliding float keys misplaced anything.  The pass runs
+    on int64 when max(num) * max(den), which bounds every cross product,
+    fits, and on Python integers otherwise.
     """
-    num, den = np.asarray(num, dtype=object), np.asarray(den)
-    order = np.argsort(-(np.minimum(num, _KEY_CAP) / den).astype(float),
-                       kind="stable")
+    num, den = np.asarray(num), np.asarray(den)
+    if int(num.max(initial=0)) * int(den.max(initial=1)) < 2 ** 63:
+        num, den = num.astype(np.int64), den.astype(np.int64)
+        keys = num / den
+    else:
+        num = num.astype(object)
+        keys = (np.minimum(num, _KEY_CAP) / den).astype(float)
+    order = np.argsort(-keys, kind="stable")
     a, b = num[order], den[order]
     lhs, rhs = a[:-1] * b[1:], a[1:] * b[:-1]
     if ((lhs < rhs) | ((lhs == rhs) & (order[:-1] > order[1:]))).any():

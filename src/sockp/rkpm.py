@@ -50,22 +50,27 @@ entries of ratio above r, so every item's pivot weight and the pivot
 capacity are nondecreasing in the index, and so are their roundings: the
 scaled knapsack with a range's first weight row and its last capacity
 relaxes every scaled pivot knapsack in the range.  :meth:`_Family.split`
-cuts a range into at most ``SCREEN_BLOCK`` parts and bounds each that way,
-with one weight matrix, so the screened pivots form a tree of ranges whose
-bottom ranges are blocks of ``SCREEN_BLOCK`` pivots and whose leaves are
-the pivots.
+cuts a range into at most ``SCREEN_BLOCK`` (8) parts and builds the row of
+each, its first weight row and its last capacity, in one weight matrix, so
+the screened pivots form a tree of ranges, eight to a split, whose leaves
+are the pivots, and every range carries the one knapsack that relaxes it.
 
 Every bound, of a range or of a pivot, is the integer LP (Lagrangian) bound
 of :func:`sockp.knapsack.lp_rows`, which holds whatever break item the float
-ratio order picks.  A pivot row's break item and greedy value come from the
-same call and go to its value solve.
+ratio order picks.  A row's break item and greedy value come from the same
+call and go to its value solve.
 
 The family is solved in one sequential pass over the pivots in (bound desc,
 rank asc) order.  A heap holds disjoint ranges, from the split of the whole
-family; a range that reaches its top and could still hold the winner is
-replaced by its split, each child with the smaller of its own bound and its
-parent's, so ranges under a pruned one are never bounded, and a pivot that
-reaches the top is value-solved.  A bound below the incumbent ends the
+family.  A range that reaches its top and could still hold the winner is
+value-solved exactly, once there is an incumbent, with the floor its first
+pivot would get: a value below the floor drops the whole range, as no
+pivot in it can reach the floor, and otherwise the range is replaced by its
+split, each child keyed by the smallest of its own bound, its parent's and
+that value (bounding by relaxation, the classic step of knapsack branch and
+bound; Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 5).
+So ranges under a dropped one are never bounded, and a pivot that reaches
+the top is value-solved the same way.  A bound below the incumbent ends the
 pass, and one equal to it can at most tie, so it is skipped for a larger
 rank.  Each exact value solve passes the incumbent as its floor (plus one
 when a tie would not win), so the knapsack fixes items by reduced cost
@@ -109,7 +114,7 @@ EXACT = "exact"
 SCALE = 10 ** 6
 
 # Fan-out of the range tree, and the most rows of any weight matrix.
-SCREEN_BLOCK = 64
+SCREEN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -236,10 +241,11 @@ class _Family:
 
         At most ``SCREEN_BLOCK`` ranges, aligned at ``first``, each span the
         largest power of ``SCREEN_BLOCK`` below stop - first, the last
-        possibly fewer.  Returns [(first, stop, lp, row)]: the
-        :func:`lp_rows` tuple, bound last, of the range's first weight row
-        and last capacity (see the module docstring), and for one pivot its
-        (weights, capacity), else ``None``.
+        possibly fewer.  Returns [(first, stop, lp, row)]: the range's row
+        (weights, capacity), its first weight row and last capacity, which
+        relaxes every pivot in it (see the module docstring) and is a
+        pivot's own row for one pivot, and that row's :func:`lp_rows` tuple,
+        bound last.  The weight rows are views of one matrix.
         """
         span = 1
         while span * SCREEN_BLOCK < stop - first:
@@ -248,10 +254,9 @@ class _Family:
         stops = np.minimum(firsts + span, stop)
         weights = self.weights(firsts)
         caps = self.capacities(stops - 1)
-        return [(i, j, lp, (weights[k], caps[k]) if j - i == 1 else None)
-                for k, (i, j, lp) in enumerate(zip(
-                    firsts.tolist(), stops.tolist(),
-                    lp_rows(self.profits, weights, caps)))]
+        return list(zip(firsts.tolist(), stops.tolist(),
+                        lp_rows(self.profits, weights, caps),
+                        zip(weights, caps)))
 
 
 def _solve_family(fam: _Family):
@@ -263,14 +268,18 @@ def _solve_family(fam: _Family):
     at the first bound below the incumbent and skips a bound equal to it,
     which can at most tie, when its rank is larger.  A heap keyed
     (-bound, first index) holds disjoint ranges, from the split of the
-    family; a range of several pivots that reaches the top and passes both
-    rules is replaced by its split, each part with the smaller of its own
-    bound and the range's, so the pivots still leave the heap in that
-    order.  A pivot's value solve reuses its row and :func:`lp_rows` tuple.
-    Every value solve gets a floor: the incumbent for a smaller rank, which
-    wins a tie, and the incumbent + 1 for a larger one, which must beat it.
-    A solve is exact whenever it reaches its floor, so it is exact whenever
-    its pivot would win; only the winner is reconstructed.
+    family.  A range that reaches the top and passes both rules is
+    value-solved with its row and :func:`lp_rows` tuple, a range of several
+    pivots only once there is an incumbent.  The floor is the incumbent for
+    a smaller first rank, which wins a tie, and the incumbent + 1 for a
+    larger one, which must beat it; ranks in a range are all on one side of
+    the incumbent's, which left the heap as a pivot.  A solve reaches its
+    floor, and is then exact, whenever its row's optimum does, so a value
+    below the floor drops the range: no pivot in it can win.  Otherwise a
+    range of several pivots is replaced by its split, each part keyed by
+    the smallest of its own bound, the range's and the range's value, so
+    the pivots still leave the heap in that order, and a pivot becomes the
+    incumbent.  Only the winner is reconstructed.
     """
     start, skipped = fam.start()
     heap = [(-lp[3], first, stop, lp, row)
@@ -288,22 +297,26 @@ def _solve_family(fam: _Family):
             break
         if bound == best_value and rank > best_rank:
             continue
+        if stop - i == 1 or best_problem is not None:
+            weights, cap = row
+            # A copy, so that no caller holding the problem keeps the matrix.
+            problem = KnapsackSubproblem(profits=fam.profits,
+                                         weights=weights.copy(), capacity=cap)
+            floor = best_value + (rank > best_rank)
+            value = solve_knapsack_value(problem, floor=floor, lp=lp)
+            if value > bound:
+                raise SolverInvariantError(
+                    f"range {rank}..{stop} has value {value} "
+                    f"above its screen bound {bound}")
+            if value < floor:
+                continue
+            bound = value
         if stop - i > 1:
             for first, end, child_lp, child in fam.split(i, stop):
                 heapq.heappush(heap, (-min(child_lp[3], bound), first, end,
                                       child_lp, child))
             continue
-        weights, cap = row
-        # A copy, so that no caller holding the problem keeps the matrix.
-        problem = KnapsackSubproblem(profits=fam.profits,
-                                     weights=weights.copy(), capacity=cap)
-        value = solve_knapsack_value(
-            problem, floor=best_value + (rank > best_rank), lp=lp)
-        if value > bound:
-            raise SolverInvariantError(f"pivot {rank} has value {value} "
-                                       f"above its screen bound {bound}")
-        if value > best_value or (value == best_value and rank < best_rank):
-            best_value, best_rank, best_problem = value, rank, problem
+        best_value, best_rank, best_problem = value, rank, problem
 
     sol = solve_knapsack(best_problem, floor=best_value)
     return sol.value, sol.selected, fam.table.size + 1 - start, skipped

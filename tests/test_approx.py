@@ -147,6 +147,31 @@ def test_ratio_sort_exact_fallback_on_float_collisions():
                        [1, 2, 1, 1]).tolist() == [2, 1, 0, 3]
 
 
+def test_ratio_sort_int64_and_object_passes_agree():
+    """The exact pass runs on int64 while max(num) * max(den) < 2**63 and
+    on Python integers otherwise; both give the exact permutation.
+
+    Scaling every numerator and denominator by 2**70 keeps each ratio and
+    each tie but moves the pass to Python integers.  The cases are exact
+    ties, float keys that collide past 2**53, and cross products at and
+    past 2**63.
+    """
+    big = 1 << 53
+    cases = [
+        ([6, 3, 4, 2, 9, 0, 0], [2, 1, 2, 1, 3, 5, 1]),  # ties
+        ([big, big + 1, big - 1, 2 * big + 1], [1, 1, 1, 2]),  # collisions
+        ([1 << 62, (1 << 62) - 1, 3], [2, 2, 1]),  # products reach 2**63
+        ([1 << 63, (1 << 63) + 1, 1 << 64], [1, 1, 2]),  # past int64
+    ]
+    for num, den in cases:
+        want = sorted(range(len(num)),
+                      key=lambda i: (-Fraction(num[i], den[i]), i))
+        scaled = ([v << 70 for v in num], [v << 70 for v in den])
+        for args in ((num, den), scaled,
+                     (np.array(num, dtype=object), np.array(den))):
+            assert ratio_order(*args).tolist() == want
+
+
 def _counts(table, dtype=object):
     """Segment counts of every pivot, the dummy (ratio 0) last, taken on
     gains of ``dtype``."""

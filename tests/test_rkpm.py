@@ -14,8 +14,9 @@ from sockp.approx import SegmentTable
 from sockp.knapsack import lp_rows
 from sockp.rkpm import _Family
 
-from conftest import (exact_lp, family, random_instance, soc_brute_force,
-                      soc_dp_optimum, subproblem_exact, tie_start)
+from conftest import (enumerate_knapsack, exact_lp, family, random_instance,
+                      soc_brute_force, soc_dp_optimum, subproblem_exact,
+                      tie_start)
 
 
 def _single(b):
@@ -330,7 +331,8 @@ def _tree(fam):
     ancestors', as the family pass keys it.  Checks on the way that each
     split cuts its range into at most ``SCREEN_BLOCK`` contiguous parts of
     the largest power of ``SCREEN_BLOCK`` below its length, the last
-    possibly shorter, and that only a single pivot carries a row.
+    possibly shorter, and that every range carries its first pivot's
+    weight row and its last pivot's capacity, built alone.
     """
     start, skipped = fam.start()
     ranges, todo = [], [(start, fam.table.size + 1, math.inf)]
@@ -345,7 +347,10 @@ def _tree(fam):
         assert [j for _, j, _, _ in parts] == [min(i + span, stop)
                                                for i, _, _, _ in parts]
         for i, j, lp, row in parts:
-            assert (row is None) == (j - i > 1)
+            weights, cap = row
+            assert weights.dtype == fam.dnum.dtype
+            assert weights.tolist() == fam.weights([i])[0].tolist()
+            assert cap == fam.capacities([j - 1])[0]
             ranges.append((i, j, min(lp[3], key), lp, row))
             if j - i > 1:
                 todo.append((i, j, min(lp[3], key)))
@@ -374,7 +379,7 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
     Every range of the tree, from the family's start down to the single
     pivots, is bounded by the knapsack of its first pivot's weights and its
     last pivot's capacity (a pivot by its own): that bound equals the floor
-    of the exact LP optimum of the reference at fan-outs 2, 3 and 64, is at
+    of the exact LP optimum of the reference at fan-outs 2, 3, 8 and 64, is at
     most the bound of every range holding it, and is no lower than any of
     its pivots' scaled optima.
     """
@@ -389,7 +394,7 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
             # and i+1; the real ranks of a family are contiguous).
             straddled += any(tie_start(table, i) < i and i in ranks
                              for i in range(1, table.size))
-            for fan_out in (2, 3, 64):
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
                 ranges, got_skipped = _tree(fam)
                 assert got_skipped == skipped
@@ -403,6 +408,42 @@ def test_matrix_screen_matches_scalar_reference(rng, monkeypatch):
     # Some ratio group crossed a boundary between two pivots, bounded apart,
     # and some pivots were dropped for a negative capacity.
     assert straddled and skipped_total
+
+
+def test_range_relaxations_bound_their_pivots(rng, monkeypatch):
+    """A range's knapsack relaxes every pivot knapsack in it.
+
+    The family pass drops a range whose row cannot reach the incumbent, so
+    the exact value of that row, its first pivot's weights with its last
+    pivot's capacity, must be at least the brute-force optimum of each of
+    its pivots' scaled reference knapsacks, at fan-outs 2, 3 and 8.
+    """
+    omega = Decimal("4.358898")
+    ranges_checked = 0
+    for trial in range(16):
+        inst = random_instance(rng, rng.randint(3, 8), profit_hi=30,
+                               capacity_ratio=rng.choice((0.1, 0.3, 0.6)))
+        scheme = VERTICAL if trial % 2 else HORIZONTAL
+        table = build_segments(inst, omega, rng.randint(1, 5), scheme)
+        for kind in _kinds(table):
+            fam = _Family(inst, table, kind)
+            optima = {}
+            for rank in family(table, fam.delta):
+                weights, cap = _scaled_reference(fam, rank)
+                if cap >= 0:
+                    optima[rank - 1] = enumerate_knapsack(
+                        inst.profits, weights, cap)[0]
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK):
+                monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
+                ranges, _ = _tree(fam)
+                for first, stop, _, _, (weights, cap) in ranges:
+                    value = knapsack.solve_knapsack_value(
+                        knapsack.KnapsackSubproblem(
+                            profits=fam.profits, weights=weights,
+                            capacity=cap))
+                    assert value >= max(optima[i] for i in range(first, stop))
+                    ranges_checked += stop - first > 1
+    assert ranges_checked
 
 
 def test_integer_lp_bounds_are_lp_floors():
@@ -467,6 +508,26 @@ def test_bound_pair_dp_cells_stay_small(family, monkeypatch):
     assert max(cells) <= 25_000_000, cells
 
 
+def test_range_dps_settle_a_long_family_in_few_solves(monkeypatch):
+    """Deterministic work guard: the SC n=5 upper bound at m=20,000.
+
+    Its family screens 62,017 pivots, and each once had an LP bound that
+    could win, so each got a value solve.  Solving a range's relaxation
+    before splitting it drops nearly all of them: 181 value solves at
+    fan-out 8, ranges included.
+    """
+    solves = []
+    real = rkpm.solve_knapsack_value
+    monkeypatch.setattr(rkpm, "solve_knapsack_value", lambda *args, **kw: (
+        solves.append(1) or real(*args, **kw)))
+    omega = Decimal("4.358898")
+    inst = generate(GeneratorSpec(family="SC", n=5, seed=0))
+    res = upper_bound(inst, omega, 20_000)
+    assert (res.objective, res.subproblems_solved) == (115, 62_017)
+    assert res.objective >= soc_dp_optimum(inst, omega)
+    assert len(solves) <= 500
+
+
 def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
     """The family result is (max value, min rank) over unfloored pivot solves.
 
@@ -496,7 +557,7 @@ def test_incumbent_floors_keep_the_unfloored_winner(rng, monkeypatch):
                 expected = (sol.value, sol.selected)
             else:
                 expected = (0, (0,) * inst.n)
-            for fan_out in (2, 3, rkpm.SCREEN_BLOCK):
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
                 res = (upper_bound(inst, omega, m, scheme=scheme, table=table)
                        if kind == rkpm.UPPER
@@ -612,7 +673,7 @@ def _wide_divisor_cases(rng):
 def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     """Every pivot's scaled knapsack, built with its siblings.
 
-    Rows of the single pivots of the range tree (fan-outs 2, 3 and 64) and
+    Rows of the single pivots of the range tree (fan-outs 2, 3, 8 and 64) and
     the rows skipped for a negative capacity, on int64 and on object rows.
     """
     dtypes = set()
@@ -628,12 +689,11 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
             if any(table is case[2] for case in int64s):
                 assert fam.dnum.dtype == np.int64
             built = set()
-            for fan_out in (2, 3, 64):
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
                 ranges, skipped = _tree(fam)
-                for i, _, _, _, row in ranges:
-                    if row is not None:
-                        assert row[0].dtype == fam.dnum.dtype
+                for i, j, _, _, row in ranges:
+                    if j - i == 1:
                         _assert_row_is_exact(fam, i, *row)
                         built.add(i)
             ranks = family(table, fam.delta)
@@ -702,7 +762,7 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
     The pass stops at a bound below the incumbent and skips one equal to it,
     so every range's key, its bound capped by its ancestors', must be at
     least the optimum of each of its pivots' scaled knapsacks, here from the
-    Fraction reference, at fan-outs 2, 3 and 64 and on both schemes.
+    Fraction reference, at fan-outs 2, 3, 8 and 64 and on both schemes.
     """
     omega = Decimal("4.358898")
     for trial in range(30):
@@ -713,7 +773,7 @@ def test_integral_pruning_bounds_hold(rng, monkeypatch):
         for kind in _kinds(table):
             fam = _Family(inst, table, kind)
             refs, _ = _reference_pivots(fam)
-            for fan_out in (2, 3, 64):
+            for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
                 ranges, _ = _tree(fam)
                 for first, stop, key, _, _ in ranges:
@@ -781,7 +841,7 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
               for i in (rank - 1 for rank in family(table, fam.delta))
               if fam.capacities([i])[0] >= 0]
     assert values == [1, 1, 2, 2, 2]
-    for fan_out in (2, 3, rkpm.SCREEN_BLOCK):
+    for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
         monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
         res = upper_bound(inst, omega, 1, table=table)
         assert res.objective == max(values) == 2
@@ -790,11 +850,12 @@ def test_skip_rule_keeps_a_pivot_one_above_the_incumbent(monkeypatch):
 def test_range_trees_at_the_real_fan_out(monkeypatch):
     """Bounds on families of thousands of pivots keep their values.
 
-    The IC n=20 bound pair at m=250 screens 4,038 of its 5,000 pivots, in
-    the 64 blocks of the family's first split.  The vertical SC n=15 upper
-    bound at m=400 screens 5,602, more than SCREEN_BLOCK**2, so its family
-    first splits into ranges of 4,096 pivots.  Every bound keeps its value
-    and selection, and the bounds sandwich the SOC optimum.
+    The IC n=20 bound pair at m=250 screens 4,038 of its 5,000 pivots,
+    which the family's first split cuts into ranges of 512.  The vertical
+    SC n=15 upper bound at m=400 screens 5,602, more than SCREEN_BLOCK**4,
+    so its family first splits into ranges of 4,096 pivots, four splits
+    above the single pivots.  Every bound keeps its value and selection,
+    and the bounds sandwich the SOC optimum.
     """
     spans = []
     split = _Family.split
