@@ -73,10 +73,11 @@ So ranges under a dropped one are never bounded, and a pivot that reaches
 the top is value-solved the same way.  A bound below the incumbent ends the
 pass, and one equal to it can at most tie, so it is skipped for a larger
 rank.  Each exact value solve passes the incumbent as its floor (plus one
-when a tie would not win), so the knapsack fixes items by reduced cost
-against it (Martello, Pisinger & Toth, Management Science 45(3), 1999; see
-:mod:`sockp.knapsack`) and its DP sees only the few items that could still
-change a winning selection.  Only the winning pivot's selection is
+when a tie would not win), so the knapsack fixes items by reduced cost and,
+for a wide DP, by the cardinality bound against it (Martello, Pisinger &
+Toth, Management Science 45(3), 1999; see :mod:`sockp.knapsack`), often
+drops the solve outright, and its DP sees only the few items that could
+still change a winning selection.  Only the winning pivot's selection is
 reconstructed, once, at the end.
 """
 

@@ -142,6 +142,25 @@ def test_matches_brute_force_with_decimal_means(rng):
         assert solve_exact(inst, omega).objective == opt
 
 
+def test_one_solve_at_the_certificate_is_optimal():
+    """The inner-budget solution at m* is SOC-optimal (the pseudo-polynomial
+    claim behind ``m_star``), checked by one upper bound at m* against brute
+    force, apart from the doubling loop: random integer instances, n 3-8,
+    omega 1, 2 or 3."""
+    rng = random.Random(43)
+    sizes = set()
+    for _ in range(60):
+        inst = random_instance(rng, rng.randint(3, 8), sigma_lo=0,
+                               sigma_hi=20, sigma_digits=0)
+        omega = Decimal(rng.randint(1, 3))
+        m = m_star(inst, omega)
+        sizes.add(m)
+        res = upper_bound(inst, omega, m)
+        assert res.objective == soc_brute_force(inst, omega)[0], (inst, omega)
+        assert is_soc_feasible(res.solution, inst, omega), (inst, omega)
+    assert max(sizes) > 100
+
+
 def test_iteration_count_capped_by_certificate(rng):
     for _ in range(15):
         inst = random_instance(rng, rng.randint(4, 9))

@@ -246,6 +246,67 @@ def test_floor_contract_matches_enumeration(monkeypatch):
             assert solve_knapsack(prob).selected == bits
 
 
+def _correlated_cases(rng):
+    """Strongly correlated problems, profit = weight + a shift: the LP fill
+    takes many light items, so the count of items that fit binds."""
+    for _ in range(120):
+        n = rng.randint(4, 12)
+        weights = [rng.randint(1, 60) for _ in range(n)]
+        shift = rng.choice((3, 10, 30))
+        capacity = max(weights) + rng.randint(0, sum(weights) // 2)
+        yield KnapsackSubproblem(profits=tuple(w + shift for w in weights),
+                                 weights=tuple(weights), capacity=capacity)
+
+
+def test_cardinality_stage_keeps_the_floor_contract(monkeypatch):
+    """With the gate at 0 cells the cardinality bound runs on every int64
+    value solve and reconstruction: strongly correlated problems and the
+    fixing cases keep the floor contract at every floor and the
+    lexicographically least optimum, and the stage both pruned and fixed
+    items on the way.  Problems of weights past 2**63 (``object`` rows)
+    never reach it and still match."""
+    seen = {"calls": 0, "pruned": 0, "fixed": 0}
+    stage = knapsack._cardinality
+
+    def spy(*args):
+        out = stage(*args)
+        seen["calls"] += 1
+        if out is not None:
+            slack, _, d = out
+            seen["pruned"] += slack < 0
+            seen["fixed"] += slack >= 0 and bool((np.abs(d) > slack).any())
+        return out
+
+    monkeypatch.setattr(knapsack, "CARD_CELLS", 0)
+    monkeypatch.setattr(knapsack, "_cardinality", spy)
+
+    def check(prob):
+        opt, bits = enumerate_knapsack(prob.profits, prob.weights,
+                                       prob.capacity)
+        for floor in range(opt + 3):
+            value = solve_knapsack_value(prob, floor=floor)
+            if opt >= floor:
+                assert value == opt, (prob, floor)
+            else:
+                assert value < floor, (prob, floor)
+        if prob.capacity >= 0:
+            sol = solve_knapsack(prob, floor=opt)
+            assert (sol.value, sol.selected) == (opt, bits), prob
+
+    rng = random.Random(37)
+    correlated = list(_correlated_cases(rng))
+    for prob in correlated + list(_floor_cases(rng)):
+        check(prob)
+    assert seen["pruned"] and seen["fixed"], seen
+    calls = seen["calls"]
+    shift = (1 << 63) + 5
+    for prob in correlated[:30]:
+        check(KnapsackSubproblem(profits=prob.profits,
+                                 weights=tuple(w * shift for w in prob.weights),
+                                 capacity=prob.capacity * shift))
+    assert seen["calls"] == calls
+
+
 def test_a_given_lp_row_changes_no_value():
     """Passing the problem's :func:`knapsack.lp_rows` tuple only saves
     recomputing it: zero weights, zero profits, oversized items and big
