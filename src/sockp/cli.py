@@ -43,8 +43,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _decimal(text: str) -> Decimal:
-    """A decimal flag value.  argparse reports a malformed one with the
-    flag's name and exit code 2; NaN and infinities parse, and the library
+    """A decimal flag value.  argparse reports a malformed one, or one whose
+    exponent is out of range, with the flag's name and exit code 2; NaN and
+    infinities parse, and the library
     refuses them as the field they are."""
     try:
         return as_decimal(text)
@@ -52,9 +53,9 @@ def _decimal(text: str) -> Decimal:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _decimal_list(text: str) -> list[Decimal]:
+def _decimal_list(text: str) -> tuple[Decimal, ...]:
     """Comma list of decimals, each as for :func:`_decimal`."""
-    return [_decimal(part) for part in text.split(",") if part.strip()]
+    return tuple(_decimal(part) for part in text.split(",") if part.strip())
 
 
 def _add_generator_args(parser, required=False):
@@ -83,75 +84,101 @@ def _add_output_args(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_sweep_args(parser, sizes, seeds, grids):
+    """The flags of a seeded sweep, in their --help order: the shared lists
+    with this command's defaults, then ``grids`` ({flag: (default, help)}),
+    then the ambiguity and the output flags."""
+    parser.add_argument("--families", default="SC")
+    parser.add_argument("--sizes", default=sizes)
+    parser.add_argument("--rhos", type=_decimal_list, default="0.95")
+    parser.add_argument("--seeds", default=seeds)
+    for flag, (default, text) in grids.items():
+        parser.add_argument(flag, default=default, help=text)
+    parser.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
+    _add_output_args(parser)
+
+
 def _load_instance(args):
+    """The instance and its safety factor.  Priority: --omega, then --rho
+    with --ambiguity, then the value stamped in the instance."""
     if args.instance:
         with open(args.instance) as fh:
-            return instance_from_json(fh.read())
-    if args.family is None or args.n is None:
+            inst = instance_from_json(fh.read())
+    elif args.family is None or args.n is None:
         raise ValueError("either --instance or --family/--n must be given")
-    return generate(GeneratorSpec(family=args.family, n=args.n, seed=args.seed))
-
-
-def _resolve_instance_omega(args, inst):
-    """Priority: --omega, then --rho with --ambiguity, then the stamped value."""
+    else:
+        inst = generate(GeneratorSpec(family=args.family, n=args.n, seed=args.seed))
     if args.omega is not None:
         return inst, args.omega
     if args.rho is not None:
-        lower, upper = (None if bounds is None else tuple(bounds)
-                        for bounds in (args.support_lower, args.support_upper))
         return apply_omega_spec(inst, OmegaSpec(
             kind=args.ambiguity, rho=args.rho, gamma1=args.gamma1,
-            gamma2=args.gamma2, lower=lower, upper=upper,
-            support_form=args.support_form))
-    if inst.omega is not None:
-        return inst, inst.omega
-    raise ValueError("no safety factor: give --omega, or --rho with --ambiguity")
+            gamma2=args.gamma2, lower=args.support_lower,
+            upper=args.support_upper, support_form=args.support_form))
+    if inst.omega is None:
+        raise ValueError("no safety factor: give --omega, or --rho with --ambiguity")
+    return inst, inst.omega
 
 
-def _emit(text: str, out):
+def _emit(text: str, out) -> int:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
+
+
+def _report(row: dict, args, drop=()) -> int:
+    """Write one row as indented JSON, or as a CSV header and one line
+    without the ``drop`` fields."""
+    if getattr(args, "format", "json") == "csv":
+        fields = [key for key in row if key not in drop]
+        return _emit(bench.rows_to_csv([row], fields), args.out)
+    return _emit(json.dumps(row, indent=2) + "\n", args.out)
+
+
+def _grid(args):
+    """A sweep's families, sizes, rhos and seeds."""
+    families = [f.strip() for f in args.families.split(",") if f.strip()]
+    return (families, _parse_int_list(args.sizes), args.rhos,
+            _parse_int_list(args.seeds))
+
+
+def _sweep(args, rows, fields, summary=None) -> int:
+    if not rows:
+        raise ValueError(_EMPTY_GRID)
+    return _emit(bench.write_report(rows, fields, args.format, summary=summary),
+                 args.out)
 
 
 def _cmd_gen(args):
     spec = GeneratorSpec(family=args.family, n=args.n, seed=args.seed,
                          rho=args.rho,
                          omega_kind=args.ambiguity if args.rho is not None else None)
-    _emit(instance_to_json(generate(spec)), args.out)
-    return 0
+    return _emit(instance_to_json(generate(spec)), args.out)
 
 
 def _cmd_bounds(args):
-    inst = _load_instance(args)
-    inst, omega = _resolve_instance_omega(args, inst)
+    inst, omega = _load_instance(args)
     table = build_segments(inst, omega, args.m)
     row = {"n": inst.n, "m": args.m, "omega": str(omega)}
-    if args.delta in ("upper", "both"):
-        ub = upper_bound(inst, omega, args.m, table=table)
-        row.update(ub=ub.objective, ub_time_ms=round(ub.wall_time * 1000, 3),
-                   ub_solution="".join(map(str, ub.solution)))
-    if args.delta in ("lower", "both"):
-        lb = lower_bound(inst, omega, args.m, table=table)
-        row.update(lb=lb.objective, lb_time_ms=round(lb.wall_time * 1000, 3),
-                   lb_solution="".join(map(str, lb.solution)))
+    for key, bound, delta in (("ub", upper_bound, "upper"),
+                              ("lb", lower_bound, "lower")):
+        if args.delta in (delta, "both"):
+            res = bound(inst, omega, args.m, table=table)
+            row.update({key: res.objective,
+                        f"{key}_time_ms": round(res.wall_time * 1000, 3),
+                        f"{key}_solution": "".join(map(str, res.solution))})
     if "ub" in row and "lb" in row and row["lb"] > 0:
         row["gap_pct"] = (row["ub"] - row["lb"]) / row["lb"] * 100
-    if args.format == "csv":
-        fields = list(row)
-        _emit(bench.rows_to_csv([row], fields), args.out)
-    else:
-        _emit(json.dumps(row, indent=2) + "\n", args.out)
-    return 0
+    return _report(row, args)
 
 
 def _cmd_exact(args):
-    inst = _load_instance(args)
-    inst, omega = _resolve_instance_omega(args, inst)
+    inst, omega = _load_instance(args)
     res = solve_exact(inst, omega)
-    row = {
+    return _report({
         "n": inst.n, "omega": str(omega), "objective": res.objective,
         "iterations": res.iterations, "m_final": res.m,
         "knap_solves": res.subproblems_solved,
@@ -159,13 +186,7 @@ def _cmd_exact(args):
         "m_star": m_star(inst, omega),
         "solution": "".join(map(str, res.solution)),
         "objective_history": list(res.objective_history),
-    }
-    if args.format == "csv":
-        flat = {k: v for k, v in row.items() if k != "objective_history"}
-        _emit(bench.rows_to_csv([flat], list(flat)), args.out)
-    else:
-        _emit(json.dumps(row, indent=2) + "\n", args.out)
-    return 0
+    }, args, drop=("objective_history",))
 
 
 def _cmd_guarantee(args):
@@ -181,13 +202,11 @@ def _cmd_guarantee(args):
             args.n, args.rho, float(args.target_gap))
     if args.m is None and args.target_gap is None:
         raise ValueError("give --m for gap values and/or --target-gap for segment counts")
-    _emit(json.dumps(row, indent=2) + "\n", args.out)
-    return 0
+    return _report(row, args)
 
 
 def _cmd_validate(args):
-    inst = _load_instance(args)
-    inst, omega = _resolve_instance_omega(args, inst)
+    inst, omega = _load_instance(args)
     lb = lower_bound(inst, omega, args.m)
     rate = monte_carlo_feasibility(lb.solution, inst, samples=args.samples,
                                    seed=args.mc_seed)
@@ -200,43 +219,25 @@ def _cmd_validate(args):
     }
     if args.rho is not None:
         row["rho"] = float(args.rho)
-    _emit(json.dumps(row, indent=2) + "\n", args.out)
-    return 0
+    return _report(row, args)
 
 
 def _cmd_bench(args):
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    sizes = _parse_int_list(args.sizes)
-    seeds = _parse_int_list(args.seeds)
-    if args.mode == "bounds":
-        m_grid = _parse_int_list(args.m_grid) if args.m_grid else []
-        rows = bench.run_bounds_bench(families, sizes, args.rhos, m_grid, seeds,
-                                      ambiguity=args.ambiguity)
-        text = bench.write_report(rows, bench.BOUNDS_FIELDS, args.format,
-                                  summary=bench.summarize_bounds(rows))
-    else:
-        rows = bench.run_exact_bench(families, sizes, args.rhos, seeds,
-                                     ambiguity=args.ambiguity)
-        text = bench.write_report(rows, bench.EXACT_FIELDS, args.format,
-                                  summary=bench.summarize_exact(rows))
-    if not rows:
-        raise ValueError(_EMPTY_GRID)
-    _emit(text, args.out)
-    return 0
+    if args.mode == "exact":
+        rows = bench.run_exact_bench(*_grid(args), ambiguity=args.ambiguity)
+        return _sweep(args, rows, bench.EXACT_FIELDS, bench.summarize_exact(rows))
+    families, sizes, rhos, seeds = _grid(args)
+    rows = bench.run_bounds_bench(families, sizes, rhos,
+                                  _parse_int_list(args.m_grid), seeds,
+                                  ambiguity=args.ambiguity)
+    return _sweep(args, rows, bench.BOUNDS_FIELDS, bench.summarize_bounds(rows))
 
 
 def _cmd_compare_schemes(args):
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
     rows = bench.run_scheme_comparison(
-        families, _parse_int_list(args.sizes), args.rhos,
-        _parse_int_list(args.seeds),
-        m_horizontal=_parse_int_list(args.m_horizontal),
-        m_vertical=_parse_int_list(args.m_vertical),
-        ambiguity=args.ambiguity)
-    if not rows:
-        raise ValueError(_EMPTY_GRID)
-    _emit(bench.write_report(rows, bench.SCHEME_FIELDS, args.format), args.out)
-    return 0
+        *_grid(args), m_horizontal=_parse_int_list(args.m_horizontal),
+        m_vertical=_parse_int_list(args.m_vertical), ambiguity=args.ambiguity)
+    return _sweep(args, rows, bench.SCHEME_FIELDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,24 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="seeded benchmark sweeps")
     p.add_argument("--mode", choices=("bounds", "exact"), default="bounds")
-    p.add_argument("--families", default="SC")
-    p.add_argument("--sizes", default="100")
-    p.add_argument("--rhos", type=_decimal_list, default="0.95")
-    p.add_argument("--seeds", default="0:10")
-    p.add_argument("--m-grid", help="segment grid for bounds mode, e.g. 5,10,20")
-    p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
-    _add_output_args(p)
+    _add_sweep_args(p, "100", "0:10", {"--m-grid": (
+        "", "segment grid for bounds mode, e.g. 5,10,20")})
 
     p = sub.add_parser("compare-schemes",
                        help="horizontal vs vertical upper bounds on shared instances")
-    p.add_argument("--families", default="SC")
-    p.add_argument("--sizes", default="400")
-    p.add_argument("--rhos", type=_decimal_list, default="0.95")
-    p.add_argument("--seeds", default="0:5")
-    p.add_argument("--m-horizontal", default="10")
-    p.add_argument("--m-vertical", default="100")
-    p.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
-    _add_output_args(p)
+    _add_sweep_args(p, "400", "0:5", {"--m-horizontal": ("10", None),
+                                      "--m-vertical": ("100", None)})
 
     return parser
 
@@ -321,7 +311,7 @@ def main(argv=None) -> int:
     except SolverInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, InvalidOperation, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, InvalidOperation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

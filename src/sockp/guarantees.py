@@ -77,10 +77,10 @@ def min_segments_dro(n: int, rho, delta) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rho_d = as_decimal(rho)
+    rho_d = as_decimal(rho, "confidence level")
     _check_rho(rho_d)
     rho_f = Fraction(rho_d)
-    delta_d = as_decimal(delta)
+    delta_d = as_decimal(delta, "target gap")
     if not delta_d.is_finite() or delta_d <= 0:
         raise ValueError(f"target gap must be positive and finite, got {delta}")
     delta_f = Fraction(delta_d)

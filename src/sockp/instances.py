@@ -54,7 +54,7 @@ class GeneratorSpec:
         if self.n < 1:
             raise ValueError(f"instance size must be positive, got {self.n}")
         if self.rho is not None:
-            object.__setattr__(self, "rho", as_decimal(self.rho))
+            object.__setattr__(self, "rho", as_decimal(self.rho, "confidence level"))
 
 
 def _draw(seed: int, field: int, item: int) -> np.random.Generator:

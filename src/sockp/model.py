@@ -43,26 +43,41 @@ OMEGA_DIGITS = 6
 # coefficients are capped at MAX_COEFF_DIGITS so products always fit.
 EXACT_PREC = 120
 MAX_COEFF_DIGITS = 40
+# Every finite decimal has an adjusted exponent in [-MAX_EXPONENT,
+# MAX_EXPONENT], zeros such as 0E-5000 included.  So omega * sigma and the
+# scaled integer view stay under about 3,100 digits: inside the exact
+# context's exponent range and Python's int-string conversion limit.
+MAX_EXPONENT = 1000
 
 _OMEGA_KINDS = ("normal", "chebyshev", "delage-ye", "support", "explicit")
 
 
-def as_decimal(value) -> Decimal:
-    """Coerce a number to Decimal. Floats go through repr() to keep them short."""
-    if isinstance(value, Decimal):
-        return value
-    if isinstance(value, int):
-        return Decimal(value)
+def as_decimal(value, label: str = "value") -> Decimal:
+    """Coerce a number to Decimal. Floats go through repr() to keep them short.
+
+    A finite value needs an adjusted exponent in [-``MAX_EXPONENT``,
+    ``MAX_EXPONENT``]: a magnitude from 1E-1000 to below 1E+1001, or a zero
+    whose exponent lies in that range.  Outside it, or for a string that is
+    no decimal, the ValueError names ``label``.  NaN and infinities pass, for
+    the caller to refuse as the field they are.
+    """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value!r}")
-        return Decimal(repr(value))
+        value = repr(value)
     if isinstance(value, str):
         try:
-            return Decimal(value)
+            value = Decimal(value)
         except InvalidOperation:
-            raise ValueError(f"{value!r} is not a decimal") from None
-    raise TypeError(f"cannot interpret {value!r} as a decimal")
+            raise ValueError(f"{label} {value!r} is not a decimal") from None
+    elif isinstance(value, int):
+        value = Decimal(value)
+    elif not isinstance(value, Decimal):
+        raise TypeError(f"cannot interpret {value!r} as a decimal")
+    if value.is_finite() and abs(value.adjusted()) > MAX_EXPONENT:
+        raise ValueError(f"{label} has decimal exponent {value.adjusted()}; "
+                         f"it must lie in [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
+    return value
 
 
 def _frac_digits(d: Decimal) -> int:
@@ -134,28 +149,29 @@ class OmegaSpec:
 
     @classmethod
     def normal(cls, rho) -> "OmegaSpec":
-        return cls(kind="normal", rho=as_decimal(rho))
+        return cls(kind="normal", rho=as_decimal(rho, "confidence level"))
 
     @classmethod
     def chebyshev(cls, rho) -> "OmegaSpec":
-        return cls(kind="chebyshev", rho=as_decimal(rho))
+        return cls(kind="chebyshev", rho=as_decimal(rho, "confidence level"))
 
     @classmethod
     def delage_ye(cls, rho, gamma1, gamma2) -> "OmegaSpec":
-        return cls(kind="delage-ye", rho=as_decimal(rho),
-                   gamma1=as_decimal(gamma1), gamma2=as_decimal(gamma2))
+        return cls(kind="delage-ye", rho=as_decimal(rho, "confidence level"),
+                   gamma1=as_decimal(gamma1, "gamma1"),
+                   gamma2=as_decimal(gamma2, "gamma2"))
 
     @classmethod
     def support_interval(cls, rho, lower: Iterable, upper: Iterable,
                          form: str = "squares") -> "OmegaSpec":
-        return cls(kind="support", rho=as_decimal(rho),
-                   lower=tuple(as_decimal(v) for v in lower),
-                   upper=tuple(as_decimal(v) for v in upper),
+        return cls(kind="support", rho=as_decimal(rho, "confidence level"),
+                   lower=tuple(as_decimal(v, "a support bound") for v in lower),
+                   upper=tuple(as_decimal(v, "a support bound") for v in upper),
                    support_form=form)
 
     @classmethod
     def explicit(cls, omega) -> "OmegaSpec":
-        return cls(kind="explicit", resolved_omega=as_decimal(omega))
+        return cls(kind="explicit", resolved_omega=as_decimal(omega, "omega"))
 
 
 def _check_rho(rho) -> None:
@@ -251,7 +267,7 @@ def as_omega(omega) -> Decimal:
             omega = resolve_omega(omega)
         value = omega.resolved_omega
     else:
-        value = as_decimal(omega)
+        value = as_decimal(omega, "omega")
     if not value.is_finite() or value <= 0:
         raise ValueError(f"safety factor omega must be positive and finite, "
                          f"got {value}")
@@ -269,7 +285,9 @@ class SockpInstance:
 
     Profits are nonnegative integers; means, dispersions and the capacity are
     nonnegative finite decimals.  Each has at most ``MAX_COEFF_DIGITS``
-    significant digits.  ``omega`` optionally records the safety
+    significant digits, and each decimal (``omega`` too) an adjusted
+    exponent in [-``MAX_EXPONENT``, ``MAX_EXPONENT``], that is [-1000, 1000],
+    zeros included.  ``omega`` optionally records the safety
     factor the instance was built for.  Instances are read-only after
     construction and safe for concurrent use.
     """
@@ -283,11 +301,11 @@ class SockpInstance:
 
     def __post_init__(self):
         self.profits = tuple(int(p) for p in self.profits)
-        self.means = tuple(as_decimal(v) for v in self.means)
-        self.sigmas = tuple(as_decimal(v) for v in self.sigmas)
-        self.capacity = as_decimal(self.capacity)
+        self.means = tuple(as_decimal(v, "a mean") for v in self.means)
+        self.sigmas = tuple(as_decimal(v, "a sigma") for v in self.sigmas)
+        self.capacity = as_decimal(self.capacity, "capacity")
         if self.omega is not None:
-            self.omega = as_decimal(self.omega)
+            self.omega = as_decimal(self.omega, "omega")
         n = len(self.profits)
         if len(self.means) != n or len(self.sigmas) != n:
             raise ValueError("profits, means and sigmas must have equal length")
@@ -419,10 +437,7 @@ def _json_decimal(value, label: str) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"{label} must be a JSON string or integer, "
                          f"got {value!r}")
-    try:
-        return as_decimal(value)
-    except ValueError:
-        raise ValueError(f"{label} must be a decimal, got {value!r}") from None
+    return as_decimal(value, label)
 
 
 def _json_list(doc: dict, key: str) -> list:
@@ -433,7 +448,10 @@ def _json_list(doc: dict, key: str) -> list:
 
 
 def instance_from_json(text: str) -> SockpInstance:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("instance document is not a JSON object")
     try:

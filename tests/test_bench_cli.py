@@ -438,3 +438,64 @@ def test_cli_json_decimals_that_are_no_finite_number_exit_2(
     assert main(["bounds", "--instance", str(path), "--m", "2"]) == 2
     err = capsys.readouterr().err
     assert named in err and "InvalidOperation" not in err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("capacity", "1E+1000000", "capacity"),
+    ("capacity", "0E-5000", "capacity"),
+    ("means", ["1E-1000000", "2"], "a mean"),
+    ("means", ["1E-5000", "2"], "a mean"),
+    ("sigmas", ["1", "1E-600000"], "a sigma"),
+    ("omega", "1E+600000", "omega"),
+])
+def test_cli_json_decimals_outside_the_exponent_range_exit_2(
+        tmp_path, capsys, field, value, named):
+    doc = {"n": 2, "profits": [5, 6], "means": ["1", "2"],
+           "sigmas": ["1", "1"], "capacity": "3", field: value}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", "--instance", str(path), "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} has decimal exponent")
+    assert "[-1000, 1000]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--family", "SC", "--n", "2", "--m", "2", "--rho", "0.95",
+      "--ambiguity", "support", "--support-lower", "0,0",
+      "--support-upper", "1E+600000,1"], "--support-upper"),
+    (["bounds", *_SOLVE, "--m", "2", "--rho", "0.95", "--ambiguity",
+      "delage-ye", "--gamma1", "1E-1000000", "--gamma2", "1E+1000000"],
+     "--gamma1"),
+    (["bounds", *_SOLVE, "--m", "2", "--omega", "1E-600000"], "--omega"),
+    (["exact", *_SOLVE, "--omega", "1E+600000"], "--omega"),
+    (["guarantee", "--n", "5", "--rho", "0.95", "--target-gap", "1E-1000000"],
+     "--target-gap"),
+    (["bench", "--sizes", "5", "--seeds", "0:1", "--m-grid", "2",
+      "--rhos", "0.95,0E-5000"], "--rhos"),
+], ids=["support-upper", "gamma1", "omega-small", "omega-large", "target-gap",
+        "rhos"])
+def test_cli_decimal_flags_outside_the_exponent_range_are_usage_errors(
+        argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: value has decimal exponent" in err
+    assert "[-1000, 1000]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "profits": [5, 6], "means": ["1", "2"], "sigmas": ["1", "1"]}',
+     "instance document is missing field 'capacity'"),
+    ("[" * 200_000 + "]" * 200_000, "instance document is nested too deeply"),
+], ids=["missing-field", "nested"])
+def test_cli_instance_documents_refused_by_message_exit_2(tmp_path, capsys,
+                                                          text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        instance_from_json(text)
+    assert main(["bounds", "--instance", str(path), "--m", "2",
+                 "--omega", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

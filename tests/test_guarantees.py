@@ -9,6 +9,7 @@ import pytest
 from sockp import (SockpInstance, guarantee_gap_dro, guarantee_gap_normal,
                    min_segments_dro, min_segments_normal_order,
                    monte_carlo_feasibility)
+from sockp.cli import main
 
 from conftest import random_instance
 
@@ -156,6 +157,28 @@ def test_min_segments_reject_a_gap_that_is_no_finite_number(delta):
         min_segments_dro(10, "0.95", delta)
     with pytest.raises(ValueError, match="finite"):
         min_segments_normal_order(10, 0.95, delta)
+
+
+# A count below one, from the CLI where it reaches the check: there
+# guarantee_gap_normal runs before guarantee_gap_dro, and min_segments_dro
+# before min_segments_normal_order.
+@pytest.mark.parametrize("call, args, argv, message", [
+    (guarantee_gap_normal, (0, 3, 0.95), ["--n", "0", "--m", "3"],
+     "n and m must be positive"),
+    (guarantee_gap_normal, (5, 0, 0.95), ["--n", "5", "--m", "0"],
+     "n and m must be positive"),
+    (guarantee_gap_dro, (0, 3, 0.95), None, "n and m must be positive"),
+    (guarantee_gap_dro, (5, -1, 0.95), None, "n and m must be positive"),
+    (min_segments_dro, (0, "0.95", "0.01"),
+     ["--n", "0", "--target-gap", "0.01"], "n must be positive"),
+    (min_segments_normal_order, (-3, 0.95, 0.01), None, "n must be positive"),
+], ids=["normal-n", "normal-m", "dro-n", "dro-m", "min-dro", "min-normal"])
+def test_counts_below_one_are_refused(call, args, argv, message, capsys):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+    if argv is not None:
+        assert main(["guarantee", "--rho", "0.95", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _HUGE = 10 ** 400

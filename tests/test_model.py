@@ -8,9 +8,10 @@ from sockp import (GeneratorSpec, OmegaSpec, SockpInstance, generate,
                    instance_from_json, instance_to_json, inverse_normal_cdf,
                    is_soc_feasible, lower_bound, resolve_omega, soc_lhs,
                    solve_exact, upper_bound)
-from sockp.model import _check_rho, apply_omega_spec, as_omega
+from sockp.guarantees import min_segments_dro
+from sockp.model import _check_rho, apply_omega_spec, as_decimal, as_omega
 
-from conftest import random_instance
+from conftest import random_instance, soc_brute_force
 
 
 def _phi_inv_bisect(p, tol=1e-14):
@@ -262,6 +263,96 @@ def test_resolve_omega_rejects_parameters_that_are_no_finite_numbers(spec,
                                                                      match):
     with pytest.raises(ValueError, match=match):
         resolve_omega(spec)
+
+
+# None of these is reachable from the CLI, whose flags take only the
+# choices that resolve_omega knows and whose --rho is checked before use.
+@pytest.mark.parametrize("spec, message", [
+    (OmegaSpec(kind="gaussian", rho=Decimal("0.9")),
+     "unknown ambiguity kind 'gaussian'"),
+    (OmegaSpec(kind="explicit"), "explicit safety factor must be positive"),
+    (OmegaSpec(kind="chebyshev"),
+     "chebyshev ambiguity requires a confidence level"),
+    (OmegaSpec.support_interval("0.9", ["0"], ["1"], form="cubes"),
+     "unknown support form 'cubes'"),
+], ids=["kind", "explicit", "rho", "form"])
+def test_resolve_omega_refuses_an_incomplete_spec(spec, message):
+    with pytest.raises(ValueError, match=message):
+        resolve_omega(spec)
+
+
+@pytest.mark.parametrize("value", [None, object(), [1], b"1", 1j], ids=repr)
+def test_as_decimal_refuses_what_is_no_number(value):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_decimal(value)
+
+
+_PAIR = dict(profits=(5, 6), means=("1", "2"), sigmas=("1", "1"),
+             capacity="3")
+
+
+def _pair_json(**fields):
+    return instance_from_json(json.dumps({"n": 2, **_PAIR, **fields}))
+
+
+# Decimals whose adjusted exponent lies outside [-1000, 1000], zeros
+# included, from each place the library coerces one: each is refused by its
+# field's name before any arithmetic can overflow the exact context or pass
+# Python's int-string limit.
+@pytest.mark.parametrize("make, field", [
+    (lambda: _pair_json(capacity="1E+1000000"), "capacity"),
+    (lambda: _pair_json(capacity="0E-5000"), "capacity"),
+    (lambda: _pair_json(means=["1E-1000000", "2"]), "a mean"),
+    (lambda: _pair_json(means=["1E-5000", "2"]), "a mean"),
+    (lambda: _pair_json(sigmas=["1E-600000", "1"]), "a sigma"),
+    (lambda: _pair_json(omega="1E+600000"), "omega"),
+    (lambda: SockpInstance(**{**_PAIR, "capacity": Decimal("1E+1001")}),
+     "capacity"),
+    (lambda: SockpInstance(**{**_PAIR, "means": (Decimal("1E-1001"), 2)}),
+     "a mean"),
+    (lambda: SockpInstance(**{**_PAIR, "sigmas": (1, 10 ** 1001)}), "a sigma"),
+    (lambda: OmegaSpec.support_interval("0.95", ["0", "0"],
+                                        ["1E+600000", "1"]),
+     "a support bound"),
+    (lambda: OmegaSpec.delage_ye("0.95", "1E-1000000", "1E+1000000"),
+     "gamma1"),
+    (lambda: OmegaSpec.delage_ye("0.95", "0.1", "1E+1000000"), "gamma2"),
+    (lambda: OmegaSpec.explicit("1E-600000"), "omega"),
+    (lambda: as_omega(Decimal("1E+600000")), "omega"),
+    (lambda: min_segments_dro(5, "0.95", "1E-1000000"), "target gap"),
+    (lambda: GeneratorSpec(family="SC", n=5, seed=0, rho="0E-5000"),
+     "confidence level"),
+], ids=["json-capacity", "json-zero", "json-mean", "json-mean-5000",
+        "json-sigma", "json-omega", "capacity", "mean", "sigma-int",
+        "support", "gamma1", "gamma2", "explicit", "as-omega", "target-gap",
+        "generator-rho"])
+def test_decimals_outside_the_exponent_range_are_refused_by_name(make, field):
+    with pytest.raises(ValueError, match=(
+            rf"^{field} has decimal exponent -?\d+; "
+            r"it must lie in \[-1000, 1000\]$")):
+        make()
+
+
+def _at_digits(lead, exponent, digits):
+    """lead.333...E<exponent> with ``digits`` significant digits."""
+    fraction = "." + "3" * (digits - 1) if digits > 1 else ""
+    return f"{lead}{fraction}E{exponent:+d}"
+
+
+@pytest.mark.parametrize("digits", [1, 38, 40])
+@pytest.mark.parametrize("omega", ["1E-1000", "1E+1000"])
+def test_decimals_at_the_edge_of_the_exponent_range_still_solve(omega,
+                                                                digits):
+    inst = SockpInstance(
+        profits=(5, 6),
+        means=(_at_digits(1, -1000, digits), _at_digits(9, 999, digits)),
+        sigmas=(_at_digits(1, -1000, digits), _at_digits(5, 999, digits)),
+        capacity=_at_digits(9, 999, digits))
+    best, _ = soc_brute_force(inst, omega)
+    assert solve_exact(inst, omega).objective == best
+    assert upper_bound(inst, omega, 2).objective >= best
+    lb = lower_bound(inst, omega, 2)
+    assert lb.objective <= best and is_soc_feasible(lb.solution, inst, omega)
 
 
 @pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity", "abc", "1.2.3"])
