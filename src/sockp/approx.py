@@ -123,8 +123,11 @@ class SegmentTable:
     scheme; ``dnum[i] / q`` is the gain of the entry at rank i+1.  An
     entry's segment is its place among its item's entries.  These arrays,
     ``base``, ``D`` and ``F`` are read-only.  The dummy (nm+1)-th element
-    with d = 0 and f = delta is attached at query time.  ``omega`` and
-    ``sigmas`` record the data the table was built from.
+    with d = 0 and f = delta is attached at query time, and the running
+    budgets, which place a budget among the entries, are formed where a
+    budget is given: a pivot family's start finds its first pivot by them
+    (:meth:`sockp.rkpm._Family.start`).  ``omega`` and ``sigmas`` record
+    the data the table was built from.
     """
 
     def __init__(self, n, m, omega, sigmas, scheme, q, base, D, F):
@@ -184,14 +187,6 @@ class SegmentTable:
         if self.scheme != HORIZONTAL:
             raise ValueError("the vertical scheme is used for upper bounds only")
         return Fraction(self.m * self.m) + Fraction(self.n, 4)
-
-    def lhat(self, delta) -> int | None:
-        """Smallest rank whose cumulative f reaches the budget, if any."""
-        # Prefix sums lie in [1, n F[m]]: clipping keeps the threshold's place.
-        total = self.n * int(self.F[-1])
-        pos = int(np.searchsorted(np.cumsum(self.f), min(
-            max(math.ceil(Fraction(delta)), 0), total + 1)))
-        return pos + 1 if pos < self.size else None
 
 
 def build_segments(inst: SockpInstance, omega, m: int,

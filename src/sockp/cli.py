@@ -29,17 +29,26 @@ AMBIGUITIES = ("normal", "chebyshev", "delage-ye", "support")
 _EMPTY_GRID = "empty sweep grid: a list flag such as --seeds gives no values"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list and/or a:b ranges, e.g. '5,10' or '0:10' (end exclusive)."""
+def _int_list(text: str) -> list[int]:
+    """Comma list and/or a:b ranges, e.g. '5,10' or '0:10' (end exclusive).
+    argparse reports a malformed one with the flag's name and exit code 2."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            out.extend(range(int(lo), int(hi)))
-        elif part:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ":" in part:
+                lo, hi = part.split(":", 1)
+                out.extend(range(int(lo), int(hi)))
+            elif part:
+                out.append(int(part))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return out
+
+
+def _name_list(text: str) -> list[str]:
+    """Comma list of names, e.g. 'SC,IC'."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _decimal(text: str) -> Decimal:
@@ -88,12 +97,12 @@ def _add_sweep_args(parser, sizes, seeds, grids):
     """The flags of a seeded sweep, in their --help order: the shared lists
     with this command's defaults, then ``grids`` ({flag: (default, help)}),
     then the ambiguity and the output flags."""
-    parser.add_argument("--families", default="SC")
-    parser.add_argument("--sizes", default=sizes)
+    parser.add_argument("--families", type=_name_list, default="SC")
+    parser.add_argument("--sizes", type=_int_list, default=sizes)
     parser.add_argument("--rhos", type=_decimal_list, default="0.95")
-    parser.add_argument("--seeds", default=seeds)
+    parser.add_argument("--seeds", type=_int_list, default=seeds)
     for flag, (default, text) in grids.items():
-        parser.add_argument(flag, default=default, help=text)
+        parser.add_argument(flag, type=_int_list, default=default, help=text)
     parser.add_argument("--ambiguity", choices=("normal", "chebyshev"), default="chebyshev")
     _add_output_args(parser)
 
@@ -136,13 +145,6 @@ def _report(row: dict, args, drop=()) -> int:
         fields = [key for key in row if key not in drop]
         return _emit(bench.rows_to_csv([row], fields), args.out)
     return _emit(json.dumps(row, indent=2) + "\n", args.out)
-
-
-def _grid(args):
-    """A sweep's families, sizes, rhos and seeds."""
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    return (families, _parse_int_list(args.sizes), args.rhos,
-            _parse_int_list(args.seeds))
 
 
 def _sweep(args, rows, fields, summary=None) -> int:
@@ -224,19 +226,20 @@ def _cmd_validate(args):
 
 def _cmd_bench(args):
     if args.mode == "exact":
-        rows = bench.run_exact_bench(*_grid(args), ambiguity=args.ambiguity)
+        rows = bench.run_exact_bench(args.families, args.sizes, args.rhos,
+                                     args.seeds, ambiguity=args.ambiguity)
         return _sweep(args, rows, bench.EXACT_FIELDS, bench.summarize_exact(rows))
-    families, sizes, rhos, seeds = _grid(args)
-    rows = bench.run_bounds_bench(families, sizes, rhos,
-                                  _parse_int_list(args.m_grid), seeds,
+    rows = bench.run_bounds_bench(args.families, args.sizes, args.rhos,
+                                  args.m_grid, args.seeds,
                                   ambiguity=args.ambiguity)
     return _sweep(args, rows, bench.BOUNDS_FIELDS, bench.summarize_bounds(rows))
 
 
 def _cmd_compare_schemes(args):
     rows = bench.run_scheme_comparison(
-        *_grid(args), m_horizontal=_parse_int_list(args.m_horizontal),
-        m_vertical=_parse_int_list(args.m_vertical), ambiguity=args.ambiguity)
+        args.families, args.sizes, args.rhos, args.seeds,
+        m_horizontal=args.m_horizontal, m_vertical=args.m_vertical,
+        ambiguity=args.ambiguity)
     return _sweep(args, rows, bench.SCHEME_FIELDS)
 
 

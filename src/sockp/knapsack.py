@@ -213,10 +213,9 @@ def dantzig_bound(profits: Sequence[int], weights: Sequence[int],
     """
     if capacity < 0:
         return 0
-    kept = [(int(p), int(w)) for p, w in zip(profits, weights)
-            if p > 0 and w <= capacity]
-    p, w = np.array(kept, dtype=object).reshape(-1, 2).T
-    return lp_rows(p, w[None], [capacity])[0][3]
+    p, w = np.array(profits, dtype=object), np.array(weights, dtype=object)
+    live = (p > 0) & (w <= capacity)
+    return lp_rows(p[live], w[live][None], [capacity])[0][3]
 
 
 class _Reduction(NamedTuple):
@@ -297,41 +296,37 @@ def _reduce(problem: KnapsackSubproblem, floor, lp=None) -> _Reduction:
     if lp is None:
         lp = lp_rows(p_all, w_all[None], [capacity])[0]
     greedy, p_b, w_b, _ = lp
-    kept = np.flatnonzero((p_all > 0) & (w_all <= capacity))
-    p_arr, w_arr = p_all[kept], w_all[kept]
-    weighs = w_arr > 0
-    reduced = w_b * p_arr - p_b * w_arr  # w_b * (p_j - lam * w_j)
+    live = (p_all > 0) & (w_all <= capacity)
+    # w_b * (p_j - lam * w_j) of a live item, 0 of one never selected.
+    reduced = np.where(live, w_b * p_all - p_b * w_all, 0)
     gains = np.maximum(reduced, 0)
     target = greedy if floor is None else max(floor, greedy)
     slack = p_b * capacity + int(gains.sum()) - w_b * target
-    fix_in = ~weighs | (reduced > slack)
-    room = capacity - int(w_arr[fix_in].sum())
+    fix_in = live & ((w_all == 0) | (reduced > slack))
+    room = capacity - int(w_all[fix_in].sum())
     if slack < 0 or room < 0:
         return _Reduction(greedy, [], 0, None, room, 0)
-    free = ~fix_in & (-reduced <= slack) & (w_arr <= room)
-    idx = np.flatnonzero(free)
+    idx = np.flatnonzero(live & ~fix_in & (-reduced <= slack)
+                         & (w_all <= room))
     upper = min((p_b * room + int(gains[idx].sum())) // w_b,
-                int(p_arr[idx].sum()))
+                int(p_all[idx].sum()))
     if exact is np.int64 and len(idx) * (upper + 1) >= CARD_CELLS:
-        card = _cardinality(reduced[idx], w_arr[idx], room, p_b, w_b,
-                            target - int(p_arr[fix_in].sum()))
+        card = _cardinality(reduced[idx], w_all[idx], room, p_b, w_b,
+                            target - int(p_all[fix_in].sum()))
         if card is not None:
             slack, bound, d = card
             ins = idx[d > slack]
-            room -= int(w_arr[ins].sum())
+            room -= int(w_all[ins].sum())
             if slack < 0 or room < 0:
                 return _Reduction(greedy, [], 0, None, room, 0)
             fix_in[ins] = True
-            upper = min(upper, bound) - int(p_arr[ins].sum())
-            idx = idx[(np.abs(d) <= slack) & (w_arr[idx] <= room)]
-            upper = min(upper, int(p_arr[idx].sum()))
-    return _Reduction(greedy,
-                      kept[fix_in].tolist(),
-                      int(p_arr[fix_in].sum()),
-                      list(zip(kept[idx].tolist(), p_arr[idx].tolist(),
-                               w_arr[idx].tolist())),
-                      room,
-                      upper)
+            upper = min(upper, bound) - int(p_all[ins].sum())
+            idx = idx[(np.abs(d) <= slack) & (w_all[idx] <= room)]
+            upper = min(upper, int(p_all[idx].sum()))
+    return _Reduction(greedy, np.flatnonzero(fix_in).tolist(),
+                      int(p_all[fix_in].sum()),
+                      list(zip(idx.tolist(), p_all[idx].tolist(),
+                               w_all[idx].tolist())), room, upper)
 
 
 def _cardinality(red, w, room, p_b, w_b, need):

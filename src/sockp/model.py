@@ -133,6 +133,9 @@ class OmegaSpec:
     or ``explicit``.  After :func:`resolve_omega`, ``resolved_omega`` holds
     the finite-decimal safety factor and, for the support-interval kind,
     ``resolved_sigmas`` holds the replacement dispersion coefficients.
+    The decimal fields, support bounds included, go through
+    :func:`as_decimal` on construction, so they take floats, strings and
+    ints, and a malformed one raises ``ValueError`` naming the field.
     """
 
     kind: str
@@ -147,31 +150,37 @@ class OmegaSpec:
     resolved_omega: Decimal | None = None
     resolved_sigmas: tuple[Decimal, ...] | None = None
 
+    def __post_init__(self):
+        for name, label in (("rho", "confidence level"), ("gamma1", "gamma1"),
+                            ("gamma2", "gamma2"), ("resolved_omega", "omega")):
+            if getattr(self, name) is not None:
+                setattr(self, name, as_decimal(getattr(self, name), label))
+        for name in ("lower", "upper"):
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(as_decimal(v, "a support bound")
+                                          for v in getattr(self, name)))
+
     @classmethod
     def normal(cls, rho) -> "OmegaSpec":
-        return cls(kind="normal", rho=as_decimal(rho, "confidence level"))
+        return cls(kind="normal", rho=rho)
 
     @classmethod
     def chebyshev(cls, rho) -> "OmegaSpec":
-        return cls(kind="chebyshev", rho=as_decimal(rho, "confidence level"))
+        return cls(kind="chebyshev", rho=rho)
 
     @classmethod
     def delage_ye(cls, rho, gamma1, gamma2) -> "OmegaSpec":
-        return cls(kind="delage-ye", rho=as_decimal(rho, "confidence level"),
-                   gamma1=as_decimal(gamma1, "gamma1"),
-                   gamma2=as_decimal(gamma2, "gamma2"))
+        return cls(kind="delage-ye", rho=rho, gamma1=gamma1, gamma2=gamma2)
 
     @classmethod
     def support_interval(cls, rho, lower: Iterable, upper: Iterable,
                          form: str = "squares") -> "OmegaSpec":
-        return cls(kind="support", rho=as_decimal(rho, "confidence level"),
-                   lower=tuple(as_decimal(v, "a support bound") for v in lower),
-                   upper=tuple(as_decimal(v, "a support bound") for v in upper),
+        return cls(kind="support", rho=rho, lower=lower, upper=upper,
                    support_form=form)
 
     @classmethod
     def explicit(cls, omega) -> "OmegaSpec":
-        return cls(kind="explicit", resolved_omega=as_decimal(omega, "omega"))
+        return cls(kind="explicit", resolved_omega=omega)
 
 
 def _check_rho(rho) -> None:
@@ -425,16 +434,26 @@ def instance_to_json(inst: SockpInstance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+class _JsonInt(str):
+    """The digits of a JSON integer, kept as text: converting them waits for
+    the field's digit check, and so Python's int-string limit never meets
+    them.  It prints as the integer it spells."""
+
+    __repr__ = str.__str__
+
+
 def _json_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not isinstance(value, _JsonInt):
         raise ValueError(f"{label} must be a JSON integer, got {value!r}")
-    return value
+    if len(value.lstrip("-")) > MAX_COEFF_DIGITS:
+        raise ValueError(f"{label} has more than {MAX_COEFF_DIGITS} digits")
+    return int(value)
 
 
 def _json_decimal(value, label: str) -> Decimal:
     """A decimal from a JSON string or integer.  A JSON float may already
     have lost digits and a boolean is no number, so both are refused."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+    if not isinstance(value, str):
         raise ValueError(f"{label} must be a JSON string or integer, "
                          f"got {value!r}")
     return as_decimal(value, label)
@@ -449,7 +468,7 @@ def _json_list(doc: dict, key: str) -> list:
 
 def instance_from_json(text: str) -> SockpInstance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_JsonInt)
     except RecursionError:
         raise ValueError("instance document is nested too deeply") from None
     if not isinstance(doc, dict):
@@ -469,9 +488,6 @@ def instance_from_json(text: str) -> SockpInstance:
         )
     except KeyError as exc:
         raise ValueError(f"instance document is missing field {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"instance document has a field of the wrong type: "
-                         f"{exc}") from None
     if inst.n != n:
         raise ValueError(f"declared n = {n} but {inst.n} items were given")
     return inst

@@ -15,11 +15,12 @@ bound on the SOC optimum, ``LOWER`` the outer budget delta = m^2 + n/4 of
 the horizontal scheme and yields a feasible lower bound.
 
 The family is one index range over the table sorted by falling ratio: from
-the first pivot (rank lhat) to index ``size``, the dummy, which is handled as
-one more pivot with ratio zero and the full prefix.  The pivot capacity
-cap - r * delta rises with the index, so the pivots with a negative capacity
-are a prefix of the range; one exact bisection finds where it ends, and those
-pivots are counted as skipped.  The rest are the pivots screened.
+the first pivot, the first entry whose running budget reaches delta, to
+index ``size``, the dummy, which is handled as one more pivot with ratio
+zero and the full prefix.  The pivot capacity cap - r * delta rises with
+the index, so the pivots with a negative capacity are a prefix of the
+range; one exact bisection finds where it ends, and those pivots are
+counted as skipped.  The rest are the pivots screened.
 
 Every pivot has one form: an integer knapsack, its weights and capacity
 times one factor S and rounded.  The range tree bounds it, the family pass
@@ -228,10 +229,13 @@ class _Family:
 
     def start(self) -> tuple[int, int]:
         """(Index of the first pivot with a nonnegative capacity, count of
-        the family's pivots before it), by one exact bisection."""
+        the family's pivots before it), by one exact bisection.  The family
+        starts at the first index whose running budget reaches delta, or at
+        the dummy, index ``size``, if none does."""
         t = self.table
-        lh = t.lhat(self.delta)
-        first = t.size if lh is None else lh - 1  # first real pivot index
+        # Running budgets lie in [1, n F[m]]: clipping keeps delta's place.
+        first = int(np.searchsorted(np.cumsum(t.f), min(
+            math.ceil(self.delta), t.n * int(t.F[-1]) + 1)))
         start = bisect.bisect_left(
             range(t.size + 1), True, lo=first,
             key=lambda i: self.capacities([i])[0] >= 0)

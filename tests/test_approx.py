@@ -13,6 +13,7 @@ from sockp import (HORIZONTAL, VERTICAL, GeneratorSpec, SockpInstance, beta,
 
 from sockp.approx import _vertical_steps
 from sockp.knapsack import ratio_order
+from sockp.rkpm import UPPER, _Family
 
 from conftest import (beta_pair_oracle, entries, family, prefix_state,
                       random_instance, tie_start)
@@ -432,11 +433,13 @@ def test_beta_inner_tightens_under_doubling(rng):
 
 
 def test_lhat_and_family_shape():
+    """A family's first pivot, rank lhat, is the first whose running budget
+    reaches delta; a budget beyond every entry leaves only the dummy."""
     table = build_segments(_one_item(), Decimal(10), 3)
+    fam = _Family(_one_item(), table, UPPER)
     # f = (1, 3, 5); prefix 1, 4, 9
-    assert table.lhat(Fraction(9)) == 3
-    assert table.lhat(Fraction(10)) is None
-    assert family(table, Fraction(9)) == [3, 4]
-    assert table.lhat(Fraction(2)) == 2
-    assert family(table, Fraction(2)) == [2, 3, 4]
-    assert family(table, Fraction(10)) == [4]          # budget beyond all entries
+    for delta, ranks in ((9, [3, 4]), (10, [4]), (2, [2, 3, 4])):
+        assert family(table, Fraction(delta)) == ranks
+        fam.delta = Fraction(delta)
+        start, skipped = fam.start()
+        assert start - skipped == ranks[0] - 1

@@ -8,7 +8,7 @@ from sockp.bench import (BOUNDS_FIELDS, EXACT_FIELDS, SCHEME_FIELDS,
                          rows_to_csv, run_bounds_bench, run_exact_bench,
                          run_scheme_comparison, summarize_bounds,
                          summarize_exact, write_report)
-from sockp.cli import main
+from sockp.cli import build_parser, main
 from sockp.exact import initial_segments
 
 
@@ -483,6 +483,77 @@ def test_cli_decimal_flags_outside_the_exponent_range_are_usage_errors(
     err = capsys.readouterr().err
     assert f"argument {flag}: value has decimal exponent" in err
     assert "[-1000, 1000]" in err and "Traceback" not in err
+
+
+# Every integer-list flag of a sweep, with the rest of a valid command.
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--m-grid", "2", "--sizes"], "--sizes"),
+    (["bench", "--m-grid", "2", "--seeds"], "--seeds"),
+    (["bench", "--m-grid"], "--m-grid"),
+    (["compare-schemes", "--sizes"], "--sizes"),
+    (["compare-schemes", "--seeds"], "--seeds"),
+    (["compare-schemes", "--m-horizontal"], "--m-horizontal"),
+    (["compare-schemes", "--m-vertical"], "--m-vertical"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+@pytest.mark.parametrize("value", ["x", "3:a", "2,y"])
+def test_cli_malformed_integer_list_flags_are_usage_errors(argv, flag, value,
+                                                           capsys):
+    """A malformed list is bad input: exit 2 before any solve, naming the
+    flag, and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: invalid literal for int()" in err
+
+
+def test_cli_list_flags_parse_names_ranges_and_defaults():
+    args = build_parser().parse_args(
+        ["bench", "--families", " SC, ,IC ", "--seeds", "3,5:7",
+         "--m-grid", "2, 4"])
+    assert (args.families, args.sizes, args.seeds, args.m_grid) == (
+        ["SC", "IC"], [100], [3, 5, 6], [2, 4])
+    args = build_parser().parse_args(["compare-schemes"])
+    assert (args.families, args.sizes, args.seeds, args.m_horizontal,
+            args.m_vertical) == (["SC"], [400], [0, 1, 2, 3, 4], [10], [100])
+
+
+# JSON integers past Python's 4,300-digit int-string limit, refused by their
+# field's name; and JSON strings where an integer is required.
+@pytest.mark.parametrize("field, value, named", [
+    ("profits", "[%s, 6]" % ("9" * 5000), "a profit has more than 40 digits"),
+    ("profits", "[-%s, 6]" % ("9" * 41), "a profit has more than 40 digits"),
+    ("n", "9" * 5000, "n has more than 40 digits"),
+    ("means", "[%s, 2]" % ("9" * 5000), "a mean has decimal exponent 4999"),
+    ("profits", '["5", 6]', "a profit must be a JSON integer, got '5'"),
+    ("n", '"2"', "n must be a JSON integer, got '2'"),
+], ids=["long-profit", "41-digit-profit", "long-n", "long-mean",
+        "string-profit", "string-n"])
+def test_cli_json_integers_refused_by_field_exit_2(tmp_path, capsys, field,
+                                                   value, named):
+    doc = {"n": 2, "profits": [5, 6], "means": ["1", "2"],
+           "sigmas": ["1", "1"], "capacity": "3"}
+    text = json.dumps({**doc, field: "@"}).replace('"@"', value)
+    with pytest.raises(ValueError, match=named):
+        instance_from_json(text)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["bounds", "--instance", str(path), "--m", "2",
+                 "--omega", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "4300" not in err
+
+
+def test_json_integers_within_the_digit_cap_load_exactly():
+    """A 40-digit profit, and JSON integers wherever a decimal is taken."""
+    profit = 10 ** 39 + 7
+    inst = instance_from_json(json.dumps(
+        {"n": 2, "profits": [profit, 6], "means": [1, "2"],
+         "sigmas": ["1", 1], "capacity": 3}))
+    assert inst.profits == (profit, 6)
+    assert (inst.means, inst.sigmas, inst.capacity) == (
+        (Decimal(1), Decimal(2)), (Decimal(1), Decimal(1)), Decimal(3))
 
 
 @pytest.mark.parametrize("text, message", [

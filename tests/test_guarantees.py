@@ -6,9 +6,9 @@ from statistics import NormalDist
 
 import pytest
 
-from sockp import (SockpInstance, guarantee_gap_dro, guarantee_gap_normal,
-                   min_segments_dro, min_segments_normal_order,
-                   monte_carlo_feasibility)
+from sockp import (SockpInstance, containment_radii, guarantee_gap_dro,
+                   guarantee_gap_normal, min_segments_dro,
+                   min_segments_normal_order, monte_carlo_feasibility)
 from sockp.cli import main
 
 from conftest import random_instance
@@ -172,7 +172,10 @@ def test_min_segments_reject_a_gap_that_is_no_finite_number(delta):
     (min_segments_dro, (0, "0.95", "0.01"),
      ["--n", "0", "--target-gap", "0.01"], "n must be positive"),
     (min_segments_normal_order, (-3, 0.95, 0.01), None, "n must be positive"),
-], ids=["normal-n", "normal-m", "dro-n", "dro-m", "min-dro", "min-normal"])
+    (containment_radii, (0, 3, 1), None, "n and m must be positive"),
+    (containment_radii, (5, -1, 1), None, "n and m must be positive"),
+], ids=["normal-n", "normal-m", "dro-n", "dro-m", "min-dro", "min-normal",
+        "radii-n", "radii-m"])
 def test_counts_below_one_are_refused(call, args, argv, message, capsys):
     with pytest.raises(ValueError, match=message):
         call(*args)

@@ -398,6 +398,11 @@ def test_array_invariants_rejected(dtype):
         with pytest.raises(ValueError, match="integer arrays"):
             KnapsackSubproblem(profits=np.array([5, 3], dtype=dtype),
                                weights=np.array([1.9, 1.2]), capacity=2)
+    # The LP bound of each form: 0 at a negative capacity, which admits no
+    # selection, and 5 + 3/2 floored at capacity 2.
+    prob = problem([5, 3, 0, 9], [1, 2, 0, 3])
+    assert dantzig_bound(prob.profits, prob.weights, -1) == 0
+    assert dantzig_bound(prob.profits, prob.weights, 2) == 6
 
 
 def test_ratio_past_float_range_picks_a_break_item():

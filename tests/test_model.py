@@ -281,6 +281,39 @@ def test_resolve_omega_refuses_an_incomplete_spec(spec, message):
         resolve_omega(spec)
 
 
+@pytest.mark.parametrize("rho", [0.95, "0.95", Decimal("0.95")], ids=repr)
+def test_omega_spec_built_directly_coerces_its_decimals(rho):
+    """The constructor takes what the factories take: floats, strings and
+    decimals, for every decimal field."""
+    spec = OmegaSpec(kind="chebyshev", rho=rho)
+    assert spec.rho == Decimal("0.95")
+    assert resolve_omega(spec).resolved_omega == Decimal("4.358898")
+    inst = generate(GeneratorSpec(family="SC", n=8, seed=1))
+    assert (upper_bound(inst, spec, 2).objective
+            == upper_bound(inst, Decimal("4.358898"), 2).objective)
+    spec = OmegaSpec(kind="support", rho=rho, lower=[0, 0.5], upper=("1", 2))
+    assert (spec.lower, spec.upper) == ((Decimal(0), Decimal("0.5")),
+                                        (Decimal(1), Decimal(2)))
+    spec = OmegaSpec(kind="delage-ye", rho=rho, gamma1=0.1, gamma2="1.5")
+    assert (spec.gamma1, spec.gamma2) == (Decimal("0.1"), Decimal("1.5"))
+    assert OmegaSpec(kind="explicit", resolved_omega=2.5).resolved_omega == (
+        Decimal("2.5"))
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(kind="chebyshev", rho="abc"), "confidence level"),
+    (dict(kind="delage-ye", rho="0.9", gamma1="x", gamma2="1.5"), "gamma1"),
+    (dict(kind="delage-ye", rho="0.9", gamma1="0.1", gamma2="1.5.1"),
+     "gamma2"),
+    (dict(kind="support", rho="0.9", lower=["0"], upper=["one"]),
+     "a support bound"),
+    (dict(kind="explicit", resolved_omega="2..5"), "omega"),
+], ids=["rho", "gamma1", "gamma2", "support", "explicit"])
+def test_omega_spec_built_directly_names_a_malformed_decimal(fields, named):
+    with pytest.raises(ValueError, match=f"^{named} '.*' is not a decimal"):
+        OmegaSpec(**fields)
+
+
 @pytest.mark.parametrize("value", [None, object(), [1], b"1", 1j], ids=repr)
 def test_as_decimal_refuses_what_is_no_number(value):
     with pytest.raises(TypeError, match="cannot interpret"):
