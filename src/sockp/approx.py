@@ -121,13 +121,14 @@ class SegmentTable:
     keeps three arrays of them in sorted order: ``js`` (item) intp, ``f``
     int64 and ``dnum`` an ``object`` array of Python ints, exact for any
     scheme; ``dnum[i] / q`` is the gain of the entry at rank i+1.  An
-    entry's segment is its place among its item's entries.  These arrays,
-    ``base``, ``D`` and ``F`` are read-only.  The dummy (nm+1)-th element
-    with d = 0 and f = delta is attached at query time, and the running
-    budgets, which place a budget among the entries, are formed where a
-    budget is given: a pivot family's start finds its first pivot by them
-    (:meth:`sockp.rkpm._Family.start`).  ``omega`` and ``sigmas`` record
-    the data the table was built from.
+    entry's segment is its place among its item's entries.  The arrays
+    hold ``size`` + 1 entries, the last the dummy (nm+1)-th element of item
+    n, gain 0 and budget 1, which is sorted with the others and, of ratio
+    zero and the largest index, sorts last.  These arrays, ``base``, ``D``
+    and ``F`` are read-only.  The running budgets, which place a budget
+    among the entries, are formed where a budget is given: a pivot family's
+    start finds its first pivot by them (:meth:`sockp.rkpm._Family.start`).
+    ``omega`` and ``sigmas`` record the data the table was built from.
     """
 
     def __init__(self, n, m, omega, sigmas, scheme, q, base, D, F):
@@ -144,12 +145,12 @@ class SegmentTable:
         steps, f = np.diff(self.D), np.diff(self.F)
         if (steps[:-1] * f[1:] < steps[1:] * f[:-1]).any():
             raise ValueError("segment ratios rise within an item")
-        # Entries in (item, segment) order, so that a tie in index is a tie
-        # in (item, segment).  Steps of 1 keep each item's gain object, so
-        # the horizontal gains hold n ints, not n * m.
+        # Entries in (item, segment) order and the dummy last, so that a tie
+        # in index is a tie in (item, segment).  Steps of 1 keep each item's
+        # gain object, so the horizontal gains hold n ints, not n * m.
         dnum = (np.repeat(self.base, m) if (steps == 1).all() else
                 np.multiply.outer(self.base, steps.astype(object)).ravel())
-        f = np.tile(f, n)
+        dnum, f = np.append(dnum, 0), np.append(np.tile(f, n), 1)
         order = ratio_order(dnum, f)
         self.js, self.dnum, self.f = order // m, dnum[order], f[order]
         for arr in (self.js, self.dnum, self.f, self.base, self.D, self.F):
@@ -158,13 +159,13 @@ class SegmentTable:
     def counts(self, gain, rnum, f) -> np.ndarray:
         """Per item, how many of its segments have a ratio above rnum / f.
 
-        ``gain`` is ``base`` and ``rnum`` a gain numerator, both times one
-        common factor, in an int64 or ``object`` dtype; ``rnum`` and ``f``
-        are columns, one row per ratio.  Horizontally segment k of item j
-        outranks the ratio iff gain_j * f > rnum * (2k - 1), vertically iff
-        its step exceeds rnum // gain_j (f = 1); a zero ratio is outranked by
-        every segment of an item with a positive gain.  Returns a
-        (rows, n) intp array.
+        ``gain`` is ``base`` and ``rnum`` a gain numerator, both in an int64
+        or ``object`` dtype; ``rnum`` and ``f`` are columns, one row per
+        ratio.  Horizontally segment k of item j outranks the ratio iff
+        gain_j * f > rnum * (2k - 1), vertically iff its step exceeds
+        rnum // gain_j (f = 1); a zero ratio, the dummy's, is outranked by
+        every segment of an item with a positive gain.  Returns a (rows, n)
+        intp array.
         """
         zero = rnum == 0
         if self.scheme == HORIZONTAL:
@@ -178,15 +179,15 @@ class SegmentTable:
 
     @property
     def inner_budget(self) -> Fraction:
-        """Budget reproducing the inner (upper-bound) approximation."""
-        return Fraction(self.m * self.m if self.scheme == HORIZONTAL else self.m)
+        """Budget reproducing the inner (upper-bound) approximation: F[m]."""
+        return Fraction(int(self.F[-1]))
 
     @property
     def outer_budget(self) -> Fraction:
         """Budget reproducing the outer (feasible lower-bound) approximation."""
         if self.scheme != HORIZONTAL:
             raise ValueError("the vertical scheme is used for upper bounds only")
-        return Fraction(self.m * self.m) + Fraction(self.n, 4)
+        return self.inner_budget + Fraction(self.n, 4)
 
 
 def build_segments(inst: SockpInstance, omega, m: int,
@@ -242,9 +243,9 @@ def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
     """Exact greedy value of the bounded continuous knapsack.
 
     Takes the entries of selected items in ratio order, saturating each until
-    the budget runs out; the last touched entry is taken fractionally and the
-    dummy element absorbs any remaining budget at zero gain.  This equals the
-    LP optimum.
+    the budget runs out; the last touched entry is taken fractionally and
+    any remaining budget is left at zero gain.  This equals the LP optimum.
+    The table's dummy, of item n, is never selected.
     """
     _check_bits(x, table.n)
     delta = Fraction(delta)
@@ -252,7 +253,7 @@ def beta_exact(x: Sequence[int], table: SegmentTable, delta) -> Fraction:
         return Fraction(0)
     if delta < int(table.f.min()):
         raise ValueError(f"budget {delta} is below the smallest entry weight")
-    picked = np.asarray(x, dtype=bool)[table.js]
+    picked = np.append(np.asarray(x, dtype=bool), False)[table.js]
     dnum, f = table.dnum[picked], table.f[picked]
     used = np.cumsum(f)
     # Entries taken whole: the budgets f are integers, so a running sum fits

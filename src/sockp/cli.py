@@ -201,7 +201,7 @@ def _cmd_guarantee(args):
     if args.target_gap is not None:
         row["min_segments_dro"] = min_segments_dro(args.n, args.rho, args.target_gap)
         row["min_segments_normal"] = min_segments_normal_order(
-            args.n, args.rho, float(args.target_gap))
+            args.n, args.rho, args.target_gap)
     if args.m is None and args.target_gap is None:
         raise ValueError("give --m for gap values and/or --target-gap for segment counts")
     return _report(row, args)

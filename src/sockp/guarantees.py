@@ -69,6 +69,13 @@ def guarantee_gap_dro(n: int, m: int, rho: float) -> float:
     return float(gap) if gap < 2 ** 1023 else math.inf
 
 
+def _target_gap(delta) -> Decimal:
+    gap = as_decimal(delta, "target gap")
+    if not gap.is_finite() or gap <= 0:
+        raise ValueError(f"target gap must be positive and finite, got {delta}")
+    return gap
+
+
 def min_segments_dro(n: int, rho, delta) -> int:
     """Smallest segment count keeping the moment-ambiguity gap below delta.
 
@@ -80,10 +87,7 @@ def min_segments_dro(n: int, rho, delta) -> int:
     rho_d = as_decimal(rho, "confidence level")
     _check_rho(rho_d)
     rho_f = Fraction(rho_d)
-    delta_d = as_decimal(delta, "target gap")
-    if not delta_d.is_finite() or delta_d <= 0:
-        raise ValueError(f"target gap must be positive and finite, got {delta}")
-    delta_f = Fraction(delta_d)
+    delta_f = Fraction(_target_gap(delta))
     inner = (rho_f * (1 - rho_f) / (4 * delta_f) + rho_f / 4) * n
     m = math.isqrt(inner.numerator // inner.denominator)
     while Fraction(m * m) < inner:
@@ -95,19 +99,20 @@ def min_segments_normal_order(n: int, rho, delta) -> int:
     """Smallest m >= sqrt(n)/2 with the normal-case gap at most delta.
 
     No closed form exists (only an O(sqrt(n/delta)) growth order), so the
-    monotone gap is inverted by doubling followed by binary search.
+    monotone gap is inverted by doubling followed by binary search, in
+    floats: a gap whose float rounds to 0 or to infinity is refused.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    delta = float(delta)
-    if not 0 < delta < math.inf:
-        raise ValueError(f"target gap must be positive and finite, got {delta}")
+    gap = float(_target_gap(delta))
+    if not 0 < gap < math.inf:
+        raise ValueError(f"target gap {delta} rounds to the float {gap}")
     lo = hi = _ceil_half_isqrt(n)
-    while guarantee_gap_normal(n, hi, rho) > delta:
+    while guarantee_gap_normal(n, hi, rho) > gap:
         hi *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if guarantee_gap_normal(n, mid, rho) <= delta:
+        if guarantee_gap_normal(n, mid, rho) <= gap:
             hi = mid
         else:
             lo = mid

@@ -16,11 +16,12 @@ the horizontal scheme and yields a feasible lower bound.
 
 The family is one index range over the table sorted by falling ratio: from
 the first pivot, the first entry whose running budget reaches delta, to
-index ``size``, the dummy, which is handled as one more pivot with ratio
-zero and the full prefix.  The pivot capacity cap - r * delta rises with
-the index, so the pivots with a negative capacity are a prefix of the
-range; one exact bisection finds where it ends, and those pivots are
-counted as skipped.  The rest are the pivots screened.
+index ``size``, the dummy.  That is the table's last entry, a pivot of
+ratio zero whose prefix is every entry of a positive ratio.  The pivot
+capacity cap - r * delta rises with the index, so the pivots with a
+negative capacity are a prefix of the range; one exact bisection finds
+where it ends, and those pivots are counted as skipped.  The rest are the
+pivots screened.
 
 Every pivot has one form: an integer knapsack, its weights and capacity
 times one factor S and rounded.  The range tree bounds it, the family pass
@@ -36,15 +37,17 @@ the exact robust optimum.  So a ``LOWER`` result is the robust optimum over
 the outer approximation, SOC-feasible because that polytope contains the
 ellipsoid.  A pivot's weights are mean_j + extra_j / (q f_i), extra_j =
 f_i sd_j - rnum sf_j over the item's entries of a strictly larger ratio,
-with the gains and the capacity over one denominator q, so a scaled weight
-is S mean_j plus S extra_j / (q f_i) rounded.  Within an item the ratios
+with the gains over the table's denominator q, so a scaled weight is
+S mean_j plus S extra_j / (q f_i) rounded.  Within an item the ratios
 fall with the segment, so those entries are its first k_j segments and
 their sums are closed forms in k_j (see :class:`~sockp.approx.SegmentTable`):
 :meth:`_Family.weights` builds the rows of any pivots as one matrix from
 their counts, with no state carried between rows, and rounds them by one
-division.  The rows are int64 when a bound check on the family's data
-allows it and ``object`` arrays of Python integers otherwise, through the
-same expressions.
+division.  The family keeps no per-entry state: it reads each pivot's
+gain numerator and budget from the table as it builds the pivot's row.
+The rows are int64 when a bound check on the family's data allows it and
+``object`` arrays of Python integers otherwise, through the same
+expressions.
 
 Down the family the ratio r falls and the strict-ratio prefix grows by
 entries of ratio above r, so every item's pivot weight and the pivot
@@ -144,22 +147,21 @@ class _Family:
     """Shared exact data for one (instance, table, kind) family.
 
     Means and capacity come over the scale of
-    :meth:`SockpInstance.exact_view`, gains over the table's q.  A table
-    built for an instance with fewer mean digits has a q that scale need not
-    divide, so q is lifted by scale / gcd(q, scale), and the gains with it.
-    ``b`` is the capacity over q, ``dnum`` and ``f`` the gain numerators and
-    budgets with the dummy pivot's 0 and 1 appended, ``whole`` the scaled
-    means factor * mean_j, and ``profits`` the profits.  ``kind``, ``UPPER``
-    or ``LOWER``, is the bound the family gives: it sets ``delta``, the
-    table's inner or outer budget.  ``gains`` are the table's ``base``
-    over q.  ``factor`` is the grid S of the module docstring unless one is
-    given.  The arrays are int64 where a bound allows and ``object`` arrays
-    of Python integers otherwise.  The bound covers every value
-    :meth:`weights` forms: the per-item sums, the two products of
-    ``extra``, the numerator and the divisor of the rounding division, and
-    the scaled weights.  It also covers the lift of the table's ``dnum``, so
-    that is cast to the family's dtype first and an int64 family forms no
-    Python int per entry.
+    :meth:`SockpInstance.exact_view`, gains over the table's q, which that
+    scale need not divide: a table built for an instance with fewer mean
+    digits serves too.  ``b`` is the capacity over ``scale``, ``whole`` the
+    scaled means factor * mean_j, and ``profits`` the profits.  ``kind``,
+    ``UPPER`` or ``LOWER``, is the bound the family gives: it sets
+    ``delta``, the table's inner or outer budget.  ``gains`` are the
+    table's ``base`` over q.  ``factor`` is the grid S of the module
+    docstring unless one is given.  The arrays are int64 where a bound
+    allows and ``object`` arrays of Python integers otherwise.  The bound
+    covers every value :meth:`weights` forms: the per-item sums, the two
+    products of ``extra``, the numerator and the divisor of the rounding
+    division, and the scaled weights.  It takes the largest gain numerator
+    and budget of an entry in closed form, max(base) * max(D[k] - D[k-1])
+    and max(F[k] - F[k-1]), so the family reads no per-entry array: the
+    pivots' columns of the table are cast to its dtype as they are read.
     """
 
     def __init__(self, inst: SockpInstance, table: SegmentTable, kind: str,
@@ -168,32 +170,28 @@ class _Family:
         self.table = table
         self.delta = delta = (table.outer_budget if kind == LOWER
                               else table.inner_budget)
-        a_int, b_int, _, scale = inst.exact_view(table.omega)
+        a_int, self.b, _, self.scale = inst.exact_view(table.omega)
         if factor is None:
-            a_min = min((a for a in a_int if a > 0), default=scale)
+            a_min = min((a for a in a_int if a > 0), default=self.scale)
             factor = math.lcm(
-                SCALE * 10 ** max(0, len(str(scale)) - len(str(a_min))),
-                scale // math.gcd(scale, b_int, *a_int))
+                SCALE * 10 ** max(0, len(str(self.scale)) - len(str(a_min))),
+                self.scale // math.gcd(self.scale, self.b, *a_int))
         self.factor = factor
-        lift = scale // math.gcd(table.q, scale)
-        self.q = table.q * lift
-        self.b = b_int * (self.q // scale)
-        self.dn = delta.numerator
-        self.dd = delta.denominator
-        g0 = math.gcd(self.factor, self.q)
-        self.mult, self.div = self.factor // g0, self.q // g0
-        whole = [self.factor * a // scale for a in a_int]
-        total = table.base.max(initial=0) * int(table.D[-1]) * lift
-        f_max = int(table.f.max(initial=1))
+        self.dn, self.dd = delta.numerator, delta.denominator
+        g0 = math.gcd(self.factor, table.q)
+        self.mult, self.div = self.factor // g0, table.q // g0
+        whole = [self.factor * a // self.scale for a in a_int]
+        g_max = table.base.max(initial=0)
+        total = g_max * int(table.D[-1])
+        f_max = int(np.diff(table.F).max())
         fits = (self.mult * f_max * total < 2 ** 62
                 and self.div * f_max < 2 ** 62
-                and table.dnum.max(initial=1) * lift * int(table.F[-1]) < 2 ** 62
+                and g_max * int(np.diff(table.D).max()) * int(table.F[-1])
+                < 2 ** 62
                 and max(whole, default=0)
-                + self.factor * (total // self.q + 1) < 2 ** 62)
+                + self.factor * (total // table.q + 1) < 2 ** 62)
         dtype = np.int64 if fits else object
-        self.gains = (table.base * lift).astype(dtype)
-        self.dnum = np.append(table.dnum, 0).astype(dtype) * lift
-        self.f = np.append(table.f, 1).astype(dtype)
+        self.gains = table.base.astype(dtype)
         self.whole = np.array(whole, dtype=dtype)
         self.profits = np.array(inst.profits, dtype=np.int64
                                 if max(inst.profits, default=0) < 2 ** 63
@@ -211,20 +209,21 @@ class _Family:
         q) taken out of both sides.  Returns a (len(idx), n) array in the
         family's dtype.
         """
-        t = self.table
-        rnum, f = self.dnum[idx, None], self.f[idx, None]
+        t, dtype = self.table, self.gains.dtype
+        rnum, f = t.dnum[idx, None].astype(dtype), t.f[idx, None].astype(dtype)
         k = t.counts(self.gains, rnum, f)
         extra = f * self.gains * t.D[k] - rnum * t.F[k]
         return self.whole + self.mult * extra // (self.div * f)
 
     def capacities(self, idx) -> list[int]:
-        """Scaled capacities factor * (b / q - ratio * delta) of the pivots
-        at ``idx``, rounded up, as Python ints."""
-        caps = []
+        """Scaled capacities factor * (b / scale - ratio * delta) of the
+        pivots at ``idx``, rounded up, as Python ints."""
+        t, caps = self.table, []
         for i in idx:
-            rnum, f_i = int(self.dnum[i]), int(self.f[i])
-            num = self.factor * (self.b * f_i * self.dd - rnum * self.dn)
-            caps.append(-(-num // (self.q * f_i * self.dd)))
+            den = t.q * int(t.f[i]) * self.dd
+            num = self.factor * (self.b * den - int(t.dnum[i]) * self.dn
+                                 * self.scale)
+            caps.append(-(-num // (self.scale * den)))
         return caps
 
     def start(self) -> tuple[int, int]:

@@ -119,7 +119,7 @@ def test_vertical_coefficients_one_item():
     expected = [10 * (math.sqrt(k / 4) - math.sqrt((k - 1) / 4)) for k in (1, 2, 3, 4)]
     got = [float(d) for _, _, _, d, _ in entries(table)]
     assert got == pytest.approx(expected, abs=1e-12)
-    assert table.f.tolist() == [1, 1, 1, 1]
+    assert table.f.tolist() == [1, 1, 1, 1, 1]  # the dummy's budget last
     assert table.inner_budget == Fraction(4)
     with pytest.raises(ValueError):
         table.outer_budget
@@ -174,11 +174,10 @@ def test_ratio_sort_int64_and_object_passes_agree():
 
 
 def _counts(table, dtype=object):
-    """Segment counts of every pivot, the dummy (ratio 0) last, taken on
-    gains of ``dtype``."""
+    """Segment counts of every pivot, the table's dummy (ratio 0) last,
+    taken on gains of ``dtype``."""
     return table.counts(table.base.astype(dtype),
-                        np.append(table.dnum, 0)[:, None].astype(dtype),
-                        np.append(table.f, 1)[:, None])
+                        table.dnum[:, None].astype(dtype), table.f[:, None])
 
 
 def _reference_table(inst, omega, m, scheme):
@@ -273,12 +272,14 @@ def test_table_matches_exact_reference():
             assert beta_exact(x, table, delta) == _greedy_beta(
                 x, ref, table.q, delta)
         assert table.size == len(ref["js"]) == inst.n * m
+        # The sorted arrays end in the dummy: item n, gain 0, budget 1.
+        dummy = {"js": [inst.n], "dnum": [0], "f": [1]}
         for name, want in ref.items():
             arr = getattr(table, name)
             assert not arr.flags.writeable
-            assert arr.tolist() == want, name
+            assert arr.tolist() == want + dummy.get(name, []), name
         assert [k for _, _, k, _, _ in entries(table)] == ks
-        assert np.cumsum(table.f).tolist() == prefix_f
+        assert np.cumsum(table.f).tolist() == prefix_f + [prefix_f[-1] + 1]
         # Each item's gains sum to base * D[m], and the counts of every
         # pivot, the dummy last, sum to where its strict-ratio prefix ends.
         assert [b * int(table.D[m]) for b in table.base] == totals
@@ -326,6 +327,39 @@ def test_counts_give_every_pivots_strict_prefix_sums():
                        for row in _counts(table, dtype).tolist()]
                 assert got == want, (scheme, m, dtype)
     assert dtypes == {np.int64, object} and tied
+
+
+@pytest.mark.parametrize("scheme", [HORIZONTAL, VERTICAL])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_dummy_is_the_tables_last_entry(scheme, n):
+    """Entry ``size`` of the sorted arrays is the dummy: item n, gain 0 and
+    budget 1, read-only like the others, and sorted after the entries of a
+    zero dispersion, which tie with its ratio 0.  ``beta_exact`` never
+    takes it, and a pivot family keeps no array longer than n."""
+    m, omega = 3, Decimal("4.358898")
+    base = random_instance(random.Random(n), n)
+    inst = SockpInstance(profits=base.profits, means=base.means,
+                         sigmas=(Decimal(0),) * min(n, 1) + base.sigmas[1:],
+                         capacity=base.capacity)
+    table = build_segments(inst, omega, m, scheme)
+    assert table.size == n * m
+    assert len(table.js) == len(table.dnum) == len(table.f) == n * m + 1
+    assert (int(table.js[-1]), table.dnum[-1], int(table.f[-1])) == (n, 0, 1)
+    assert table.dnum[-m - 1:].tolist() == [0] * (m + 1) or not n
+    with pytest.raises(ValueError, match="read-only"):
+        table.f[-1] = 2
+    # Every item selected: the greedy fill over the n * m real entries.
+    x, want, left = (1,) * n, Fraction(0), table.inner_budget
+    for _, _, _, d, f in entries(table):
+        take = min(Fraction(1), left / f)
+        want, left = want + d * take, left - f * take
+    assert beta_exact(x, table, table.inner_budget) == want
+    assert beta_exact(x, table, 10 ** 30) == sum(
+        Fraction(b * int(table.D[m]), table.q) for b in table.base)
+    for kind in (UPPER, "lower") if scheme == HORIZONTAL else (UPPER,):
+        fam = _Family(inst, table, kind)
+        arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(len(v) <= n for v in arrays)
 
 
 def test_prefix_state_matches_direct_sums():

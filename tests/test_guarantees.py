@@ -159,6 +159,26 @@ def test_min_segments_reject_a_gap_that_is_no_finite_number(delta):
         min_segments_normal_order(10, 0.95, delta)
 
 
+@pytest.mark.parametrize("gap, rounded", [("1E-400", "0.0"),
+                                          ("1E+400", "inf")])
+def test_min_segments_normal_refuses_a_gap_whose_float_is_not_positive(
+        gap, rounded, capsys):
+    """A decimal gap within the accepted exponents whose float rounds to 0
+    or to infinity: the float search refuses it by the gap as given, and
+    the CLI exits 2 with that message.  The exact DRO count takes it."""
+    message = f"target gap {gap} rounds to the float {rounded}"
+    with pytest.raises(ValueError) as exc:
+        min_segments_normal_order(5, "0.95", Decimal(gap))
+    assert str(exc.value) == message
+    assert min_segments_dro(5, "0.95", gap) >= 1
+    assert main(["guarantee", "--n", "5", "--rho", "0.95",
+                 "--target-gap", gap]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # The decimal and its float give one count where the float is positive.
+    assert (min_segments_normal_order(5, "0.95", Decimal("1E-300"))
+            == min_segments_normal_order(5, 0.95, 1e-300))
+
+
 # A count below one, from the CLI where it reaches the check: there
 # guarantee_gap_normal runs before guarantee_gap_dro, and min_segments_dro
 # before min_segments_normal_order.

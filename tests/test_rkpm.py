@@ -75,13 +75,19 @@ def test_table_of_an_instance_with_fewer_mean_digits_is_reused(rng):
     """A table built for other means, with the same omega and dispersions.
 
     Integer means and dispersions and omega = 2 give the table q = m; the
-    solved instance's 7-decimal means need q lifted by 10^7.  Either table
-    gives the same bounds and selections.
+    solved instance's 7-decimal means give its own table q = 10^7 m, so the
+    other table's q holds no multiple of the instance's scale.  Either
+    table gives every pivot, the dummy too, the same scaled weight row and
+    capacity, on int64 families (dispersions 1-30) and on ``object`` ones
+    (20-digit dispersions), and the same bounds and selections.
     """
     omega, m = Decimal(2), 3
-    for _ in range(6):
-        base = random_instance(rng, rng.randint(3, 9), sigma_lo=1,
-                               sigma_hi=30, sigma_digits=0)
+    dtypes = set()
+    for trial in range(6):
+        wide = trial % 2
+        base = random_instance(
+            rng, rng.randint(3, 9), sigma_lo=10 ** 19 if wide else 1,
+            sigma_hi=10 ** 20 - 1 if wide else 30, sigma_digits=0)
         means = tuple(Decimal(rng.randint(10 ** 7, 10 ** 9)).scaleb(-7)
                       for _ in range(base.n))
         inst = SockpInstance(profits=base.profits, means=means,
@@ -89,10 +95,20 @@ def test_table_of_an_instance_with_fewer_mean_digits_is_reused(rng):
         other, own = build_segments(base, omega, m), build_segments(
             inst, omega, m)
         assert (other.q, own.q) == (m, 10 ** 7 * m)
+        idx = np.arange(own.size + 1)
+        for kind in (rkpm.UPPER, rkpm.LOWER):
+            fams = [_Family(inst, table, kind) for table in (other, own)]
+            for fam in fams:
+                assert fam.gains.dtype == (object if wide else np.int64)
+                dtypes.add(fam.gains.dtype)
+            rows = [(fam.weights(idx).tolist(), fam.capacities(idx))
+                    for fam in fams]
+            assert rows[0] == rows[1]
         for bound in (upper_bound, lower_bound):
             results = [bound(inst, omega, m, table=table)
                        for table in (other, own)]
             assert len({(r.objective, r.solution) for r in results}) == 1
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_vertical_lower_bound_unsupported():
@@ -348,7 +364,7 @@ def _tree(fam):
                                                for i, _, _, _ in parts]
         for i, j, lp, row in parts:
             weights, cap = row
-            assert weights.dtype == fam.dnum.dtype
+            assert weights.dtype == fam.gains.dtype
             assert weights.tolist() == fam.weights([i])[0].tolist()
             assert cap == fam.capacities([j - 1])[0]
             ranges.append((i, j, min(lp[3], key), lp, row))
@@ -683,11 +699,11 @@ def test_integer_rows_match_the_exact_reference(rng, monkeypatch):
     for inst, omega, table in cases:
         for kind in _kinds(table):
             fam = _Family(inst, table, kind)
-            dtypes.add(fam.dnum.dtype)
+            dtypes.add(fam.gains.dtype)
             if any(table is case[2] for case in objects):
-                assert fam.dnum.dtype == object
+                assert fam.gains.dtype == object
             if any(table is case[2] for case in int64s):
-                assert fam.dnum.dtype == np.int64
+                assert fam.gains.dtype == np.int64
             built = set()
             for fan_out in (2, 3, rkpm.SCREEN_BLOCK, 64):
                 monkeypatch.setattr(rkpm, "SCREEN_BLOCK", fan_out)
@@ -717,7 +733,7 @@ def test_rising_segment_ratios_raise_value_error(big):
     inst = SockpInstance(profits=(5, 2, 4), means=(Decimal(1),) * 3,
                          sigmas=sigmas, capacity=Decimal(30))
     good = build_segments(inst, Decimal(2), 3)
-    assert (_Family(inst, good, rkpm.UPPER).dnum.dtype == object) == big
+    assert (_Family(inst, good, rkpm.UPPER).gains.dtype == object) == big
     with pytest.raises(ValueError, match="segment ratios rise within an item"):
         SegmentTable(good.n, good.m, good.omega, good.sigmas, good.scheme,
                      good.q, good.base, good.D, good.F[-1] - good.F[::-1])
@@ -897,9 +913,9 @@ def test_ceiling_divisor_past_2_62_takes_object_rows():
     omega = Decimal("1.644854")
     table = build_segments(inst, omega, 1600)
     fam = _Family(inst, table, rkpm.UPPER)
-    assert (fam.q, fam.factor) == (16 * 10 ** 20, 10 ** 6)
+    assert (table.q, fam.factor) == (16 * 10 ** 20, 10 ** 6)
     assert fam.div * int(table.f.max()) == 5_118_400_000_000_000_000
-    assert fam.dnum.dtype == object
+    assert fam.gains.dtype == object
     assert soc_brute_force(inst, omega) == (12, (1, 1, 0))
     assert upper_bound(inst, omega, 1600, table=table).objective == 12
 
